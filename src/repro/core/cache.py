@@ -30,9 +30,8 @@ bit-identical to recomputing it.  A disabled cache recomputes every call
 but still counts it as a miss, which is what lets benches report "full
 computations avoided" by comparing hit/miss totals.
 
-Tables are lock-guarded so the engine's parallel multi-start searches can
-share one cache; a racing miss at worst computes a value twice and
-publishes identical content.
+Tables are lock-guarded so threads sharing one cache stay safe; a racing
+miss at worst computes a value twice and publishes identical content.
 """
 
 from __future__ import annotations

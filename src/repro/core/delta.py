@@ -61,18 +61,6 @@ class DirtySet:
     def full(cls) -> "DirtySet":
         return cls(reschedule=True)
 
-    @classmethod
-    def for_reschedule(cls, *fu_ids: int) -> "DirtySet":
-        """A rescheduling move that names the units it touched.
-
-        Unlike :meth:`full`, the derivation keeps the parent design point
-        as a reference: the scheduler replays recorded fragment scripts
-        whose fingerprints survive the binding edit, and replay reuses the
-        parent's per-pass traces for passes that avoid re-scheduled
-        states (see docs/architecture.md, "Incremental scheduling").
-        """
-        return cls(fu_ids=frozenset(fu_ids), reschedule=True)
-
     def dirty_sources(self) -> frozenset[tuple]:
         """Source keys whose signal content or activity may have changed."""
         return (frozenset(("fu", f) for f in self.fu_ids)

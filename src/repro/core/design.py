@@ -196,13 +196,10 @@ class DesignPoint:
 
         ``dirty`` is the applying move's declaration of what it touched;
         for non-rescheduling moves it enables the incremental evaluation
-        path.  For rescheduling moves a dirty set with ``reschedule``
-        (see :meth:`DirtySet.for_reschedule`) enables *incremental
-        rescheduling*: the scheduler replays this point's recorded
-        fragment scripts where the binding edit left their fingerprints
-        intact, and replay reuses this point's per-pass traces for passes
-        avoiding re-scheduled states — both bit-identical to the full
-        path.  Passing no dirty set falls back to full evaluation.
+        path.  Rescheduling derivations always take the full path:
+        ``schedule()`` and ``replay()`` run from scratch, memoized on the
+        binding's schedule signature and the STG's replay signature.
+        Passing no dirty set falls back to full evaluation.
         """
         memo = self.cache.designs if self.cache is not None else None
         if reschedule:
@@ -215,8 +212,8 @@ class DesignPoint:
                 key = (id(self.cdfg), id(self.store), self.options,
                        binding.signature(), self.tree_policy, True)
                 return memo.get_or_compute(
-                    key, lambda: self._derive_rescheduled(binding, dirty))
-            return self._derive_rescheduled(binding, dirty)
+                    key, lambda: self._derive_rescheduled(binding))
+            return self._derive_rescheduled(binding)
         # A non-rescheduling derivation keeps this point's STG, which is
         # a product of its move history, not of ``binding`` — the key
         # needs the STG signature too.
@@ -228,35 +225,12 @@ class DesignPoint:
                 key, lambda: self._derive_rebound(binding, dirty))
         return self._derive_rebound(binding, dirty)
 
-    def _derive_rescheduled(self, binding: Binding,
-                            dirty: DirtySet | None) -> "DesignPoint":
-        use_parent = (self.incremental and dirty is not None
-                      and dirty.reschedule)
-        stg = schedule(self.cdfg, binding, self.options, cache=self.cache,
-                       parent=self.stg if use_parent else None)
-        rep = replay(stg, self.cdfg, self.store, cache=self.cache,
-                     parent=(self.stg, self.rep) if use_parent else None)
-        # A rescheduling move usually perturbs only unit assignment,
-        # not timing: when the new STG is replay-equivalent to the
-        # parent's (same states, durations, op placements and
-        # transitions — only ``op.fu`` may differ), every lifetime
-        # is unchanged and the named units are the only dirty ones,
-        # so the architecture/traces/power can be *derived* exactly
-        # as for a non-rescheduling move instead of rebuilt.
-        if (use_parent and
-                stg.replay_signature() == self.stg.replay_signature()):
-            dirty = DirtySet(fu_ids=dirty.fu_ids, reg_ids=dirty.reg_ids,
-                             port_keys=dirty.port_keys)
-        else:
-            dirty = None
+    def _derive_rescheduled(self, binding: Binding) -> "DesignPoint":
+        stg = schedule(self.cdfg, binding, self.options, cache=self.cache)
+        rep = replay(stg, self.cdfg, self.store, cache=self.cache)
         derived = DesignPoint(self.cdfg, self.library, self.store, self.options,
                               binding, stg, rep, self.tree_policy,
-                              cache=self.cache, parent=self, dirty=dirty,
-                              incremental=self.incremental)
-        if dirty is not None:
-            # Replay-equivalent STG: liveness is a function of the
-            # STG's replay content, so the parent's solve is exact.
-            derived._liveness = self._liveness
+                              cache=self.cache, incremental=self.incremental)
         derived.check_register_sharing()
         return derived
 

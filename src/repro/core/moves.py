@@ -88,10 +88,8 @@ class ShareFU(Move):
         return ("share_fu", self.keep, self.absorb, self.module_name)
 
     def affected(self, design: DesignPoint) -> DirtySet:
-        # Re-schedules — every port and lifetime may move — but only the
-        # merged units' regions actually change, so the schedule/replay
-        # layer can reuse the parent's untouched fragments and passes.
-        return DirtySet.for_reschedule(self.keep, self.absorb)
+        # Re-schedules: every port and lifetime may move.
+        return DirtySet.full()
 
     def apply(self, design: DesignPoint) -> DesignPoint:
         binding = design.binding.clone()
@@ -150,7 +148,7 @@ class SubstituteModule(Move):
             # (the paper re-schedules exactly on cycle-time violations).
             candidate = design.with_binding(
                 binding, reschedule=True,
-                dirty=DirtySet.for_reschedule(self.fu))
+                dirty=DirtySet.full())
         return candidate
 
 
@@ -216,19 +214,6 @@ class SplitRegister(Move):
         return design.with_binding(binding, reschedule=False, dirty=dirty)
 
 
-def _mem_port_keys(array: str) -> frozenset:
-    """All datapath port keys a RAM's buses can occupy (over every
-    organization, so spec swaps dirty the ports they grow into)."""
-    from repro.library.memory import RAM_SPECS
-
-    max_ports = max(spec.ports for spec in RAM_SPECS)
-    return frozenset(
-        (kind, array, port)
-        for kind in ("mem_addr", "mem_din")
-        for port in range(max_ports)
-    )
-
-
 @dataclass(frozen=True)
 class BindMemoryPort(Move):
     """Reassign one array access to another port of its RAM."""
@@ -241,11 +226,7 @@ class BindMemoryPort(Move):
         return ("bind_mem_port", self.array, self.node, self.port)
 
     def affected(self, design: DesignPoint) -> DirtySet:
-        # Rescheduling; when the new STG turns out replay-equivalent the
-        # derivation still rewires the RAM's buses (named here) — port
-        # assignment changes which bus each access drives even when no
-        # op moved state.
-        return DirtySet(port_keys=_mem_port_keys(self.array), reschedule=True)
+        return DirtySet.full()
 
     def apply(self, design: DesignPoint) -> DesignPoint:
         binding = design.binding.clone()
@@ -265,7 +246,7 @@ class SubstituteRam(Move):
         return ("substitute_ram", self.array, self.spec_name)
 
     def affected(self, design: DesignPoint) -> DirtySet:
-        return DirtySet(port_keys=_mem_port_keys(self.array), reschedule=True)
+        return DirtySet.full()
 
     def apply(self, design: DesignPoint) -> DesignPoint:
         from repro.library.memory import ram_spec

@@ -29,8 +29,8 @@ class StageToken:
     """Mutable marker yielded by :meth:`Profiler.stage`.
 
     Stages that only discover mid-flight whether they took the
-    incremental path (schedule fragment replay, per-pass replay reuse)
-    set ``incremental`` on the token before the block exits.
+    incremental path (a reused replay walk, a persistent-store hit) set
+    ``incremental`` on the token before the block exits.
     """
 
     incremental: bool = False
@@ -67,7 +67,7 @@ class Profiler:
         """Time one stage execution (``incremental`` marks a delta path).
 
         Yields a :class:`StageToken`; a stage that only knows *after* the
-        fact whether it short-circuited (e.g. schedule fragment replay)
+        fact whether it short-circuited (e.g. a reused replay walk)
         may set ``token.incremental`` inside the block instead of passing
         the flag up front.
         """

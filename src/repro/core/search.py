@@ -54,9 +54,6 @@ class SearchHistory:
     evaluations: int = 0
     #: Pipeline-cache hits/misses accumulated while this search ran
     #: (schedule + replay + trace-merge tables; zero without a cache).
-    #: Under parallel multi-start the windows of sibling searches overlap,
-    #: so per-search numbers are indicative — the run-level stats on
-    #: :class:`~repro.core.engine.SynthesisResult` are exact.
     cache_hits: int = 0
     cache_misses: int = 0
 

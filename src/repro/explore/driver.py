@@ -137,7 +137,6 @@ class ExploreResult:
 
 def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
                          caching: bool = True,
-                         max_workers: int | None = None,
                          store_dir=None,
                          cache_entries: int | None = None) -> SynthesisEngine:
     """Build a ready-to-run engine for a registry benchmark.
@@ -161,8 +160,7 @@ def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
         bench.cdfg(), bench.stimulus(n_passes, seed=seed),
         options=ScheduleOptions(clock_ns=bench.clock_ns),
         cache=attached_cache(caching=caching, store_dir=store_dir,
-                             max_entries=cache_entries),
-        max_workers=max_workers)
+                             max_entries=cache_entries))
 
 
 def _resolve_mode(engine: SynthesisEngine, job: ExploreJob):
@@ -209,7 +207,7 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
     result = engine.run(
         mode=_resolve_mode(engine, job), laxity=job.laxity,
         search=dataclasses.replace(search, seed=job.seed),
-        parallel_starts=False, observer=observer)
+        observer=observer)
     stats = {
         "index": job.index,
         "objective": job.label,

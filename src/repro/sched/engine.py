@@ -107,9 +107,6 @@ class _SchedAnalysis:
         self._region_deps: dict[int, list[tuple[str, int]]] = {}
         self._writers_by_carrier: dict[str, list[int]] = {}
         self._test_nodes: dict[int, set[int]] = {}
-        #: Per-region-ids static data for fragment fingerprinting
-        #: (see :mod:`repro.sched.plan`).
-        self.fragment_static: dict[tuple, tuple] = {}
         #: Structure-only region digests, shared across every engine run on
         #: this CDFG: task pools per block, schedulable-node sets per
         #: region subtree, loop read/write carrier sets.
@@ -118,14 +115,6 @@ class _SchedAnalysis:
         self.loop_rw: dict[int, tuple[frozenset, frozenset]] = {}
         self._analyze()
         self._build_topo()
-        # Public read-only views (consumed by repro.sched.plan).
-        self.strong = self._strong
-        self.weak_readers = self._weak_readers
-        self.carried_in = self._carried_in
-        self.region_deps = self._region_deps
-
-    def dep_of_producer(self, src: int) -> list[tuple[str, int]]:
-        return self._dep_of_producer(src)
 
     @classmethod
     def of(cls, cdfg: CDFG) -> "_SchedAnalysis":
@@ -346,8 +335,7 @@ def _collect_block_tasks(cdfg: CDFG, block: BlockRegion) -> list[tuple[str, int]
 
 
 class _Engine:
-    def __init__(self, cdfg: CDFG, binding: Binding, options: ScheduleOptions,
-                 plan_in: dict | None = None):
+    def __init__(self, cdfg: CDFG, binding: Binding, options: ScheduleOptions):
         self.cdfg = cdfg
         self.binding = binding
         self.options = options
@@ -370,11 +358,6 @@ class _Engine:
         self._fu_occupancy: dict[int, dict[int, list[int]]] = {}
         self._carrier_writes: dict[int, dict[str, list[int]]] = {}
         self._mem_occupancy: dict[int, dict[str, list[int]]] = {}
-        #: Fragment scripts of the parent schedule this run may replay
-        #: (None on a from-scratch run) and the scripts this run records.
-        self._plan_in = plan_in
-        self._plan_out: dict = {}
-        self.replayed_fragments = 0
         # Estimated mux depths are pure functions of (binding, CDFG),
         # both fixed for the engine's lifetime.
         self._in_mux_memo: dict[int, float] = {}
@@ -588,7 +571,6 @@ class _Engine:
             for src, conds in cursor.sources:
                 self.stg.add_transition(src, done.id, conds)
         stg.validate()
-        stg._plan = self._plan_out
         return stg
 
     def _schedule_tasks(self, tasks: list[tuple[str, int]], cursor: _Cursor,
@@ -672,9 +654,7 @@ class _Engine:
                     extra = [n for n in pending_ops + optional_pool
                              if n not in self.done_nodes]
                 if isinstance(region, IfRegion):
-                    cursor = self._run_fragment(
-                        "if", (region.id,), cursor, extra,
-                        lambda c: self._schedule_if(region, c, extra))
+                    cursor = self._schedule_if(region, cursor, extra)
                     scheduled_regions = [region.id]
                 else:
                     fused: list[LoopRegion] = [region]
@@ -684,9 +664,7 @@ class _Engine:
                             if (isinstance(other, LoopRegion) and len(fused) < 2
                                     and self._fusable(fused[0], other)):
                                 fused.append(other)
-                    cursor = self._run_fragment(
-                        "loops", tuple(loop.id for loop in fused), cursor, extra,
-                        lambda c: self._schedule_loops(fused, c, extra))
+                    cursor = self._schedule_loops(fused, cursor, extra)
                     scheduled_regions = [loop.id for loop in fused]
                 for rid in scheduled_regions:
                     pending_regions.remove(rid)
@@ -716,39 +694,6 @@ class _Engine:
             unmet = [d for d in self._region_deps[region_id] if not self._dep_satisfied(d)]
             lines.append(f"  region {region_id}: deps={unmet}")
         raise ScheduleError("\n".join(lines))
-
-    # ------------------------------------------------------------- fragments
-
-    def _run_fragment(self, kind: str, region_ids: tuple, cursor: _Cursor,
-                      extra: list[int], execute) -> _Cursor:
-        """Schedule one region fragment, replaying a recorded script if legal.
-
-        The fingerprint digests everything the fragment execution can
-        read (see :mod:`repro.sched.plan`); on a match against the parent
-        plan the recorded effects are re-applied verbatim — bit-identical
-        to genuine execution — and the greedy packing is skipped.  Either
-        way the (new or copied) script is recorded into this run's plan
-        so the *next* derivation can replay against this schedule.
-        """
-        from repro.sched.plan import (
-            _Recording, extract_script, fragment_fingerprint, replay_script)
-
-        fingerprint = fragment_fingerprint(self, kind, region_ids, cursor, extra)
-        if self._plan_in is not None:
-            script = self._plan_in.get(fingerprint)
-            if script is not None:
-                exit_state, exit_sources = replay_script(self, script, cursor)
-                self.replayed_fragments += 1
-                self._plan_out[fingerprint] = script
-                out = _Cursor(sources=list(exit_sources))
-                out.state = exit_state
-                return out
-        recording = _Recording(self, cursor)
-        exit_cursor = execute(cursor)
-        script = extract_script(self, recording, exit_cursor)
-        if script is not None:
-            self._plan_out[fingerprint] = script
-        return exit_cursor
 
     # ------------------------------------------------------------ conditionals
 
@@ -986,7 +931,7 @@ class _Engine:
 
 
 def schedule(cdfg: CDFG, binding: Binding, options: ScheduleOptions | None = None,
-             cache=None, parent: STG | None = None) -> STG:
+             cache=None) -> STG:
     """Schedule a CDFG under a binding; returns a validated STG.
 
     ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`;
@@ -995,25 +940,17 @@ def schedule(cdfg: CDFG, binding: Binding, options: ScheduleOptions | None = Non
     the STG is immutable once returned, so a cached STG is shared between
     the design points that would have scheduled identically (see
     :meth:`~repro.core.binding.Binding.schedule_signature`).
-
-    ``parent`` is the STG of the design point the new binding derives
-    from; its recorded fragment plan lets the engine *replay* every
-    region whose scheduling inputs did not change and re-run the greedy
-    packing only inside genuinely affected regions.  The result is
-    bit-identical to a from-scratch run (state ids included) — the plan
-    is a pure accelerator, so the memo key is unchanged.
     """
     from repro.core.profile import PROFILER
 
     options = options or ScheduleOptions()
 
     def compute() -> STG:
-        plan = getattr(parent, "_plan", None) if parent is not None else None
         with PROFILER.stage("schedule") as token:
-            engine = _Engine(cdfg, binding, options, plan_in=plan)
-            stg = engine.run()
-            token.incremental = engine.replayed_fragments > 0
-            return stg
+            # Incremental: the CDFG's binding-independent analysis came
+            # from an earlier run; only the binding-dependent packing runs.
+            token.incremental = "_sched_analysis" in cdfg.__dict__
+            return _Engine(cdfg, binding, options).run()
 
     if cache is None:
         return compute()

@@ -99,7 +99,7 @@ class ReplayResult:
 
 
 def replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True,
-           cache=None, parent=None) -> ReplayResult:
+           cache=None) -> ReplayResult:
     """Execute the STG over every profiled pass (see module docstring).
 
     ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`;
@@ -108,129 +108,23 @@ def replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True,
     binding, so design points that re-bind without re-scheduling, and
     distinct bindings whose schedules coincide up to unit assignment,
     share one :class:`ReplayResult`.
-
-    ``parent`` is an optional ``(parent_stg, parent_result)`` pair from a
-    previously replayed schedule over the *same* store: passes whose
-    visited states are untouched by the reschedule reuse the parent's
-    arrays wholesale, and only passes through re-scheduled states are
-    re-simulated (see :func:`_replay_incremental`).  The result is
-    bit-identical to a full replay, so the memo key is unchanged.
     """
     if cache is None:
-        return _replay(stg, cdfg, store, check, parent)
+        return _replay(stg, cdfg, store, check)
     key = (id(store), id(cdfg), stg.replay_signature(), check)
     return cache.replay.get_or_compute(
-        key, lambda: _replay(stg, cdfg, store, check, parent))
+        key, lambda: _replay(stg, cdfg, store, check))
 
 
-def _replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True,
-            parent=None) -> ReplayResult:
+def _replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) -> ReplayResult:
     from repro.core.profile import PROFILER
 
     with PROFILER.stage("replay") as token:
-        if parent is not None:
-            result = _replay_incremental(stg, cdfg, store, check,
-                                         parent[0], parent[1])
-            if result is not None:
-                token.incremental = True
-                return result
-        return _replay_impl(stg, cdfg, store, check)
+        return _replay_impl(stg, cdfg, store, check, token)
 
 
-def _ordered_ops(stg: STG) -> dict[int, list]:
-    """Per-state (node, start) pairs pre-sorted by chaining order."""
-    return {
-        sid: [(op.node, op.start)
-              for op in sorted(state.ops, key=lambda op: (op.start, op.node))]
-        for sid, state in stg.states.items()
-    }
-
-
-def _occ_lists(store: TraceStore) -> dict[int, tuple]:
-    """Occurrence streams as plain lists: ``(pass_idx, out, length)``.
-
-    Python-int indexing into lists is several times faster than numpy
-    scalar access, and the per-visit loop of :func:`_walk_pass` touches
-    every occurrence once — the one-time ``tolist`` pays for itself on
-    the first pass.
-    """
-    return {n: (occ.pass_idx.tolist(), occ.out.tolist(), len(occ))
-            for n, occ in store.occurrences.items()}
-
-
-def _walk_pass(stg: STG, cdfg: CDFG, occ_lists: dict, pass_idx: int,
-               global_cycle: int, pointers: dict, last_val: dict,
-               ordered_ops: dict, op_cycle: dict, op_start: dict,
-               op_state: dict, state_visits: dict):
-    """Simulate one stimulus pass; the unit shared by full and incremental
-    replay.  Mutates ``pointers``/``last_val``/the per-node output lists
-    in place and returns ``(cycles, visited, global_cycle)``.
-    """
-    for node_id in cdfg.input_nodes:
-        entry = occ_lists.get(node_id)
-        if entry is None:
-            continue
-        occ_pass, occ_out, n_occ = entry
-        ptr = pointers[node_id]
-        if ptr >= n_occ or occ_pass[ptr] != pass_idx:
-            raise ScheduleError(
-                f"input {cdfg.node(node_id).name}: occurrence stream out of sync "
-                f"at pass {pass_idx}")
-        last_val[node_id] = occ_out[ptr]
-        pointers[node_id] = ptr + 1
-        op_cycle[node_id].append(global_cycle)
-        op_start[node_id].append(0.0)
-        op_state[node_id].append(stg.start)
-
-    states = stg.states
-    done = stg.done
-    state_id = stg.start
-    cycles = 0
-    visited: list[int] = []
-    while True:
-        duration = states[state_id].duration
-        cycles += duration
-        if cycles > MAX_CYCLES_PER_PASS:
-            raise ScheduleError(f"replay exceeded {MAX_CYCLES_PER_PASS} cycles "
-                                f"(pass {pass_idx}) — STG does not terminate")
-        state_visits[state_id] = state_visits.get(state_id, 0) + 1
-        visited.append(state_id)
-        for node_id, op_start_ns in ordered_ops[state_id]:
-            entry = occ_lists.get(node_id)
-            ptr = pointers.get(node_id, 0)
-            if entry is None or ptr >= entry[2] or entry[0][ptr] != pass_idx:
-                raise ScheduleError(
-                    f"node {cdfg.node(node_id).name}: STG executes it more often "
-                    f"than the behavior did (pass {pass_idx}, state {state_id})")
-            last_val[node_id] = entry[1][ptr]
-            pointers[node_id] = ptr + 1
-            op_cycle[node_id].append(global_cycle)
-            op_start[node_id].append(op_start_ns)
-            op_state[node_id].append(state_id)
-        global_cycle += duration
-
-        match = None
-        multi = False
-        for t in stg.out_transitions(state_id):
-            if _matches(t, last_val):
-                if match is None:
-                    match = t
-                else:
-                    multi = True
-                    break
-        if match is None or multi:
-            transitions = stg.out_transitions(state_id)
-            matching = [t for t in transitions if _matches(t, last_val)]
-            raise ScheduleError(
-                f"state {state_id}: {len(matching)} transitions match at "
-                f"pass {pass_idx} (conditions {[sorted(t.conds) for t in transitions]})")
-        state_id = match.dst
-        if state_id == done:
-            break
-    return cycles, visited, global_cycle
-
-
-def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) -> ReplayResult:
+def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool,
+                 token) -> ReplayResult:
     """Full replay, in two phases.
 
     The state path of a pass depends only on the recorded *condition*
@@ -249,7 +143,9 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) ->
     cycle bases.  STGs that differ merely in durations or in the
     non-condition ops they schedule (the common case across binding
     moves over one benchmark) share one recorded walk; only the
-    duration-dependent guard against runaway passes is re-checked.
+    duration-dependent guard against runaway passes is re-checked.  A
+    replay served by a recorded walk marks the profiler ``token``
+    incremental.
     """
     cond_nodes = stg.condition_inputs()
     states = stg.states
@@ -270,6 +166,7 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) ->
         walk_cache = {}
         store._walk_cache = walk_cache
     cached_walk = walk_cache.get(sig)
+    token.incremental = cached_walk is not None
 
     max_state = max(states)
     dur_tab: list[int] = [0] * (max_state + 1)
@@ -509,159 +406,6 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) ->
 
     return ReplayResult(
         cycles=np.array(cycles_per_pass, dtype=np.int64),
-        op_cycle=op_cycle,
-        op_start=op_start,
-        op_state=op_state,
-        total_cycles=global_cycle,
-        state_visits=state_visits,
-        state_seq=state_seq,
-    )
-
-
-# -------------------------------------------------------------- incremental
-
-
-def _solid_states(parent: STG, child: STG, p2c: dict[int, int]) -> set[int]:
-    """Parent states whose replay behavior is untouched in the child.
-
-    A mapped parent state is *solid* when its replay content (duration +
-    the (start, node) multiset of its ops) equals its image's, and every
-    outgoing transition has a child twin with the same guard whose
-    destination is the mapped one.  A pass visiting only solid states
-    replays identically in the child: at each step the parent twin
-    matches the recorded condition values, and :meth:`STG.validate`'s
-    disjointness guarantee makes it the child's unique match.
-    """
-    solid: set[int] = set()
-    for p, c in p2c.items():
-        ps, cs = parent.states[p], child.states[c]
-        if ps.duration != cs.duration:
-            continue
-        if sorted((o.start, o.node) for o in ps.ops) != \
-                sorted((o.start, o.node) for o in cs.ops):
-            continue
-        by_conds = {t.conds: t for t in child.out_transitions(c)}
-        for t in parent.out_transitions(p):
-            twin = by_conds.get(t.conds)
-            if twin is None or p2c.get(t.dst) != twin.dst:
-                break
-        else:
-            solid.add(p)
-    return solid
-
-
-def _replay_incremental(stg: STG, cdfg: CDFG, store: TraceStore, check: bool,
-                        parent_stg: STG, parent_rep: ReplayResult) -> ReplayResult | None:
-    """Replay ``stg`` reusing ``parent_rep`` for untouched passes.
-
-    Returns ``None`` (caller falls back to the full walk) when the
-    parent did not consume the store exactly, no pass is clean, or a
-    re-simulated pass consumes a different occurrence count than the
-    recorded behavior.  Whenever a result *is* returned it
-    is bit-identical to :func:`_replay_impl` on the same inputs: clean
-    passes are store-determined (the condition values steering them and
-    the values live at pass entry all come from the occurrence streams,
-    never from other passes), so per-pass reuse and re-simulation compose
-    freely.
-    """
-    p2c = parent_stg.align_states(stg)
-    n_passes = store.n_passes
-    if n_passes != len(parent_rep.state_seq):
-        return None
-    for n, occ in store.occurrences.items():
-        arr = parent_rep.op_cycle.get(n)
-        if arr is None or len(arr) != len(occ):
-            return None
-
-    solid = _solid_states(parent_stg, stg, p2c)
-    max_id = max(parent_stg.states)
-    solid_lut = np.zeros(max_id + 1, dtype=bool)
-    for sid in solid:
-        solid_lut[sid] = True
-    clean = [bool(solid_lut[seq].all()) for seq in parent_rep.state_seq]
-    if not any(clean):
-        return None
-
-    state_lut = np.zeros(max_id + 1, dtype=np.int32)
-    for p, c in p2c.items():
-        state_lut[p] = c
-
-    bounds = {n: np.searchsorted(occ.pass_idx, np.arange(n_passes + 1))
-              for n, occ in store.occurrences.items()}
-    consts = {node.id: node.value for node in cdfg.nodes.values()
-              if node.kind is OpKind.CONST}
-    ordered_ops = _ordered_ops(stg)
-    occ_lists = None  # materialized lazily, only if a dirty pass exists
-    parent_prefix = np.concatenate(([0], np.cumsum(parent_rep.cycles)))
-
-    cycles = np.empty(n_passes, dtype=np.int64)
-    state_seq: list = [None] * n_passes
-    state_visits: dict[int, int] = {}
-    delta = np.zeros(n_passes, dtype=np.int64)
-    dirty_ops: dict[int, tuple] = {}
-    global_cycle = 0
-    for p in range(n_passes):
-        delta[p] = global_cycle - int(parent_prefix[p])
-        if clean[p]:
-            seq = state_lut[parent_rep.state_seq[p]]
-            state_seq[p] = seq
-            cycles[p] = parent_rep.cycles[p]
-            ids, counts = np.unique(seq, return_counts=True)
-            for sid, count in zip(ids, counts):
-                sid = int(sid)
-                state_visits[sid] = state_visits.get(sid, 0) + int(count)
-            global_cycle += int(cycles[p])
-            continue
-        if occ_lists is None:
-            occ_lists = _occ_lists(store)
-        pointers = {n: int(bounds[n][p]) for n in store.occurrences}
-        last_val = dict(consts)
-        for n, entry in occ_lists.items():
-            base = pointers[n]
-            if base > 0:
-                last_val[n] = entry[1][base - 1]
-        oc: dict[int, list] = {n: [] for n in store.occurrences}
-        osn: dict[int, list] = {n: [] for n in store.occurrences}
-        ost: dict[int, list] = {n: [] for n in store.occurrences}
-        visits: dict[int, int] = {}
-        pass_cycles, visited, global_cycle = _walk_pass(
-            stg, cdfg, occ_lists, p, global_cycle, pointers, last_val,
-            ordered_ops, oc, osn, ost, visits)
-        for n in store.occurrences:
-            if pointers[n] != int(bounds[n][p + 1]):
-                return None
-        cycles[p] = pass_cycles
-        state_seq[p] = np.array(visited, dtype=np.int32)
-        for sid, count in visits.items():
-            state_visits[sid] = state_visits.get(sid, 0) + count
-        dirty_ops[p] = (oc, osn, ost)
-
-    op_cycle: dict[int, np.ndarray] = {}
-    op_start: dict[int, np.ndarray] = {}
-    op_state: dict[int, np.ndarray] = {}
-    for n in store.occurrences:
-        b = bounds[n]
-        parts_c, parts_s, parts_t = [], [], []
-        for p in range(n_passes):
-            if clean[p]:
-                lo, hi = int(b[p]), int(b[p + 1])
-                parts_c.append(parent_rep.op_cycle[n][lo:hi] + delta[p])
-                parts_s.append(parent_rep.op_start[n][lo:hi])
-                parts_t.append(state_lut[parent_rep.op_state[n][lo:hi]])
-            else:
-                oc, osn, ost = dirty_ops[p]
-                parts_c.append(np.array(oc[n], dtype=np.int64))
-                parts_s.append(np.array(osn[n], dtype=np.float64))
-                parts_t.append(np.array(ost[n], dtype=np.int32))
-        op_cycle[n] = np.concatenate(parts_c) if parts_c else \
-            np.array([], dtype=np.int64)
-        op_start[n] = np.concatenate(parts_s) if parts_s else \
-            np.array([], dtype=np.float64)
-        op_state[n] = np.concatenate(parts_t) if parts_t else \
-            np.array([], dtype=np.int32)
-
-    return ReplayResult(
-        cycles=cycles,
         op_cycle=op_cycle,
         op_start=op_start,
         op_state=op_state,

@@ -178,39 +178,6 @@ class STG:
     def states_of_node(self, node_id: int) -> list[int]:
         return [s.id for s in self.states.values() if node_id in s.node_ids()]
 
-    # -- alignment ---------------------------------------------------------------
-
-    def align_states(self, child: "STG") -> dict[int, int]:
-        """Map this STG's state ids onto ``child``'s by transition structure.
-
-        A breadth-first bisimulation walk from ``(start, start)`` and
-        ``(done, done)``: at each matched pair, every outgoing transition
-        of the parent state whose exact condition set also guards an
-        outgoing transition of the child state propagates the match to the
-        destination pair.  Unmatched transitions simply stop the walk
-        along that edge, and a destination that was already mapped through
-        an earlier path keeps its first image — the returned map is
-        *partial*, says nothing about content equality, and is only as
-        trustworthy as the per-state checks its consumers apply (the
-        incremental path in :mod:`repro.sched.replay` re-verifies every
-        transition of every state it reuses, so a conflicted or wrong
-        mapping merely shrinks reuse, never corrupts it).
-        """
-        p2c = {self.start: child.start, self.done: child.done}
-        queue = [self.start]
-        while queue:
-            p = queue.pop()
-            c = p2c[p]
-            by_conds = {t.conds: t for t in child.out_transitions(c)}
-            for t in self.out_transitions(p):
-                twin = by_conds.get(t.conds)
-                if twin is None:
-                    continue
-                if t.dst not in p2c:
-                    p2c[t.dst] = twin.dst
-                    queue.append(t.dst)
-        return p2c
-
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:

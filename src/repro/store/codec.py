@@ -14,9 +14,7 @@ halves of the persistent translation:
   holds.  STGs are rebuilt state by state *preserving transition list
   order* (replay's first-match walk and the controller emission both
   read it), so a decoded STG is bit-identical to the computed one in
-  everything downstream consumes.  Decoded STGs carry no fragment-script
-  plan (``_plan``) — a cross-run hit can therefore not seed incremental
-  scheduling, which only costs speed, never correctness.
+  everything downstream consumes.
 
 Payload blobs are pickled plain containers (dicts/lists/tuples/numpy
 arrays) — pickle round-trips ints, floats and array dtypes exactly,

@@ -1,4 +1,4 @@
-"""SynthesisEngine tests: shared state, parallel multi-start, accounting."""
+"""SynthesisEngine tests: shared state, multi-start, accounting."""
 
 import pytest
 
@@ -47,15 +47,7 @@ class TestSharedState:
         assert power.design.cache is gcd_engine.cache
 
 
-class TestParallelStarts:
-    def test_parallel_matches_sequential(self, gcd_engine):
-        area = gcd_engine.run(mode="area", laxity=2.0, search=FAST)
-        kwargs = dict(mode="power", laxity=2.0, search=FAST,
-                      starts=[area.design])
-        sequential = gcd_engine.run(parallel_starts=False, **kwargs)
-        parallel = gcd_engine.run(parallel_starts=True, **kwargs)
-        assert _fingerprint(sequential) == _fingerprint(parallel)
-
+class TestMultiStart:
     def test_evaluations_accumulate_across_all_starts(self, gcd_engine):
         """Every start's effort counts, whichever start wins (regression:
         counts from already-accumulated losers were dropped when a later
@@ -81,22 +73,6 @@ class TestRunMany:
         singles = [gcd_engine.run(**spec) for spec in specs]
         for got, want in zip(batch, singles):
             assert _fingerprint(got) == _fingerprint(want)
-
-    def test_run_many_parallel_matches_sequential(self):
-        bench = get_benchmark("gcd")
-        specs = [
-            {"mode": "area", "laxity": 1.5, "search": FAST},
-            {"mode": "power", "laxity": 2.0, "search": FAST},
-            {"mode": "power", "laxity": 3.0, "search": FAST},
-        ]
-        results = {}
-        for parallel in (False, True):
-            engine = SynthesisEngine(bench.cdfg(), bench.stimulus(8, seed=3),
-                                     options=ScheduleOptions(clock_ns=bench.clock_ns))
-            results[parallel] = [
-                _fingerprint(r) for r in engine.run_many(specs, parallel=parallel)
-            ]
-        assert results[False] == results[True]
 
 
 class TestLazyDesignPoint:

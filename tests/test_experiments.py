@@ -66,6 +66,27 @@ class TestLaxitySweep:
             assert point.a_enc <= point.enc_budget + 1e-9
             assert point.i_enc <= point.enc_budget + 1e-9
 
+    def test_stage_counts_repeat(self):
+        """The headline search does the same work on every run: each
+        stage's call and incremental counts repeat exactly, as do the
+        evaluations (the search runs its starts in sequence)."""
+        headline = SearchConfig(max_depth=4, max_candidates=10,
+                                max_iterations=5, seed=0)
+
+        def sweep_counts():
+            # store_dir="" keeps a configured persistent store out of it:
+            # a warm store would serve schedules without a stage call.
+            sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0, 3.0),
+                                     n_passes=15, search=headline,
+                                     store_dir="")
+            stages = {name: (stats["calls"], stats["incremental"])
+                      for name, stats in sweep.profile.items()}
+            return stages, sweep.evaluations
+
+        first, second = sweep_counts(), sweep_counts()
+        assert first == second
+        assert first[0]["schedule"][0] > 0
+
     def test_more_laxity_never_hurts_i_power(self):
         sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0, 3.0), n_passes=10,
                                  search=TINY_SEARCH)

@@ -95,15 +95,14 @@ def replay_digest(rep) -> tuple:
           suppress_health_check=list(HealthCheck))
 @given(seed=st.integers(0, 10**6))
 def test_rescheduling_chains_splice_equivalent(name, caching, seed):
-    """ShareFU / violating-SubstituteModule chains, spliced vs full.
+    """ShareFU / violating-SubstituteModule chains, incremental vs full.
 
-    These are the *rescheduling* moves: the incremental path replays the
-    parent's clean fragment scripts and splices only the dirty regions'
-    states, then patches the replay against the cached trace store.  At
-    every step of the chain the spliced STG must be structurally equal to
-    the full path's, the replay traces bit-identical, and the power
-    bundle equal — with the pipeline cache both on and off, and with
-    rejection parity on illegal moves.
+    These are the *rescheduling* moves: both chains schedule and replay
+    from scratch, while under ``incremental=True`` a substitution still
+    derives its pre-escalation candidate by patching the parent.  At every
+    step of the chain the two STGs must be structurally equal, the replay
+    traces bit-identical, and the power bundle equal — with the pipeline
+    cache both on and off, and with rejection parity on illegal moves.
     """
     from repro.core.moves import ShareFU, SubstituteModule
     from repro.library.module import scale_delay
@@ -125,7 +124,7 @@ def test_rescheduling_chains_splice_equivalent(name, caching, seed):
         # Alternate preference between unit merges and slower-module
         # substitutions: ShareFU always re-schedules, and a substitution
         # re-schedules exactly when the slower module breaks a state's
-        # cycle window — the two chains this suite must prove spliced.
+        # cycle window — the two rescheduling chains this suite covers.
         shares = [m for m in resched if isinstance(m, ShareFU)]
         slow_subs = [m for m in resched
                      if isinstance(m, SubstituteModule) and is_slower(inc, m)]
@@ -202,8 +201,7 @@ def test_search_trajectory_identical(mode):
     for incremental in (True, False):
         engine = SynthesisEngine(cdfg, stimulus, options=options,
                                  incremental=incremental)
-        results[incremental] = engine.run(mode=mode, laxity=2.0, search=search,
-                                          parallel_starts=False)
+        results[incremental] = engine.run(mode=mode, laxity=2.0, search=search)
     inc_res, full_res = results[True], results[False]
 
     def trajectory(result):

@@ -6,7 +6,9 @@ the origin register (``rtl.builder.producer_signal``), dropping every
 intermediate re-typing wrap — ``var v1: uint4 = a2`` with ``a2: int6 =
 -1`` read -1 instead of 15 in both gatesim and the emitted netlist.
 Narrowing (or sign-changing) COPYs now materialize a wrap wire; this
-suite pins the fleet's shrunk reproducer and the transparency predicate.
+suite pins the fleet's shrunk reproducer (tracked as
+``tests/regressions/narrowing_dbbb3103d434.src``) and the transparency
+predicate.
 """
 
 from pathlib import Path
@@ -20,7 +22,7 @@ from repro.lang import parse
 from repro.rtl.builder import copy_is_transparent
 from repro.sched.engine import ScheduleOptions
 
-REPRO = Path(__file__).parent.parent / "results" / "fuzz_repro_dbbb3103d434.src"
+REPRO = Path(__file__).parent / "regressions" / "narrowing_dbbb3103d434.src"
 
 
 def test_reproducer_file_is_committed():

@@ -13,13 +13,19 @@ checks against the interpreter, STG replay and gatesim.
 from repro.hdl.cosim import CosimResult, iverilog_available, run_iverilog
 from repro.hdl.lower import lower_architecture
 from repro.hdl.netlist import Netlist
-from repro.hdl.netsim import NetlistSimulator, NetSimResult, run_passes as simulate_netlist
+from repro.hdl.netsim import (
+    NetlistProgram,
+    NetlistSimulator,
+    NetSimResult,
+    run_passes as simulate_netlist,
+)
 from repro.hdl.testbench import emit_testbench
 from repro.hdl.verilog import emit_verilog
 
 __all__ = [
     "CosimResult",
     "Netlist",
+    "NetlistProgram",
     "NetlistSimulator",
     "NetSimResult",
     "emit_testbench",

@@ -12,10 +12,18 @@ is a signed 64-bit value (operations wrap at 64 bits), registers store
 raw bit patterns at their declared width, and an identifier reference
 yields the pattern for registers/inputs and the signed value for wires.
 
-Combinational nets are evaluated in a statically topo-sorted order with a
-fixpoint sweep on top, so mux-steered false combinational cycles (a unit
-feeding another in one state and the reverse in a different state) settle
-exactly as an event-driven simulator would.
+Execution is compiled, not interpreted.  :class:`NetlistProgram`
+levelizes the wires once and generates the source of one Python
+function that runs a whole start/done pass on local variables: per
+clock edge it evaluates every wire once, in level order, then commits
+the enabled registers and memory write ports two-phase.  One evaluation
+per edge suffices because the nets after a commit, with ``start`` low,
+are exactly the nets the next edge samples.  A netlist whose level
+order has a back edge (a mux-steered false cycle: a unit feeding another
+in one state and the reverse in a different state) wraps that same
+block in a sweep-to-fixpoint loop, so it settles exactly as an
+event-driven simulator would; a true logic cycle raises
+:class:`~repro.errors.HDLError`.
 """
 
 from __future__ import annotations
@@ -35,226 +43,302 @@ from repro.hdl.netlist import (
     WORD,
     refs_of,
 )
-from repro.utils.bitwidth import mask_for_width, to_unsigned, wrap_to_width
+from repro.utils.bitwidth import to_unsigned
 
 #: Safety cap on clock cycles per start/done pass.
 MAX_CYCLES_PER_PASS = 1_000_000
 
-_WORD_MASK = mask_for_width(WORD)
+_ARITH = {"add": "+", "sub": "-", "mul": "*"}
+_COMPARE = {"lt": "<", "gt": ">", "le": "<=", "ge": ">=", "eq": "==", "ne": "!="}
+_BITWISE = {"band": "&", "bor": "|", "bxor": "^"}
 
 
-def _compile(expr, mems=None):
-    """Compile an expression to a closure over the value environment.
+def _wrap_source(src: str, width: int, signed: bool) -> str:
+    """Source truncating ``src`` to ``width`` bits, then re-extending."""
+    mask = (1 << width) - 1
+    if not signed:
+        return f"({src} & {mask})"
+    half = 1 << (width - 1)
+    return f"((({src} + {half}) & {mask}) - {half})"
 
-    ``mems`` maps memory names to their (mutable) word lists; the
-    compiled closures capture the list object, so in-place writes by the
-    clocked commit are visible to every subsequent read.
+
+def _expr_source(expr, local: dict[str, str],
+                 mems: dict[str, tuple[str, int]]) -> str:
+    """Python source of one expression.
+
+    ``local`` maps signal names to the identifiers holding their values;
+    ``mems`` maps memory names to ``(identifier, depth)`` of the word
+    list.  Every subexpression is parenthesized, so the result composes.
+    Chains of ``lor``/``land`` and mux else-branches are emitted flat, so
+    the long per-state chains lowering builds add no nesting depth.
     """
-    if isinstance(expr, EConst):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, ERef):
-        name = expr.name
-        return lambda env: env[name]
-    if isinstance(expr, EWrap):
-        inner = _compile(expr.expr, mems)
-        width = expr.width
-        if expr.signed:
-            return lambda env: wrap_to_width(inner(env), width)
-        mask = mask_for_width(width)
-        return lambda env: inner(env) & mask
-    if isinstance(expr, EMux):
-        cond = _compile(expr.cond, mems)
-        a = _compile(expr.a, mems)
-        b = _compile(expr.b, mems)
-        return lambda env: a(env) if cond(env) else b(env)
-    if isinstance(expr, ECase):
-        subject = _compile(expr.subject, mems)
-        table = {}
-        for codes, arm in expr.arms:
-            arm_fn = _compile(arm, mems)
-            for code in codes:
-                table[code] = arm_fn
-        default = _compile(expr.default, mems)
-        return lambda env: table.get(subject(env), default)(env)
-    if isinstance(expr, EOp):
-        args = [_compile(a, mems) for a in expr.args]
-        return _compile_op(expr.op, args)
-    if isinstance(expr, EMemRead):
-        if mems is None or expr.mem not in mems:
-            raise HDLError(f"read of undeclared memory {expr.mem!r}")
-        words = mems[expr.mem]
-        addr = _compile(expr.addr, mems)
-        mask = len(words) - 1
-        return lambda env: words[addr(env) & mask]
-    raise HDLError(f"cannot compile expression {expr!r}")
+    def emit(e) -> str:
+        if isinstance(e, EConst):
+            value = int(e.value)
+            return str(value) if value >= 0 else f"({value})"
+        if isinstance(e, ERef):
+            if e.name not in local:
+                raise HDLError(f"netsim cannot read signal {e.name!r}")
+            return local[e.name]
+        if isinstance(e, EWrap):
+            return _wrap_source(emit(e.expr), e.width, e.signed)
+        if isinstance(e, EMux):
+            parts = []
+            while isinstance(e, EMux):
+                parts.append(f"{emit(e.a)} if {emit(e.cond)} else ")
+                e = e.b
+            return f"({''.join(parts)}{emit(e)})"
+        if isinstance(e, ECase):
+            # First matching arm wins, as in a Verilog case statement.
+            subject = emit(e.subject)
+            parts = []
+            for codes, arm in e.arms:
+                test = (f"{subject} == {int(codes[0])}" if len(codes) == 1 else
+                        f"{subject} in {tuple(int(c) for c in codes)!r}")
+                parts.append(f"{emit(arm)} if {test} else ")
+            return f"({''.join(parts)}{emit(e.default)})"
+        if isinstance(e, EMemRead):
+            if e.mem not in mems:
+                raise HDLError(f"read of undeclared memory {e.mem!r}")
+            name, depth = mems[e.mem]
+            return f"{name}[{emit(e.addr)} & {depth - 1}]"
+        if isinstance(e, EOp) and e.op in ("land", "lor"):
+            # Associative: gather the whole chain's terms, in order.
+            terms, stack = [], [e]
+            while stack:
+                term = stack.pop()
+                if isinstance(term, EOp) and term.op == e.op:
+                    stack.extend(reversed(term.args))
+                else:
+                    terms.append(emit(term))
+            return _op_source(e.op, terms)
+        if isinstance(e, EOp):
+            return _op_source(e.op, [emit(a) for a in e.args])
+        raise HDLError(f"cannot compile expression {e!r}")
+
+    return emit(expr)
 
 
-def _compile_op(op: str, args):
+def _op_source(op: str, args: list[str]) -> str:
     a = args[0]
     b = args[1] if len(args) > 1 else None
-    if op == "add":
-        return lambda env: wrap_to_width(a(env) + b(env), WORD)
-    if op == "sub":
-        return lambda env: wrap_to_width(a(env) - b(env), WORD)
-    if op == "mul":
-        return lambda env: wrap_to_width(a(env) * b(env), WORD)
+    if op in _ARITH:
+        return _wrap_source(f"({a} {_ARITH[op]} {b})", WORD, True)
     if op == "shl":
-        return lambda env: wrap_to_width(a(env) << (b(env) & 63), WORD)
+        return _wrap_source(f"({a} << ({b} & 63))", WORD, True)
     if op == "shr":
-        return lambda env: a(env) >> (b(env) & 63)
-    if op == "lt":
-        return lambda env: int(a(env) < b(env))
-    if op == "gt":
-        return lambda env: int(a(env) > b(env))
-    if op == "le":
-        return lambda env: int(a(env) <= b(env))
-    if op == "ge":
-        return lambda env: int(a(env) >= b(env))
-    if op == "eq":
-        return lambda env: int(a(env) == b(env))
-    if op == "ne":
-        return lambda env: int(a(env) != b(env))
+        return f"({a} >> ({b} & 63))"
+    if op in _COMPARE:
+        return f"(1 if {a} {_COMPARE[op]} {b} else 0)"
     if op == "land":
-        return lambda env: int(bool(a(env)) and bool(b(env)))
+        return f"(1 if {' and '.join(args)} else 0)"
     if op == "lor":
-        return lambda env: int(bool(a(env)) or bool(b(env)))
+        return f"(1 if {' or '.join(args)} else 0)"
     if op == "lnot":
-        return lambda env: int(not a(env))
-    if op == "band":
-        return lambda env: a(env) & b(env)
-    if op == "bor":
-        return lambda env: a(env) | b(env)
-    if op == "bxor":
-        return lambda env: a(env) ^ b(env)
+        return f"(0 if {a} else 1)"
+    if op in _BITWISE:
+        return f"({a} {_BITWISE[op]} {b})"
     raise HDLError(f"cannot compile operator {op!r}")
 
 
-class NetlistSimulator:
-    """Two-phase clocked execution of a netlist: settle the combinational
-    nets, then commit every enabled register on the clock edge."""
+def _levelize(netlist: Netlist) -> tuple[list, bool]:
+    """Wires in dependency order, and whether any dependency points
+    backwards (a combinational cycle; declared order breaks it)."""
+    wires = netlist.wires
+    by_name = {w.name: w for w in wires}
+    deps = {w.name: refs_of(w.expr) & by_name.keys() for w in wires}
+    order: list = []
+    done: set[str] = set()
+    visiting: set[str] = set()
+    cyclic = False
+
+    def visit(wire) -> None:
+        nonlocal cyclic
+        if wire.name in done:
+            return
+        if wire.name in visiting:
+            cyclic = True
+            return
+        visiting.add(wire.name)
+        for dep in sorted(deps[wire.name]):
+            visit(by_name[dep])
+        visiting.discard(wire.name)
+        done.add(wire.name)
+        order.append(wire)
+
+    for wire in wires:
+        visit(wire)
+    return order, cyclic
+
+
+class NetlistProgram:
+    """One netlist compiled to a generated start/done pass function.
+
+    The program holds no run state, so one compilation serves any number
+    of :class:`NetlistSimulator` runs.  ``source`` is the generated text
+    and ``cyclic`` tells whether the wires need the fixpoint sweep.
+    """
 
     def __init__(self, netlist: Netlist):
         netlist.validate()
         self.netlist = netlist
+        order, self.cyclic = _levelize(netlist)
+        regs, inputs = netlist.regs, netlist.inputs
+        local = {"start": "start"}
+        local.update((r.name, f"r{i}") for i, r in enumerate(regs))
+        local.update((p.name, f"i{i}") for i, p in enumerate(inputs))
+        wire_locals = [f"w{i}" for i in range(len(order))]
+        local.update((w.name, n) for w, n in zip(order, wire_locals))
+        mems = {m.name: (f"m{i}", m.depth) for i, m in enumerate(netlist.mems)}
+
+        done = next((p for p in netlist.outputs if p.name == "done"), None)
+        if done is None:
+            raise HDLError("netlist has no done output")
+        if "state" not in {r.name for r in regs}:
+            raise HDLError("netlist has no state register")
+        ports = {}
+        for port in netlist.outputs:
+            if port.label is not None:
+                ports.setdefault(port.label, port)
+        #: Output labels, in the order the pass function returns them.
+        self.labels = list(ports)
+
+        def sig(name: str) -> str:
+            return _expr_source(ERef(name), local, mems)
+
+        try:
+            comb = [f"{n} = {_expr_source(w.expr, local, mems)}  # {w.name}"
+                    for w, n in zip(order, wire_locals)]
+        except RecursionError:
+            raise _too_deep(netlist) from None
+        if self.cyclic:
+            wire_tuple = f"({', '.join(wire_locals)},)"
+            comb = [f"for _sweep in range({len(order) + 2}):",
+                    f"    before = {wire_tuple}",
+                    *(f"    {line}" for line in comb),
+                    f"    if {wire_tuple} == before:",
+                    "        break",
+                    "else:",
+                    "    raise HDLError('combinational nets did not settle "
+                    "(true logic cycle)')"]
+        commit = _commit_source(netlist, sig)
+        outputs = "".join(f"{_wrap_source(sig(p.source), p.width, p.signed)}, "
+                          for p in ports.values())
+
+        def unpack(names: list[str], value: str) -> list[str]:
+            return [f"{', '.join(names)}, = {value}"] if names else []
+
+        reg_locals = [sig(r.name) for r in regs]
+        lines = [
+            "def netsim_pass(regs, inputs, mems, max_cycles):",
+            *(f"    {line}" for line in (
+                f"{', '.join(reg_locals)}, = regs",
+                *unpack([sig(p.name) for p in inputs], "inputs"),
+                *unpack([m[0] for m in mems.values()], "mems"),
+                # A false cycle has one fixpoint per state, so the sweeps
+                # may start anywhere: from zero, then from the last edge.
+                *([f"{' = '.join(wire_locals)} = 0"] if self.cyclic else []),
+                "states = []",
+                "record = states.append",
+                "cycles = 0",
+                "start = 1",
+                "outputs = None",
+                # The last edge taken is the done state's, back to IDLE.
+                "while outputs is None:",
+                *(f"    {line}" for line in comb),
+                "    if not start:",
+                f"        if {sig(done.source)}:",
+                f"            outputs = ({outputs})",
+                "        else:",
+                f"            record({sig('state')})",
+                "            cycles += 1",
+                "            if cycles > max_cycles:",
+                "                return None",
+                *(f"    {line}" for line in commit),
+                "    start = 0",
+                f"regs[:] = ({', '.join(reg_locals)},)",
+                "return cycles, states, outputs",
+            )),
+        ]
+        self.source = "\n".join(lines) + "\n"
+        try:
+            code = compile(self.source, f"<netsim {netlist.name}>", "exec")
+        except (SyntaxError, RecursionError):
+            raise _too_deep(netlist) from None
+        namespace = {"HDLError": HDLError}
+        exec(code, namespace)
+        self.run = namespace.pop("netsim_pass")
+
+
+def _too_deep(netlist: Netlist) -> HDLError:
+    return HDLError(f"netsim: an expression of {netlist.name!r} nests too "
+                    "deeply to compile")
+
+
+def _commit_source(netlist: Netlist, sig) -> list[str]:
+    """One clock edge's commit: every memory write port and register
+    samples its inputs before anything is assigned.  ``sig`` maps a
+    signal name to the source reading it."""
+    lines = []
+    for i, mem in enumerate(netlist.mems):
+        for port in mem.ports:
+            if port.we is not None:
+                lines.append(f"if {sig(port.we)}: m{i}[{sig(port.addr)} & "
+                             f"{mem.depth - 1}] = {sig(port.din)} & "
+                             f"{(1 << mem.width) - 1}")
+    # One tuple assignment: every value is read before any is assigned.
+    targets, values = [], []
+    for reg in netlist.regs:
+        target = sig(reg.name)
+        value = f"{sig(reg.d)} & {(1 << reg.width) - 1}"
+        targets.append(target)
+        values.append(value if reg.en is None else
+                      f"(({value}) if {sig(reg.en)} else {target})")
+    return lines + [f"{', '.join(targets)}, = {', '.join(values)},"]
+
+
+class NetlistSimulator:
+    """Run state of one compiled netlist: register patterns, input port
+    values and memory words, advanced one start/done pass at a time."""
+
+    def __init__(self, netlist: Netlist | NetlistProgram):
+        self.program = (netlist if isinstance(netlist, NetlistProgram)
+                        else NetlistProgram(netlist))
+        self.netlist = self.program.netlist
+        self._input_index = {p.name: (i, p.width)
+                             for i, p in enumerate(self.netlist.inputs)}
+        self.regs = [to_unsigned(r.reset, r.width) for r in self.netlist.regs]
+        self.inputs = [0] * len(self.netlist.inputs)
         #: Memory contents as raw word patterns (power-on zero; persist
-        #: across passes).  Built before wire compilation: the compiled
-        #: read closures capture these list objects.
+        #: across passes).
         self.mems: dict[str, list[int]] = {
-            m.name: [0] * m.depth for m in netlist.mems}
-        self._wires = [(w.name, _compile(w.expr, self.mems))
-                       for w in self._topo_wires()]
-        self._regs = {r.name: r for r in netlist.regs}
-        self._input_widths = {p.name: p.width for p in netlist.inputs}
-        self.env: dict[str, int] = {}
-        self.reset()
-
-    def _topo_wires(self):
-        """Static topological order (declared order breaks cycles)."""
-        wires = self.netlist.wires
-        wire_names = {w.name for w in wires}
-        deps = {w.name: refs_of(w.expr) & wire_names for w in wires}
-        order: list = []
-        done: set[str] = set()
-        visiting: set[str] = set()
-        by_name = {w.name: w for w in wires}
-
-        def visit(wire) -> None:
-            if wire.name in done or wire.name in visiting:
-                return  # cycles fall back to declared order + fixpoint
-            visiting.add(wire.name)
-            for dep in sorted(deps[wire.name]):
-                visit(by_name[dep])
-            visiting.discard(wire.name)
-            done.add(wire.name)
-            order.append(wire)
-
-        for wire in wires:
-            visit(wire)
-        return order
-
-    def reset(self) -> None:
-        self.env = {name: 0 for name in self._input_widths}
-        self.env["start"] = 0
-        for reg in self.netlist.regs:
-            self.env[reg.name] = to_unsigned(reg.reset, reg.width)
-        for words in self.mems.values():
-            # In place: compiled read closures hold these list objects.
-            for i in range(len(words)):
-                words[i] = 0
-        for name, _fn in self._wires:
-            self.env[name] = 0
-        self._settle()
+            m.name: [0] * m.depth for m in self.netlist.mems}
+        self.passes = 0
 
     def poke(self, inputs: dict[str, int]) -> None:
         """Drive input ports (values wrapped to the port width)."""
         for name, value in inputs.items():
-            width = self._input_widths.get(name)
-            if width is None:
+            slot = self._input_index.get(name)
+            if slot is None:
                 raise HDLError(f"no input port {name!r}")
-            self.env[name] = to_unsigned(int(value), width)
+            self.inputs[slot[0]] = to_unsigned(int(value), slot[1])
 
-    def _settle(self) -> None:
-        env = self.env
-        for _sweep in range(len(self._wires) + 2):
-            changed = False
-            for name, fn in self._wires:
-                value = fn(env)
-                if env[name] != value:
-                    env[name] = value
-                    changed = True
-            if not changed:
-                return
-        raise HDLError("combinational nets did not settle (true logic cycle)")
+    def run_pass(self, max_cycles: int = MAX_CYCLES_PER_PASS
+                 ) -> tuple[dict[str, int], int, list[int]]:
+        """Pulse ``start``, clock until ``done``, then return to IDLE.
 
-    def step(self, start: int = 0) -> None:
-        """One clock edge: settle, then commit enabled registers and
-        enabled memory write ports (two-phase, like the registers: every
-        din/addr is sampled before anything commits)."""
-        self.env["start"] = 1 if start else 0
-        self._settle()
-        env = self.env
-        updates = []
-        for reg in self.netlist.regs:
-            if reg.en is not None and not env[reg.en]:
-                continue
-            updates.append((reg.name, env[reg.d] & mask_for_width(reg.width)))
-        mem_updates = []
-        for mem in self.netlist.mems:
-            data_mask = mask_for_width(mem.width)
-            addr_mask = mem.depth - 1
-            for port in mem.ports:
-                if port.we is None or not env[port.we]:
-                    continue
-                mem_updates.append((self.mems[mem.name],
-                                    env[port.addr] & addr_mask,
-                                    env[port.din] & data_mask))
-        for name, pattern in updates:
-            env[name] = pattern
-        for words, addr, pattern in mem_updates:
-            words[addr] = pattern
-        self.env["start"] = 0
-        self._settle()
-
-    # -- observation -------------------------------------------------------------
-
-    def output(self, label: str) -> int:
-        for port in self.netlist.outputs:
-            if port.label == label:
-                value = self.env[port.source]
-                return (wrap_to_width(value, port.width) if port.signed
-                        else value & mask_for_width(port.width))
-        raise HDLError(f"no output labeled {label!r}")
-
-    @property
-    def done(self) -> bool:
-        for port in self.netlist.outputs:
-            if port.name == "done":
-                return bool(self.env[port.source])
-        raise HDLError("netlist has no done output")
-
-    def state(self) -> int:
-        return self.env["state"]
+        Returns the labeled outputs at the done strobe, the clock cycles
+        between leaving IDLE and done, and the FSM state of each of
+        those cycles.
+        """
+        result = self.program.run(self.regs, self.inputs,
+                                  list(self.mems.values()), max_cycles)
+        if result is None:
+            raise HDLError(f"netsim: pass {self.passes} exceeded "
+                           f"{max_cycles} cycles without done")
+        self.passes += 1
+        cycles, states, outputs = result
+        return dict(zip(self.program.labels, outputs)), cycles, states
 
 
 @dataclass
@@ -274,42 +358,34 @@ class NetSimResult:
         return sum(self.cycles)
 
 
-def run_passes(netlist: Netlist, input_passes: list[dict[str, int]],
+def run_passes(netlist: Netlist | NetlistProgram,
+               input_passes: list[dict[str, int]],
                max_cycles_per_pass: int = MAX_CYCLES_PER_PASS) -> NetSimResult:
     """Execute the start/done handshake once per stimulus pass.
 
     ``input_passes`` uses behavioral variable names (the same stimulus
     dictionaries every other execution model consumes); cycle counts are
     clock cycles between leaving IDLE and the done strobe — directly
-    comparable with gatesim and duration-normalized replay.
+    comparable with gatesim and duration-normalized replay.  Pass a
+    :class:`NetlistProgram` to reuse one compilation across runs.
     """
     sim = NetlistSimulator(netlist)
-    labels = [p.label for p in netlist.outputs if p.label is not None]
-    in_map = {p.label: p.name for p in netlist.inputs if p.label is not None}
+    labels = sim.program.labels
+    in_map = {p.label: p.name for p in sim.netlist.inputs if p.label is not None}
     outputs: dict[str, list[int]] = {label: [] for label in labels}
     cycles_per_pass: list[int] = []
     state_seq: list[list[int]] = []
 
-    for pass_idx, stimulus in enumerate(input_passes):
+    for stimulus in input_passes:
         try:
             sim.poke({in_map[var]: value for var, value in stimulus.items()})
         except KeyError as exc:
             raise HDLError(f"stimulus names unknown input {exc}") from None
-        sim.step(start=1)
-        cycles = 0
-        states = [sim.state()]
-        while not sim.done:
-            sim.step()
-            cycles += 1
-            states.append(sim.state())
-            if cycles > max_cycles_per_pass:
-                raise HDLError(f"netsim: pass {pass_idx} exceeded "
-                               f"{max_cycles_per_pass} cycles without done")
+        values, cycles, states = sim.run_pass(max_cycles_per_pass)
         for label in labels:
-            outputs[label].append(sim.output(label))
+            outputs[label].append(values[label])
         cycles_per_pass.append(cycles)
-        state_seq.append(states[:-1])  # drop the done-state entry
-        sim.step()  # done -> IDLE
+        state_seq.append(states)
     return NetSimResult(outputs=outputs, cycles=cycles_per_pass,
                         state_seq=state_seq,
                         mems={name: list(words)

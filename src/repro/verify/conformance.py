@@ -31,14 +31,16 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ConformanceError, ReproError
+from repro.errors import ConformanceError, HDLError, ReproError
 from repro.cdfg.graph import CDFG
 from repro.cdfg.interpreter import simulate
 from repro.gatesim import simulate_architecture
 from repro.hdl import (
+    NetlistProgram,
     emit_testbench,
     emit_verilog,
     iverilog_available,
@@ -91,6 +93,9 @@ class ConformanceReport:
     total_cycles: int
     iverilog_ran: bool
     wall_s: float
+    #: Seconds each execution model took, keyed by backend name.  The
+    #: interpreter reads 0 when the caller supplied its trace store.
+    model_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -106,6 +111,8 @@ class ConformanceReport:
             "total_cycles": self.total_cycles,
             "divergences": len(self.divergences),
             "wall_s": round(self.wall_s, 3),
+            "model_s": {model: round(seconds, 3)
+                        for model, seconds in self.model_s.items()},
         }
 
     def raise_if_failed(self) -> None:
@@ -115,15 +122,43 @@ class ConformanceReport:
                 f"{self.name}: {len(self.divergences)} divergence(s); first: {first}")
 
 
-def _compare_run(cdfg: CDFG, arch: Architecture, netlist, stimulus,
-                 store: TraceStore | None = None) -> tuple[list[Divergence], int]:
-    """Run the always-available chain once; returns (divergences, cycles)."""
-    divergences: list[Divergence] = []
-    if store is None:
-        store = simulate(cdfg, stimulus)
+@contextmanager
+def _timed(model_s: dict[str, float], model: str):
+    """Add the block's wall time to ``model_s[model]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        model_s[model] = model_s.get(model, 0.0) + time.perf_counter() - t0
 
-    rep = replay(arch.stg, cdfg, store)
-    ref_cycles = [int(c) for c in rep.cycles_under(arch.duration_map())]
+
+def _compiled(netlist):
+    """``netlist`` compiled once for repeated netsim runs.
+
+    A netlist that does not compile is returned as is: the oracle chain
+    then reports the error as a netsim divergence on every run.
+    """
+    if isinstance(netlist, NetlistProgram):
+        return netlist
+    try:
+        return NetlistProgram(netlist)
+    except HDLError:
+        return netlist
+
+
+def _compare_run(cdfg: CDFG, arch: Architecture, netlist, stimulus,
+                 store: TraceStore, model_s: dict[str, float]
+                 ) -> tuple[list[Divergence], int]:
+    """Run the always-available chain once; returns (divergences, cycles).
+
+    ``netlist`` is a :class:`~repro.hdl.netlist.Netlist` or its
+    :class:`~repro.hdl.NetlistProgram`; each model's seconds are added
+    into ``model_s``.
+    """
+    divergences: list[Divergence] = []
+    with _timed(model_s, "replay"):
+        rep = replay(arch.stg, cdfg, store)
+        ref_cycles = [int(c) for c in rep.cycles_under(arch.duration_map())]
     ref_outputs = {k: [int(x) for x in v] for k, v in store.outputs.items()}
 
     def check_outputs(backend: str, outputs: dict) -> None:
@@ -166,8 +201,10 @@ def _compare_run(cdfg: CDFG, arch: Architecture, netlist, stimulus,
                 stimulus=dict(stimulus[-1]) if stimulus else {}))
 
     try:
-        gs = simulate_architecture(arch, stimulus, expected_outputs=store.outputs,
-                                   record_states=True)
+        with _timed(model_s, "gatesim"):
+            gs = simulate_architecture(arch, stimulus,
+                                       expected_outputs=store.outputs,
+                                       record_states=True)
         check_outputs("gatesim", gs.outputs)
         check_cycles("gatesim", gs.cycles, gs.state_seq, rep.state_seq)
         check_mems("gatesim", gs.mems or {})
@@ -178,7 +215,8 @@ def _compare_run(cdfg: CDFG, arch: Architecture, netlist, stimulus,
         # Replay already knows how long each pass should take; a netlist
         # that runs 4x past that has diverged into a non-terminating path.
         cap = max(ref_cycles, default=1) * 4 + 64
-        ns = simulate_netlist(netlist, stimulus, max_cycles_per_pass=cap)
+        with _timed(model_s, "netsim"):
+            ns = simulate_netlist(netlist, stimulus, max_cycles_per_pass=cap)
         check_outputs("netsim", ns.outputs)
         durations = arch.duration_map()
         ns_visits = [visits_from_cycle_trace(seq, durations)
@@ -234,10 +272,12 @@ def minimize_stimulus(cdfg: CDFG, arch: Architecture, inputs: dict[str, int],
     Each variable is halved toward zero (then tried at 0 and ±1) while the
     single-pass conformance chain still diverges; trials whose *behavior*
     cannot even be interpreted (e.g. a non-terminating loop) are rejected,
-    so minimization cannot trade the original bug for a crash.
+    so minimization cannot trade the original bug for a crash.  The
+    netlist (lowered from ``arch`` when not given) is compiled once for
+    every trial.
     """
-    if netlist is None:
-        netlist = lower_architecture(arch)
+    netlist = _compiled(lower_architecture(arch) if netlist is None
+                        else netlist)
     trials = 0
 
     def diverges(candidate: dict[str, int]) -> bool:
@@ -250,7 +290,8 @@ def minimize_stimulus(cdfg: CDFG, arch: Architecture, inputs: dict[str, int],
         except ReproError:
             return False  # behaviorally invalid candidate
         try:
-            found, _cycles = _compare_run(cdfg, arch, netlist, [candidate], store)
+            found, _cycles = _compare_run(cdfg, arch, netlist, [candidate],
+                                          store, {})
         except ReproError:
             return True
         return bool(found)
@@ -296,8 +337,15 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
     if use_iverilog not in ("auto", "off", "require"):
         raise ConformanceError(f"unknown iverilog mode {use_iverilog!r}")
     t0 = time.perf_counter()
+    model_s = dict.fromkeys(BACKENDS, 0.0)
+    if store is None:
+        with _timed(model_s, "interpreter"):
+            store = simulate(cdfg, stimulus)
     netlist = lower_architecture(arch, name=name)
-    divergences, total_cycles = _compare_run(cdfg, arch, netlist, stimulus, store)
+    with _timed(model_s, "netsim"):
+        program = _compiled(netlist)
+    divergences, total_cycles = _compare_run(cdfg, arch, program, stimulus,
+                                             store, model_s)
 
     backends = list(BACKENDS)
     iverilog_ran = False
@@ -306,13 +354,13 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
     if use_iverilog == "require" and not iverilog_available():
         raise ConformanceError("iverilog required but not found on PATH")
     if want_iverilog:
-        if store is None:
-            store = simulate(cdfg, stimulus)
-        rep = replay(arch.stg, cdfg, store)
-        expected = {k: [int(x) for x in v] for k, v in store.outputs.items()}
-        cycles = [int(c) for c in rep.cycles_under(arch.duration_map())]
-        tb = emit_testbench(netlist, stimulus, expected, cycles)
-        result = run_iverilog(emit_verilog(netlist), tb, name=name)
+        with _timed(model_s, "iverilog"):
+            rep = replay(arch.stg, cdfg, store)
+            expected = {k: [int(x) for x in v]
+                        for k, v in store.outputs.items()}
+            cycles = [int(c) for c in rep.cycles_under(arch.duration_map())]
+            tb = emit_testbench(netlist, stimulus, expected, cycles)
+            result = run_iverilog(emit_verilog(netlist), tb, name=name)
         iverilog_ran = True
         backends.append("iverilog")
         if not result.passed:
@@ -327,7 +375,7 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
         first = next((d for d in divergences if d.stimulus), None)
         if first is not None:
             first.minimized = minimize_stimulus(cdfg, arch, first.stimulus,
-                                                netlist=netlist)
+                                                netlist=program)
 
     return ConformanceReport(
         name=name,
@@ -337,6 +385,7 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
         total_cycles=total_cycles,
         iverilog_ran=iverilog_ran,
         wall_s=time.perf_counter() - t0,
+        model_s=model_s,
     )
 
 
@@ -369,9 +418,11 @@ def verify_benchmark(name: str, n_passes: int = 100, seed: int = 0, *,
 def _format_row(report: ConformanceReport) -> str:
     verdict = "ok" if report.ok else f"FAIL ({len(report.divergences)})"
     backends = "+".join(report.backends)
+    models = " ".join(f"{model} {seconds:.2f}s"
+                      for model, seconds in report.model_s.items())
     return (f"{report.name:<10s} {report.n_passes:>5d} passes  "
             f"{report.total_cycles:>8d} cycles  {backends:<40s} "
-            f"{report.wall_s:>7.2f}s  {verdict}")
+            f"{report.wall_s:>7.2f}s  {verdict}  [{models}]")
 
 
 def main(argv: list[str] | None = None) -> int:

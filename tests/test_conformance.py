@@ -197,6 +197,29 @@ class TestDivergenceDetection:
                                       netlist=lower_architecture(arch))
         assert minimized["a"] != 0 and minimized["b"] != 0
 
+    def test_minimization_compiles_the_netlist_once(self, monkeypatch):
+        import repro.hdl.netsim as netsim
+        import repro.verify.conformance as conf
+
+        compiles, runs = [], []
+        real_run = conf.simulate_netlist
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args[1])
+            return compile(*args, **kwargs)
+
+        def counting_run(netlist, stimulus, **kwargs):
+            runs.append(len(stimulus))
+            return real_run(netlist, stimulus, **kwargs)
+
+        monkeypatch.setattr(netsim, "compile", counting_compile, raising=False)
+        monkeypatch.setattr(conf, "simulate_netlist", counting_run)
+        cdfg, arch, stim = self._broken_gcd()
+        report = verify_architecture(cdfg, arch, stim, use_iverilog="off")
+        assert report.divergences[0].minimized is not None
+        assert runs.count(1) > 1  # the minimization trials
+        assert len(compiles) == 1
+
     def test_iverilog_require_without_tool(self):
         from repro.hdl import iverilog_available
 
@@ -219,7 +242,11 @@ class TestCommandLine:
         assert payload["ok"] is True
         assert payload["benchmarks"][0]["name"] == "gcd"
         assert payload["benchmarks"][0]["n_passes"] == 10
-        assert "gcd" in capsys.readouterr().out
+        model_s = payload["benchmarks"][0]["model_s"]
+        assert set(model_s) == {"interpreter", "replay", "gatesim", "netsim"}
+        assert all(seconds >= 0 for seconds in model_s.values())
+        row = capsys.readouterr().out
+        assert "gcd" in row and "netsim " in row
 
     def test_all_flag_covers_registry(self, tmp_path):
         out = tmp_path / "conformance.json"

@@ -26,9 +26,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import HDLError
-from repro.benchmarks import get_benchmark
+from repro.benchmarks import BENCHMARKS, get_benchmark
 from repro.cdfg.interpreter import simulate
 from repro.cdfg.node import OpKind
 from repro.core.binding import Binding
@@ -45,21 +46,25 @@ from repro.hdl import (
 from repro.hdl.netlist import (
     ECase,
     EConst,
+    EMemRead,
     EMux,
     EOp,
     ERef,
     EWrap,
     Netlist,
+    OPS,
+    PortDecl,
     Wire,
     Register,
     refs_of,
 )
-from repro.hdl.netsim import NetlistSimulator, _compile
+from repro.hdl.netsim import NetlistProgram, NetlistSimulator, _expr_source
 from repro.library import default_library
 from repro.rtl import build_architecture
 from repro.sched import wavesched
 from repro.sched.engine import ScheduleOptions
 from repro.sim.stimulus import random_stimulus
+from repro.utils.bitwidth import wrap_to_width
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -73,11 +78,129 @@ def _bench_arch(name):
     return cdfg, dp.arch
 
 
+def _eval_generated(expr, env, mems=None):
+    """Evaluate ``expr`` through netsim's generated source."""
+    mems = mems or {}
+    source = _expr_source(expr, {name: name for name in env},
+                          {name: (name, len(words))
+                           for name, words in mems.items()})
+    return eval(source, {}, {**env, **mems})
+
+
+def _eval_reference(e, env, mems):
+    """Direct recursive evaluation of the IR's word semantics."""
+    def ev(x):
+        return _eval_reference(x, env, mems)
+
+    if isinstance(e, EConst):
+        return e.value
+    if isinstance(e, ERef):
+        return env[e.name]
+    if isinstance(e, EWrap):
+        value = ev(e.expr)
+        return (wrap_to_width(value, e.width) if e.signed
+                else value % (1 << e.width))
+    if isinstance(e, EMux):
+        return ev(e.a) if ev(e.cond) != 0 else ev(e.b)
+    if isinstance(e, ECase):
+        subject = ev(e.subject)
+        arm = next((arm for codes, arm in e.arms if subject in codes),
+                   e.default)
+        return ev(arm)
+    if isinstance(e, EMemRead):
+        words = mems[e.mem]
+        return words[ev(e.addr) % len(words)]
+    a = ev(e.args[0])
+    if e.op == "lnot":
+        return int(a == 0)
+    b = ev(e.args[1])
+    return {
+        "add": lambda: wrap_to_width(a + b, 64),
+        "sub": lambda: wrap_to_width(a - b, 64),
+        "mul": lambda: wrap_to_width(a * b, 64),
+        "shl": lambda: wrap_to_width(a * 2 ** (b % 64), 64),
+        "shr": lambda: a // 2 ** (b % 64),
+        "lt": lambda: int(a < b), "gt": lambda: int(a > b),
+        "le": lambda: int(a <= b), "ge": lambda: int(a >= b),
+        "eq": lambda: int(a == b), "ne": lambda: int(a != b),
+        "land": lambda: int(a != 0 and b != 0),
+        "lor": lambda: int(a != 0 or b != 0),
+        "band": lambda: a & b, "bor": lambda: a | b, "bxor": lambda: a ^ b,
+    }[e.op]()
+
+
+_SIGNALS = ("a", "b", "s")
+_WORDS = st.one_of(st.integers(-4, 4), st.integers(-2**64, 2**64))
+_LEAVES = st.one_of(st.builds(EConst, _WORDS),
+                    st.sampled_from([ERef(name) for name in _SIGNALS]))
+
+
+def _compound(children):
+    codes = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(lambda op, x, y: EOp(op, (x, y)),
+                  st.sampled_from(sorted(OPS - {"lnot"})), children, children),
+        st.builds(lambda x: EOp("lnot", (x,)), children),
+        st.builds(EMux, children, children, children),
+        st.builds(EWrap, children, st.integers(1, 64), st.booleans()),
+        st.builds(ECase, children,
+                  st.lists(st.tuples(codes, children), min_size=1,
+                           max_size=3).map(tuple), children),
+        st.builds(lambda addr: EMemRead("m", addr), children),
+    )
+
+
+class TestExpressionCodegen:
+    """Generated expression source matches a direct reference evaluator."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(expr=st.recursive(_LEAVES, _compound, max_leaves=10),
+           env=st.fixed_dictionaries({name: _WORDS for name in _SIGNALS}),
+           words=st.lists(st.integers(0, 2**16), min_size=8, max_size=8))
+    @example(expr=EOp("mul", (EConst((1 << 62) + 1), ERef("a"))),
+             env={"a": 4, "b": 0, "s": 0}, words=[0] * 8)  # 64-bit overflow
+    @example(expr=EOp("shl", (ERef("a"), ERef("b"))),
+             env={"a": 3, "b": -1, "s": 0}, words=[0] * 8)  # negative shift
+    @example(expr=EOp("shr", (ERef("a"), EConst(70))),
+             env={"a": -(1 << 63), "b": 0, "s": 0}, words=[0] * 8)  # >= 64
+    @example(expr=ECase(ERef("s"), (((1, 2), EConst(5)), ((2, 3), EConst(6))),
+                        EConst(7)),
+             env={"a": 0, "b": 0, "s": 2}, words=[0] * 8)  # first arm wins
+    @example(expr=EMemRead("m", ERef("a")),
+             env={"a": -3, "b": 0, "s": 0}, words=list(range(8)))
+    def test_generated_source_matches_reference(self, expr, env, words):
+        mems = {"m": words}
+        assert _eval_generated(expr, env, mems) == \
+            _eval_reference(expr, env, mems)
+
+    def test_unreadable_signal_rejected(self):
+        with pytest.raises(HDLError):
+            _expr_source(ERef("clk"), {}, {})
+
+
+def _handshake_netlist(wires, regs=(), outputs=()):
+    """A start/done netlist around ``wires``: state 0 is IDLE, ``start``
+    moves to state 1, which steps to the done state 2, then back to 0.
+    The signed 8-bit input ``x`` is readable as wire ``x``."""
+    state = ERef("state")
+    next_state = ECase(state, (((0,), EMux(ERef("start"), EConst(1), EConst(0))),
+                               ((1,), EConst(2))), EConst(0), 2)
+    return Netlist(
+        name="handshake",
+        inputs=[PortDecl("in_x", 8, True, label="x")],
+        outputs=[PortDecl("done", 1, False, source="done_w"), *outputs],
+        wires=[Wire("state_next", next_state),
+               Wire("done_w", EOp("eq", (state, EConst(2)))),
+               Wire("x", EWrap(ERef("in_x"), 8, True)),
+               *wires],
+        regs=[Register("state", 2, d="state_next"), *regs])
+
+
 class TestExpressionSemantics:
     """The IR's compiled evaluation implements signed word semantics."""
 
     def _eval(self, expr, env=None):
-        return _compile(expr)(env or {})
+        return _eval_generated(expr, env or {})
 
     def test_wrap_signed_narrows(self):
         assert self._eval(EWrap(EConst(130), 8, True)) == -126
@@ -238,6 +361,83 @@ class TestNetsim:
         sim = NetlistSimulator(lower_architecture(arch))
         with pytest.raises(HDLError):
             sim.poke({"bogus": 1})
+
+    def test_false_cycle_settles_through_the_fixpoint(self):
+        # a and b feed each other, a -> b in state 1 and b -> a in state 2:
+        # a back edge in any level order, but no cycle in any one state.
+        in_state1 = EOp("eq", (ERef("state"), EConst(1)))
+        netlist = _handshake_netlist(
+            [Wire("a", EMux(in_state1, EOp("add", (ERef("x"), EConst(1))),
+                            EOp("add", (ERef("b"), EConst(10))))),
+             Wire("b", EMux(in_state1, EOp("mul", (ERef("a"), EConst(3))),
+                            EOp("sub", (ERef("x"), EConst(2))))),
+             Wire("load", in_state1)],
+            regs=[Register("ra", 16, d="a", en="load"),
+                  Register("rb", 16, d="b", en="load")],
+            outputs=[PortDecl(f"out_{n}", 16, True, label=n, source=n)
+                     for n in ("a", "b", "ra", "rb")])
+        program = NetlistProgram(netlist)
+        assert program.cyclic
+        ns = simulate_netlist(program, [{"x": 7}, {"x": -3}])
+        # State 1 latches a = x + 1, b = 3a; the done state shows
+        # b = x - 2, a = b + 10.
+        assert ns.outputs == {"a": [15, 5], "b": [5, -5],
+                              "ra": [8, -2], "rb": [24, -6]}
+        assert ns.cycles == [1, 1]
+        assert ns.state_seq == [[1], [1]]
+
+    def test_true_cycle_does_not_settle(self):
+        netlist = _handshake_netlist([Wire("w", EOp("lnot", (ERef("w"),)))])
+        with pytest.raises(HDLError, match="did not settle"):
+            simulate_netlist(netlist, [{"x": 1}])
+
+    def test_start_edge_commits_with_start_high(self):
+        # Registers may sample start directly: the start edge commits
+        # with start = 1, so "latched" loads x there and "pulse" reads 1
+        # for exactly the state-1 edge, where "held" loads x.
+        netlist = _handshake_netlist(
+            [],
+            regs=[Register("latched", 8, d="in_x", en="start"),
+                  Register("pulse", 1, d="start"),
+                  Register("held", 8, d="in_x", en="pulse")],
+            outputs=[PortDecl(f"out_{n}", 8, True, label=n, source=n)
+                     for n in ("latched", "held")])
+        ns = simulate_netlist(netlist, [{"x": 7}, {"x": -3}])
+        assert ns.outputs == {"latched": [7, -3], "held": [7, -3]}
+        assert ns.cycles == [1, 1]
+
+    def test_long_chains_compile_flat(self):
+        # Lowering builds one lor/land term or mux arm per state; such
+        # chains must not hit the compiler's nesting limits.
+        x = ERef("x")
+        codes = range(-100, 400)
+        any_eq, all_ne, select = EConst(0), EConst(1), EConst(-1)
+        for k in codes:
+            any_eq = EOp("lor", (any_eq, EOp("eq", (x, EConst(k)))))
+            all_ne = EOp("land", (all_ne, EOp("ne", (x, EConst(k)))))
+            select = EMux(EOp("eq", (x, EConst(k))), EConst(2 * k), select)
+        netlist = _handshake_netlist(
+            [Wire("any_eq", any_eq), Wire("all_ne", all_ne),
+             Wire("select", select)],
+            outputs=[PortDecl(f"out_{n}", 16, True, label=n, source=n)
+                     for n in ("any_eq", "all_ne", "select")])
+        ns = simulate_netlist(netlist, [{"x": 7}, {"x": -120}])
+        assert ns.outputs == {"any_eq": [1, 0], "all_ne": [0, 1],
+                              "select": [14, -1]}
+
+    @pytest.mark.parametrize("depth", [300, 600])
+    def test_too_deep_expression_is_an_hdl_error(self, depth):
+        expr = ERef("x")
+        for _ in range(depth):
+            expr = EOp("lnot", (expr,))
+        netlist = _handshake_netlist([Wire("deep", expr)])
+        with pytest.raises(HDLError, match="nests too deeply"):
+            NetlistProgram(netlist)
+
+    @pytest.mark.parametrize("bench_name", sorted(BENCHMARKS))
+    def test_registry_netlists_take_the_acyclic_path(self, bench_name):
+        _cdfg, arch = _bench_arch(bench_name)
+        assert not NetlistProgram(lower_architecture(arch)).cyclic
 
     def test_nonterminating_netlist_hits_cycle_cap(self):
         _cdfg, arch = _bench_arch("gcd")

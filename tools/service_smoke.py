@@ -53,8 +53,8 @@ def design_summary(summary: dict) -> dict:
 
 
 def verdict(report: dict) -> dict:
-    """A conformance report minus wall-clock time."""
-    return {k: v for k, v in report.items() if k != "wall_s"}
+    """A conformance report minus its timings (total and per model)."""
+    return {k: v for k, v in report.items() if k not in ("wall_s", "model_s")}
 
 
 def cli_path_results() -> tuple[dict, dict]:

@@ -1,7 +1,7 @@
 """Pareto-frontier quality on gcd and paulin.
 
 Runs the multi-objective explorer over its default (objective x laxity)
-grid — through the work-stealing pool, so the steal path gets nightly
+grid — on the supervised worker pool, so the pool path gets nightly
 coverage — for the control-dominated GCD and the data-dominated Paulin
 solver and reports the two standard frontier-quality indicators:
 
@@ -20,8 +20,8 @@ to the checked-in trajectory ``BENCH_pareto.json``; the CI gate
 median of recent matching records — a search-quality regression, caught
 the same way ``check_perf.py`` catches wall-time regressions.
 
-The frontier is deterministic for any shard or steal-worker count (the
-determinism tests enforce bit-identity), so these metrics are stable
+The frontier is deterministic for any worker count (the determinism
+tests enforce bit-identity), so these metrics are stable
 across machines; wall time is the only machine-dependent column.
 Results land in ``results/pareto.txt`` and ``results/pareto.json``.
 

@@ -8,9 +8,9 @@ frontier.  Prints the frontier, the per-job accounting and an ASCII
 projection of the area/power trade-off, then writes the JSON/CSV/
 markdown reports under ``results/``.
 
-Run:  python examples/design_space_exploration.py [benchmark] [shards]
-      (default: gcd, 2 shards — any shard count yields the identical
-      frontier; see docs/cli.md)
+Run:  python examples/design_space_exploration.py [benchmark] [workers]
+      (default: gcd, 2 worker processes — any worker count yields the
+      identical frontier; see docs/cli.md)
 """
 
 import sys
@@ -23,13 +23,13 @@ from repro.explore import explore, verify_frontier
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "gcd"
-    shards = int(sys.argv[2]) if len(sys.argv) > 2 else 2
+    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 2
     if name not in BENCHMARKS:
         raise SystemExit(f"unknown benchmark {name!r}; pick one of {sorted(BENCHMARKS)}")
 
     search = SearchConfig(max_depth=5, max_candidates=12, max_iterations=6)
-    print(f"Exploring {name} on {shards} shard(s) ...")
-    result = explore(name, shards=shards, n_passes=20, search=search)
+    print(f"Exploring {name} on {workers} worker process(es) ...")
+    result = explore(name, steal=workers, n_passes=20, search=search)
     summary = result.summary()
 
     print()

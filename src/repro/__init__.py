@@ -8,7 +8,7 @@ Public API (one import per concept a user needs):
 >>> result = repro.synthesize(cdfg, stimulus, mode="power", laxity=2.0)
 >>> measured = repro.simulate_architecture(result.design.arch, stimulus,
 ...                                        expected_outputs=store.outputs)
->>> frontier = repro.explore("gcd", shards=4)   # Pareto design-space sweep
+>>> frontier = repro.explore("gcd", steal=4)    # Pareto design-space sweep
 
 The same surface is reachable from the shell via ``python -m repro``
 (synth / explore / verify / bench — see docs/cli.md).  docs/tutorial.md

@@ -5,7 +5,7 @@ Six subcommands cover the production entry points (documented in
 
 * ``repro synth``   — one IMPACT synthesis run, summary + report files;
 * ``repro explore`` — the multi-objective Pareto-frontier explorer
-  (sharded across processes, frontier verified by default);
+  (grid cells on a supervised worker pool, frontier verified by default);
 * ``repro verify``  — the differential-conformance oracle chain;
 * ``repro bench``   — a Figure 13 laxity sweep with report emission;
 * ``repro fuzz``    — random-program fuzzing through the full synthesize
@@ -193,13 +193,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    """Sharded Pareto-frontier exploration plus frontier verification."""
+    """Pareto-frontier exploration plus frontier verification."""
     from repro.explore import explore, verify_frontier
 
     result = explore(
         args.benchmark, objectives=args.objectives, laxities=args.laxities,
-        seeds=(args.seed,), shards=args.shards, steal=args.steal,
-        n_passes=args.passes,
+        seeds=(args.seed,), steal=args.steal, n_passes=args.passes,
         stimulus_seed=args.stimulus_seed, search=_search_from_args(args),
         store_dir=None if args.store is None else str(args.store))
     summary = result.summary()
@@ -207,12 +206,11 @@ def cmd_explore(args) -> int:
     print(format_table(rows, title=(
         f"repro explore {args.benchmark}: {len(rows)}-point Pareto frontier "
         f"(area, power, latency)")))
-    workers = (f"{summary['steal_workers']} steal worker(s)"
-               if result.steal_workers else
-               f"{summary['shards']} shard(s)")
+    workers = (f"{summary['steal_workers']} worker process(es)"
+               if result.steal_workers else "in-process")
     warm = (f", {summary['warm_hits']} warm-started from the store"
             if result.warm_hits else "")
-    print(f"\n{summary['jobs']} jobs on {workers}, "
+    print(f"\n{summary['jobs']} jobs ({workers}), "
           f"{summary['evaluations']} evaluations, {summary['offered']} "
           f"archive offers, hypervolume {summary['hypervolume']:.4g}{warm}, "
           f"{result.wall_time_s:.2f}s")
@@ -471,16 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multi-objective Pareto-frontier exploration")
     _add_common(p, passes=20)
     _add_search(p)
-    p.add_argument("--shards", type=int, default=1,
-                   help="worker processes; the frontier is bit-identical "
-                        "for any value (default %(default)s)")
-    p.add_argument("--steal", type=int, default=0, metavar="N",
-                   help="work-stealing worker count: idle workers pull the "
-                        "next grid cell from a shared queue and completed "
-                        "cells checkpoint into the artifact store for "
-                        "warm-starts; the frontier is bit-identical to a "
-                        "1-shard run for any value (default: static "
-                        "sharding)")
+    p.add_argument("--steal", "--shards", dest="steal", type=int, default=1,
+                   metavar="N",
+                   help="worker processes (--shards is an alias): idle "
+                        "workers take the next grid cell, 1 runs "
+                        "in-process; the frontier is bit-identical for any "
+                        "value (default %(default)s)")
     p.add_argument("--laxities", type=_parse_floats, default=DEFAULT_LAXITIES,
                    metavar="L1,L2,...",
                    help="laxity grid (default %(default)s)")

@@ -1,15 +1,15 @@
 """Multi-objective design-space exploration on top of the IMPACT flow.
 
-``explore()`` spreads a grid of (objective x laxity x seed) synthesis
-searches across processes — statically sharded (``shards=N``) or
-work-stealing over a shared job queue (``steal=N``, with checkpointing
-and warm-starts through the artifact store) — feeds every feasible
-visited design into a Pareto archive, and merges the per-job archives
-into one deterministic (area, power, latency) frontier;
-``verify_frontier()`` conformance-checks the design behind every
-frontier point.  See ``docs/cli.md`` for the ``python -m repro explore``
-surface and ``docs/architecture.md`` for how the explorer sits on the
-engine.
+``explore()`` runs a grid of (objective x laxity x seed) synthesis
+searches in-process or on N worker processes of the supervised pool
+(``steal=N``, alias ``shards=N``; idle workers take the next cell, and
+every cell checkpoints and warm-starts through the artifact store) —
+feeds every feasible visited design into a Pareto archive, and merges
+the per-job archives into one deterministic (area, power, latency)
+frontier; ``verify_frontier()`` conformance-checks the design behind
+every frontier point.  See ``docs/cli.md`` for the ``python -m repro
+explore`` surface and ``docs/architecture.md`` for how the explorer sits
+on the engine.
 """
 
 from repro.explore.driver import (

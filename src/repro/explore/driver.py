@@ -9,14 +9,16 @@ scalarizations) and search seeds — runs each through a
 :class:`~repro.explore.pareto.ParetoFront`, not just the winner), and
 merges the per-job fronts into one global frontier.
 
-Sharding: ``shards=N`` partitions the job grid round-robin across N
-worker *processes*; each worker owns one engine, so the jobs of a shard
-share its content-addressed pipeline caches the way a sequential run
-would.  Because every job is independently deterministic (cached and
-uncached evaluation are bit-identical by construction) and the merge
-always happens in job-index order, **the frontier is bit-identical for
-any shard count** — the determinism test in
-``tests/test_explore_driver.py`` enforces 1 vs N equality.
+Parallelism: ``steal=N`` (alias ``shards=N``) runs the grid on N worker
+*processes* of the supervised pool (:mod:`repro.explore.steal`); idle
+workers take the next pending cell, and each worker keeps one engine,
+so the jobs it runs share its content-addressed pipeline caches the way
+a sequential run would.  ``N <= 1`` runs in-process.  Because every job
+is independently deterministic (cached and uncached evaluation are
+bit-identical by construction) and the merge always happens in
+job-index order, **the frontier is bit-identical for any worker
+count** — the determinism tests in ``tests/test_explore_driver.py`` and
+``tests/test_explore_steal.py`` enforce 1 vs N equality.
 
 :func:`verify_frontier` closes the loop: it re-derives the design behind
 every frontier point (same job, same seed — the search replays exactly)
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.benchmarks.registry import get_benchmark
@@ -36,6 +37,7 @@ from repro.core.engine import SynthesisEngine
 from repro.core.search import SearchConfig, WeightedObjective
 from repro.errors import ExperimentError
 from repro.explore.pareto import ParetoFront, ParetoPoint
+from repro.explore.steal import StealOutcome, cell_context, run_cell, run_stolen
 from repro.sched.engine import ScheduleOptions
 
 #: The default objective grid: the paper's two modes plus a balanced
@@ -71,16 +73,14 @@ class ExploreResult:
     config and the stimulus parameters are recorded so
     :func:`verify_frontier` can replay the exact searches that produced
     the frontier — callers never re-supply them (a mismatched re-supply
-    would silently verify the wrong designs).  A 1-shard run
-    additionally retains its engine and the frontier designs in-process
-    (``_engine``/``_designs``), letting verification skip the replay
-    entirely.
+    would silently verify the wrong designs).  An in-process run
+    additionally retains its engine and the frontier designs it searched
+    (``_engine``/``_designs``), letting verification skip the replay.
     """
 
     benchmark: str
     front: ParetoFront
     jobs: list[dict] = field(default_factory=list)
-    shards: int = 1
     n_passes: int = 0
     stimulus_seed: int = 0
     wall_time_s: float = 0.0
@@ -88,18 +88,20 @@ class ExploreResult:
     laxities: tuple = DEFAULT_LAXITIES
     seeds: tuple = (0,)
     search: SearchConfig = field(default_factory=SearchConfig)
-    #: Work-stealing accounting (``steal=N`` runs; zero otherwise).
-    #: ``steal_log`` is (job index, worker id) in claim order — feed its
-    #: completed subset back as ``steal_plan`` to replay the schedule.
+    #: Pool accounting: worker processes spawned (respawns included;
+    #: zero for an in-process run) and ``steal_log``, (job index, slot)
+    #: in claim order — feed its completed subset back as ``steal_plan``
+    #: to replay the schedule.
     steal_workers: int = 0
     steal_log: list = field(default_factory=list)
     warm_hits: int = 0
     #: Frontier hypervolume after each job's merge, in job-index order —
     #: the search-quality-over-time curve the benchmark gate tracks.
-    #: Identical for any shard/steal topology (the merge order is fixed).
+    #: Identical for any worker count (the merge order is fixed).
     hv_trace: list = field(default_factory=list)
-    #: In-process design retention (1-shard runs only): engine plus
-    #: {(job index, offer order): DesignPoint} for the frontier points.
+    #: In-process design retention (in-process runs only): engine plus
+    #: {(job index, offer order): DesignPoint} for the searched frontier
+    #: points (warm-started cells keep none).
     _engine: object = field(default=None, repr=False, compare=False)
     _designs: dict = field(default=None, repr=False, compare=False)
 
@@ -122,7 +124,6 @@ class ExploreResult:
         return {
             "benchmark": self.benchmark,
             "jobs": len(self.jobs),
-            "shards": self.shards,
             "n_passes": self.n_passes,
             "stimulus_seed": self.stimulus_seed,
             "evaluations": self.evaluations,
@@ -221,24 +222,6 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
     return local, stats, designs
 
 
-def _run_shard(payload: dict) -> list[dict]:
-    """Process-pool worker: run a shard's jobs on one shared engine."""
-    engine = engine_for_benchmark(
-        payload["benchmark"], n_passes=payload["n_passes"],
-        seed=payload["stimulus_seed"], caching=payload["caching"],
-        store_dir=payload.get("store_dir"))
-    out = []
-    for job in payload["jobs"]:
-        local, stats, _ = _run_job(engine, job, payload["search"])
-        out.append({
-            "stats": stats,
-            "points": [{"area": p.area, "power": p.power,
-                        "latency": p.latency, "meta": dict(p.meta)}
-                       for p in local.points],
-        })
-    return out
-
-
 def make_jobs(objectives=DEFAULT_OBJECTIVES, laxities=DEFAULT_LAXITIES,
               seeds=(0,)) -> list[ExploreJob]:
     """Enumerate the exploration grid in its canonical (deterministic) order."""
@@ -256,8 +239,8 @@ def explore(benchmark: str, *,
             objectives=DEFAULT_OBJECTIVES,
             laxities=DEFAULT_LAXITIES,
             seeds=(0,),
-            shards: int = 1,
-            steal: int = 0,
+            steal: int = 1,
+            shards: int | None = None,
             steal_plan=None,
             fault_plan=None,
             n_passes: int = 20,
@@ -273,7 +256,7 @@ def explore(benchmark: str, *,
     ----------
     benchmark:
         A registry name (see ``repro.BENCHMARKS``); workers re-parse it,
-        which is what makes process sharding possible.
+        which is what makes process parallelism possible.
     objectives:
         Mix of ``"area"``, ``"power"`` and ``(w_area, w_power, w_latency)``
         weight triples (scalarized via
@@ -281,110 +264,80 @@ def explore(benchmark: str, *,
     laxities, seeds:
         The ENC-budget grid and the search seeds; the job grid is their
         cross product with ``objectives``.
-    shards:
-        Worker processes.  ``1`` runs in-process; any value yields a
-        bit-identical frontier (jobs are independent and the merge is in
-        job order).
     steal:
-        Work-stealing worker count (see :mod:`repro.explore.steal`).
-        Nonzero replaces static sharding with a shared job queue: idle
-        workers steal the next pending cell, completed cells checkpoint
-        into the artifact store (when attached) and warm-start later
-        runs.  The frontier stays bit-identical to ``shards=1`` for any
-        worker count — the steal order is recorded on the result, not
-        baked into it.
+        Worker processes (see :mod:`repro.explore.steal`), capped at the
+        job count.  ``<= 1`` runs in-process; more runs the grid on the
+        supervised pool, where idle workers take the next pending cell.
+        Any value yields a bit-identical frontier (jobs are independent
+        and the merge is in job order) — the steal order is recorded on
+        the result, not baked into it.  Every cell checkpoints into the
+        artifact store (when attached) and warm-starts later runs.
+    shards:
+        Alias of ``steal``; when given, it sets the worker count.
     steal_plan:
-        A recorded steal log (``(job index, worker id)`` pairs covering
-        every job) to replay: each job is pinned to its recorded
-        worker's queue, reproducing the claim schedule exactly.
+        A recorded steal log (``(job index, slot)`` pairs covering every
+        job) to replay on the pool: each job is pinned to its recorded
+        slot, in the recorded per-slot order.
     fault_plan:
-        A :class:`~repro.faults.plan.FaultPlan` injected into the pool;
-        ``kill_worker@N`` kills the first claimant of job ``N`` (the
-        retry and every other worker run clean).  Steal mode only.
+        A :class:`~repro.faults.plan.FaultPlan` injected into the pool
+        (so it forces a pool run); ``kill_worker@N`` kills the worker
+        that first runs job ``N`` (the retry and every other job run
+        clean).
     n_passes, stimulus_seed:
         Profiling stimulus (shared by every job).
     search:
         Base :class:`~repro.core.search.SearchConfig`; each job replaces
         only its ``seed``.
     store_dir:
-        Artifact-store root shared by every shard (``None`` consults
+        Artifact-store root shared by every worker (``None`` consults
         ``$REPRO_STORE_DIR``; pass ``""`` to force a plain in-process
-        cache).  Workers publish and reuse schedules/replays through the
-        store — concurrency-safe because publication is atomic and
-        content-addressed — and the frontier stays bit-identical with or
-        without it.
+        cache).  Workers publish and reuse schedules/replays and per-cell
+        checkpoints through the store — concurrency-safe because
+        publication is atomic and content-addressed — and the frontier
+        stays bit-identical with or without it.
 
     Returns an :class:`ExploreResult` whose ``front`` holds the merged,
     non-dominated (area, power, latency) points with per-job provenance.
     """
     search = search or SearchConfig()
     jobs = make_jobs(objectives, laxities, seeds)
-    shards = max(1, min(shards, len(jobs)))
+    workers = max(1, min(steal if shards is None else shards, len(jobs)))
+    recipe = {
+        "benchmark": benchmark,
+        "n_passes": n_passes,
+        "stimulus_seed": stimulus_seed,
+        "caching": caching,
+        "store_dir": store_dir,
+        "search": search,
+    }
     t0 = time.perf_counter()
 
     engine = None
     designs: dict[tuple[int, int], object] = {}
-    steal_outcome = None
-    if steal or steal_plan:
-        from repro.explore.steal import run_stolen
-
-        steal_outcome = run_stolen(
-            {
-                "benchmark": benchmark,
-                "n_passes": n_passes,
-                "stimulus_seed": stimulus_seed,
-                "caching": caching,
-                "store_dir": store_dir,
-                "search": search,
-            },
-            jobs, workers=max(1, min(steal, len(jobs))) if steal else 1,
-            steal_plan=steal_plan, fault_plan=fault_plan)
-        shard_results = [[steal_outcome.results[index]
-                          for index in sorted(steal_outcome.results)]]
-    elif shards == 1:
-        # In-process run: keep each job's archived designs so a later
-        # verify_frontier call can skip re-running the searches.
-        engine = engine_for_benchmark(benchmark, n_passes=n_passes,
-                                      seed=stimulus_seed, caching=caching,
-                                      store_dir=store_dir)
-        shard_results = [[]]
+    if workers > 1 or steal_plan or fault_plan is not None:
+        outcome = run_stolen(recipe, jobs, workers=workers,
+                             steal_plan=steal_plan, fault_plan=fault_plan)
+    else:
+        # In-process run: keep each searched job's archived designs so a
+        # later verify_frontier call can skip re-running the searches.
+        context = cell_context(recipe)
+        engine = context[0]
+        outcome = StealOutcome()
         for job in jobs:
-            local, stats, job_designs = _run_job(engine, job, search,
+            record, warm, job_designs = run_cell(recipe, job, context=context,
                                                  keep_designs=True)
+            outcome.results[job.index] = record
+            outcome.warm_hits += int(warm)
             designs.update({(job.index, order): design
                             for order, design in job_designs.items()})
-            shard_results[0].append({
-                "stats": stats,
-                "points": [{"area": p.area, "power": p.power,
-                            "latency": p.latency, "meta": dict(p.meta)}
-                           for p in local.points],
-            })
-    else:
-        shard_payloads = [{
-            "benchmark": benchmark,
-            "n_passes": n_passes,
-            "stimulus_seed": stimulus_seed,
-            "caching": caching,
-            "store_dir": store_dir,
-            "search": search,
-            "jobs": jobs[k::shards],
-        } for k in range(shards)]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            shard_results = list(pool.map(_run_shard, shard_payloads))
-
-    # Re-assemble per-job results in grid order: the merge sequence (and
-    # with it the frontier's stable tie-breaking) is then independent of
-    # how jobs were sharded.
-    by_index: dict[int, dict] = {}
-    for shard in shard_results:
-        for job_result in shard:
-            by_index[job_result["stats"]["index"]] = job_result
 
     front = ParetoFront()
     job_stats = []
     hv_trace = []
-    for index in sorted(by_index):
-        job_result = by_index[index]
+    # Merge in grid order: the merge sequence (and with it the frontier's
+    # stable tie-breaking) is then independent of which worker ran what.
+    for index in sorted(outcome.results):
+        job_result = outcome.results[index]
         job_stats.append(job_result["stats"])
         for rec in job_result["points"]:
             front.add(ParetoPoint(rec["area"], rec["power"], rec["latency"],
@@ -398,18 +351,16 @@ def explore(benchmark: str, *,
         # Retain only the frontier's designs; evicted archive entries
         # would otherwise pin their architectures and streams.
         keep = {(p.meta["job"], p.meta["order"]) for p in front.points}
-        designs = {key: designs[key] for key in keep}
+        designs = {key: designs[key] for key in keep if key in designs}
 
     return ExploreResult(
-        benchmark=benchmark, front=front, jobs=job_stats, shards=shards,
-        n_passes=n_passes, stimulus_seed=stimulus_seed,
+        benchmark=benchmark, front=front, jobs=job_stats, n_passes=n_passes,
+        stimulus_seed=stimulus_seed,
         wall_time_s=round(time.perf_counter() - t0, 3),
         objectives=tuple(objectives), laxities=tuple(laxities),
         seeds=tuple(seeds), search=search,
-        steal_workers=steal_outcome.workers if steal_outcome else 0,
-        steal_log=list(steal_outcome.log) if steal_outcome else [],
-        warm_hits=steal_outcome.warm_hits if steal_outcome else 0,
-        hv_trace=hv_trace,
+        steal_workers=outcome.workers, steal_log=outcome.log,
+        warm_hits=outcome.warm_hits, hv_trace=hv_trace,
         _engine=engine, _designs=designs if engine is not None else None)
 
 
@@ -419,11 +370,12 @@ def verify_frontier(result: ExploreResult, *,
 
     The replay recipe (grid, search config, stimulus) is taken from the
     :class:`ExploreResult` itself, so the verified designs are exactly
-    the ones the frontier reports.  A 1-shard result retained its
-    designs in-process and verifies them directly; a sharded result
-    re-runs only the grid cells that own frontier points (the search is
-    deterministic, so the re-run visits the same designs in the same
-    order) and picks each point's design out by its ``meta["order"]``.
+    the ones the frontier reports.  An in-process result retained its
+    searched designs and verifies them directly; a pool (or
+    warm-started) result re-runs only the grid cells that own frontier
+    points (the search is deterministic, so the re-run visits the same
+    designs in the same order) and picks each point's design out by its
+    ``meta["order"]``.
     Either way every design goes through :meth:`SynthesisEngine.verify`
     — the differential oracle chain over interpreter / replay / gatesim
     / emitted-Verilog netsim.
@@ -458,7 +410,8 @@ def verify_frontier(result: ExploreResult, *,
     if engine is None or designs is None or any(
             (index, order) not in designs
             for index, orders in needed.items() for order in orders):
-        # Sharded (or stripped) result: re-derive by deterministic replay.
+        # Pool (or warm-started, or stripped) result: re-derive by
+        # deterministic replay.
         engine = engine_for_benchmark(
             result.benchmark, n_passes=result.n_passes,
             seed=result.stimulus_seed)

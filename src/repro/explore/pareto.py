@@ -11,7 +11,7 @@ Dominance and tie-breaking are exact and deterministic: comparisons use
 raw float equality (no tolerance), duplicate objective vectors keep the
 *first* point offered, and the reported ordering is by objective tuple
 with insertion order as the final tie-break.  This is what makes a
-sharded :func:`repro.explore.explore` run bit-identical to a sequential
+parallel :func:`repro.explore.explore` run bit-identical to a sequential
 one — the merged front depends only on the offer sequence, which the
 driver fixes by job index.
 """

@@ -1,60 +1,60 @@
-"""Work-stealing job pool for the exploration driver.
+"""Work-stealing dispatch of the explore grid onto the supervised pool.
 
-Static round-robin sharding (``explore(shards=N)``) pre-assigns grid
-cells to workers; one slow cell (a deep search at high laxity) leaves
-its siblings idle.  This module replaces the static split with a
-**shared job queue**: N worker processes pull ("steal") the next pending
-job the moment they go idle, so the wall clock tracks the sum of job
-costs divided by N instead of the slowest pre-assigned shard.
+:func:`run_stolen` runs the grid's cells on a
+:class:`~repro.workers.SupervisedPool` — the same pool the job server
+uses.  One parent thread per slot pops the next pending job index from
+a shared deque and blocks on its slot's worker, so a worker that goes
+idle "steals" the next cell at once: the wall clock tracks the sum of
+cell costs divided by N, not the slowest fixed share.
 
 Determinism is preserved by construction, not by scheduling: every job
 is independently deterministic and the driver merges per-job fronts in
-job-index order, so **the frontier is bit-identical to a 1-worker run
-no matter who stole what, or when** — including runs where a worker was
-killed mid-job and its job re-ran on a replacement.  The *steal log*
-(which worker completed which job, in claim order) is recorded on the
-result; replaying it through ``steal_plan`` pins each job to the same
-worker's queue, which reproduces the log itself as well as the frontier.
+job-index order, so **the frontier is bit-identical to an in-process run
+no matter which slot ran what, or when** — including runs where a
+worker was killed mid-job and its job re-ran on the respawned worker.
+The *steal log* (job index, slot) in claim order is recorded on the
+result; replaying it through ``steal_plan`` gives each slot its own
+deque of the jobs it ran, in the same order.
 
-Checkpointing: when an artifact store is attached, each completed job's
-result is published under a content key covering the benchmark CDFG,
-stimulus parameters, search config and the job's grid cell.  A later
-run over any overlapping grid — same benchmark, a different shard/steal
-topology, or a *different* benchmark whose registry entry compiles to
-the same CDFG — warm-starts from the stored per-job results instead of
-re-searching.  Warm hits are counted on the result but never change it:
-stored results are the bytes the search would recompute.
+Supervision is the pool's: a worker that dies mid-job is respawned and
+the job goes back on the deque **clean** (worker faults are consumed at
+first dispatch).  A job that *raises* is not retried — the error
+re-raises in the parent once every slot thread has stopped.
 
-Fault injection: a :class:`~repro.faults.plan.FaultPlan` rides along the
-job messages.  ``kill_worker@N`` hard-kills the worker that first claims
-job ``N`` (the fault is consumed at first enqueue, so the re-enqueued
-attempt and any replacement worker run clean).  Other plan kinds are
+Checkpointing: :func:`run_cell`, which both the in-process loop and the
+pool workers run, looks each cell up in the artifact store (when one is
+attached) under a content key covering the benchmark CDFG, stimulus
+parameters, search config and the job's grid cell, and publishes the
+result on a miss.  A later run over any overlapping grid — same
+benchmark, a different worker count, or a *different* benchmark whose
+registry entry compiles to the same CDFG — warm-starts from the stored
+per-job results instead of re-searching.  Warm hits are counted on the
+result but never change it: stored results are the bytes the search
+would recompute.
+
+Fault injection: ``kill_worker@N`` in a :class:`~repro.faults.plan.FaultPlan`
+runs the first dispatch of job ``N`` under :func:`repro.faults.activate`,
+which SIGKILLs the worker; the retry runs clean.  Other plan kinds are
 service-core faults and are ignored here.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 from dataclasses import dataclass, field
-
-#: Poll interval for the supervision loop (liveness checks only; results
-#: themselves arrive through a blocking queue get).
-_POLL_S = 0.2
 
 
 @dataclass
 class StealOutcome:
-    """What the pool hands back to the driver."""
+    """What a run of the grid hands back to the driver."""
 
-    #: job index -> {"stats": ..., "points": ...} (the ``_run_shard`` shape).
+    #: job index -> {"stats": ..., "points": ...} (the :func:`run_cell` record).
     results: dict[int, dict] = field(default_factory=dict)
-    #: (job index, worker id) in claim-arrival order, completed attempts
-    #: marked by membership in ``results`` (killed attempts appear too).
+    #: (job index, slot) in claim order; killed attempts appear too.
     log: list[tuple[int, int]] = field(default_factory=list)
     #: Jobs served from the artifact store's explore checkpoints.
     warm_hits: int = 0
-    #: Workers spawned over the run (replacements included).
+    #: Worker processes spawned over the run (respawns included).
     workers: int = 0
 
 
@@ -65,8 +65,8 @@ def job_checkpoint_key(cdfg_digest: str, job, search, n_passes: int,
     Covers everything the job's outcome is a function of — the compiled
     benchmark (by content digest, so renamed registry entries that parse
     to the same CDFG share checkpoints), the stimulus draw, the search
-    config and the cell's objective/laxity/seed.  Worker count, steal
-    order and shard topology are deliberately absent.
+    config and the cell's objective/laxity/seed.  Worker count and steal
+    order are deliberately absent.
     """
     from repro.store import digest_key
 
@@ -76,190 +76,159 @@ def job_checkpoint_key(cdfg_digest: str, job, search, n_passes: int,
     ))
 
 
-def _flush_and_die(result_queue) -> None:
-    """Simulate SIGKILL after flushing queued messages.
+def cell_context(recipe: dict) -> tuple:
+    """``(engine, CDFG digest, checkpoint store or None)`` for a recipe.
 
-    ``os._exit`` skips every finally/atexit, like a real kill, but the
-    queue's feeder thread must drain first or the claim message that
-    *triggered* the kill could be lost and the parent would never learn
-    the job was consumed.
+    ``recipe`` is the engine recipe every cell shares (benchmark /
+    n_passes / stimulus_seed / caching / store_dir / search).  A
+    ``store_dir`` of ``None`` consults ``$REPRO_STORE_DIR``; ``""``
+    means no store.
     """
-    result_queue.close()
-    result_queue.join_thread()
-    os._exit(1)
+    from repro.explore.driver import engine_for_benchmark
+    from repro.store import STORE_DIR_ENV, cdfg_digest, open_store
+
+    engine = engine_for_benchmark(
+        recipe["benchmark"], n_passes=recipe["n_passes"],
+        seed=recipe["stimulus_seed"], caching=recipe["caching"],
+        store_dir=recipe["store_dir"])
+    root = recipe["store_dir"]
+    if root is None:
+        root = os.environ.get(STORE_DIR_ENV)
+    return engine, cdfg_digest(engine.cdfg), open_store(root) if root else None
 
 
-def _worker_main(worker_id: int, payload: dict, job_queue,
-                 result_queue) -> None:
-    """One pool worker: claim jobs until the ``None`` sentinel.
+#: A pool worker's ``(recipe, cell_context(recipe))``, built on its first
+#: cell and reused by every later cell of the same recipe, so the jobs a
+#: worker runs share its engine's caches the way a sequential run would.
+_WORKER_CONTEXT = None
 
-    The engine (and its caches) is built once and shared by every job
-    this worker steals — the same locality a static shard enjoys.
-    Checkpoint lookups go straight to the artifact store; the job runs
-    only on a miss, and publishes its result for the next run.
+
+def run_cell(recipe: dict, job, faults=None, *, context=None,
+             keep_designs: bool = False):
+    """Run one grid cell; returns ``(record, warm, designs)``.
+
+    Looks the cell up in the checkpoint store, else runs the search and
+    publishes the ``{"stats", "points"}`` record.  ``warm`` says the
+    record came from the store; ``designs`` maps offer order to design
+    for the cell's front (searched cells with ``keep_designs`` only).
+    ``context`` is the caller's :func:`cell_context`; without one (a
+    pool worker) the context is memoized per recipe in this process.
+    ``faults`` are applied around the cell by :func:`repro.faults.activate`.
     """
-    from repro.explore.driver import _run_job, engine_for_benchmark
-    from repro.store import cdfg_digest, open_store
+    global _WORKER_CONTEXT
+    from repro.explore.driver import _run_job
+    from repro.faults import activate
 
-    engine = None
-    store = None
-    digest = None
-    while True:
-        message = job_queue.get()
-        if message is None:
-            break
-        index, faults = message
-        result_queue.put(("claim", worker_id, index))
-        if any(f["kind"] == "kill_worker" for f in faults):
-            _flush_and_die(result_queue)
-        if engine is None:
-            engine = engine_for_benchmark(
-                payload["benchmark"], n_passes=payload["n_passes"],
-                seed=payload["stimulus_seed"], caching=payload["caching"],
-                store_dir=payload["store_dir"])
-            digest = cdfg_digest(engine.cdfg)
-            store_root = payload["store_dir"]
-            if store_root is None:
-                from repro.store import STORE_DIR_ENV
-                store_root = os.environ.get(STORE_DIR_ENV)
-            if store_root:
-                store = open_store(store_root)
-        job = payload["jobs"][index]
-        key = job_checkpoint_key(digest, job, payload["search"],
-                                 payload["n_passes"],
-                                 payload["stimulus_seed"])
-        warm = False
-        job_result = store.get("explore", key) if store is not None else None
-        if job_result is not None:
-            warm = True
-        else:
-            local, stats, _ = _run_job(engine, job, payload["search"])
-            job_result = {
-                "stats": stats,
-                "points": [{"area": p.area, "power": p.power,
-                            "latency": p.latency, "meta": dict(p.meta)}
-                           for p in local.points],
-            }
-            if store is not None:
-                store.put_json("explore", key, job_result)
-        result_queue.put(("done", worker_id, index, job_result, warm))
+    with activate(faults):
+        if context is None:
+            if _WORKER_CONTEXT is None or _WORKER_CONTEXT[0] != recipe:
+                _WORKER_CONTEXT = (recipe, cell_context(recipe))
+            context = _WORKER_CONTEXT[1]
+        engine, digest, store = context
+        key = job_checkpoint_key(digest, job, recipe["search"],
+                                 recipe["n_passes"], recipe["stimulus_seed"])
+        record = store.get("explore", key) if store is not None else None
+        if record is not None:
+            return record, True, {}
+        local, stats, designs = _run_job(engine, job, recipe["search"],
+                                         keep_designs)
+        record = {
+            "stats": stats,
+            "points": [{"area": p.area, "power": p.power,
+                        "latency": p.latency, "meta": dict(p.meta)}
+                       for p in local.points],
+        }
+        if store is not None:
+            store.put_json("explore", key, record)
+        return record, False, designs
 
 
-def run_stolen(payload: dict, jobs, *, workers: int, steal_plan=None,
-               fault_plan=None, mp_context=None) -> StealOutcome:
-    """Run the grid through a work-stealing pool; returns all job results.
+def run_stolen(recipe: dict, jobs, *, workers: int, steal_plan=None,
+               fault_plan=None) -> StealOutcome:
+    """Run the grid on a supervised worker pool; returns all job results.
 
-    ``payload`` is the engine recipe (benchmark / stimulus / caching /
-    store_dir / search) shared by every worker; ``jobs`` the full grid.
+    ``recipe`` is the engine recipe (see :func:`cell_context`) shared by
+    every worker; ``jobs`` the full grid.
 
-    Scheduling: by default all jobs go into one shared queue in index
-    order and ``workers`` processes race to claim them.  With
-    ``steal_plan`` (a recorded ``StealOutcome.log``, completed attempts
-    only) each job is enqueued to its recorded worker's private queue
-    instead, replaying the claim assignment exactly.
-
-    Supervision: a worker that dies mid-job (fault injection, OOM kill)
-    is detected by liveness polling; its claimed-but-unfinished jobs are
-    re-enqueued **clean** (worker faults are consumed at first enqueue)
-    and a replacement worker is spawned on the same queue.  Duplicate
-    completions — possible when a death makes the parent conservatively
-    re-enqueue — are dropped on arrival; jobs are deterministic, so
-    either copy carries the same bytes.
+    Scheduling: by default every slot pops from one shared deque in
+    index order, with ``workers`` slots.  With ``steal_plan`` (a
+    recorded ``StealOutcome.log``, completed attempts only) each slot
+    pops from its own deque of the jobs the plan gives it, in plan
+    order, replaying the recorded assignment exactly.
     """
-    import multiprocessing as mp
+    import threading
+    from collections import deque
 
-    ctx = mp_context or mp.get_context()
-    payload = dict(payload, jobs={job.index: job for job in jobs})
-    result_queue = ctx.Queue()
+    from repro.workers import SupervisedPool, WorkerCrash
 
     if steal_plan:
-        plan = [(int(index), int(worker)) for index, worker in steal_plan]
+        plan = [(int(index), int(slot)) for index, slot in steal_plan]
         planned = {index for index, _ in plan}
         missing = [job.index for job in jobs if job.index not in planned]
         if missing:
             raise ValueError(
                 f"steal plan does not cover jobs {missing}; replay one "
                 f"recorded log entry per job")
-        worker_ids = sorted({worker for _, worker in plan})
-        queues = {worker: ctx.Queue() for worker in worker_ids}
+        queues: dict[int, deque] = {}
+        for index, slot in plan:
+            queues.setdefault(slot, deque()).append(index)
     else:
-        shared = ctx.Queue()
-        worker_ids = list(range(max(1, workers)))
-        queues = {worker: shared for worker in worker_ids}
+        shared = deque(job.index for job in jobs)
+        queues = {slot: shared for slot in range(max(1, workers))}
 
-    def spawn(worker_id: int):
-        process = ctx.Process(target=_worker_main,
-                              args=(worker_id, payload, queues[worker_id],
-                                    result_queue),
-                              daemon=True)
-        process.start()
-        return process
-
-    outcome = StealOutcome()
-    fire = {}  # job index -> [fault payloads], consumed at first enqueue
+    by_index = {job.index: job for job in jobs}
+    fire = {}  # job index -> [kill_worker payloads], consumed at dispatch
     if fault_plan is not None:
         for job in jobs:
-            faults = [f for f in fault_plan.take_worker_faults(job.index)
-                      if f["kind"] == "kill_worker"]
-            if faults:
-                fire[job.index] = faults
+            kills = [f for f in fault_plan.take_worker_faults(job.index)
+                     if f["kind"] == "kill_worker"]
+            if kills:
+                fire[job.index] = kills
 
-    def enqueue(index: int, worker_id: int) -> None:
-        queues[worker_id].put((index, fire.pop(index, [])))
+    outcome = StealOutcome()
+    errors: list[tuple[int, BaseException]] = []
+    lock = threading.Lock()
+    pool = SupervisedPool(len(queues))
 
-    if steal_plan:
-        for index, worker in plan:
-            enqueue(index, worker)
-    else:
-        for job in jobs:
-            enqueue(job.index, worker_ids[0])  # shared queue: id moot
-
-    processes = {worker: spawn(worker) for worker in worker_ids}
-    outcome.workers = len(processes)
-    pending = {job.index for job in jobs}
-    claimed: dict[int, int] = {}  # job index -> last claiming worker
-
-    def reap() -> None:
-        """Re-enqueue the dead's unfinished claims; spawn replacements."""
-        for worker, process in list(processes.items()):
-            if process.is_alive():
+    def drain(position: int, slot: int) -> None:
+        queue = queues[slot]
+        while True:
+            with lock:
+                if errors or not queue:
+                    return
+                index = queue.popleft()
+                faults = fire.pop(index, None)
+                outcome.log.append((index, slot))
+            task = (run_cell, (recipe, by_index[index], faults))
+            try:
+                status, value = pool.call(position, task)
+            except WorkerCrash:
+                with lock:
+                    queue.appendleft(index)  # the retry runs clean
                 continue
-            process.join()
-            del processes[worker]
-            replacement = max(list(processes) + [worker]) + 1
-            queues[replacement] = queues[worker]
-            orphans = [index for index, who in claimed.items()
-                       if who == worker and index in pending]
-            for index in orphans:
-                claimed.pop(index, None)
-                enqueue(index, replacement)
-            processes[replacement] = spawn(replacement)
-            outcome.workers += 1
+            except Exception as exc:  # never sent, e.g. unpicklable
+                status, value = "error", exc
+            with lock:
+                if status == "error":
+                    errors.append((index, value))
+                    return
+                record, warm, _ = value
+                outcome.results[index] = record
+                outcome.warm_hits += int(warm)
 
-    while pending:
-        try:
-            message = result_queue.get(timeout=_POLL_S)
-        except queue_mod.Empty:
-            reap()
-            continue
-        if message[0] == "claim":
-            _, worker, index = message
-            outcome.log.append((index, worker))
-            claimed[index] = worker
-        else:
-            _, worker, index, job_result, warm = message
-            if index not in pending:
-                continue  # duplicate re-run after a conservative re-enqueue
-            pending.discard(index)
-            outcome.results[index] = job_result
-            outcome.warm_hits += int(warm)
-
-    for worker in processes:
-        queues[worker].put(None)
-    for process in processes.values():
-        process.join(timeout=10)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
+    threads = [threading.Thread(target=drain, args=(position, slot),
+                                daemon=True)
+               for position, slot in enumerate(sorted(queues))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        outcome.workers = len(queues) + pool.restarts
+        pool.shutdown()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
     return outcome
 
 
@@ -271,9 +240,9 @@ def completed_log(outcome: StealOutcome) -> list[tuple[int, int]]:
     """
     last: dict[int, int] = {}
     order: list[int] = []
-    for index, worker in outcome.log:
+    for index, slot in outcome.log:
         if index in outcome.results:
             if index not in last:
                 order.append(index)
-            last[index] = worker
+            last[index] = slot
     return [(index, last[index]) for index in order]

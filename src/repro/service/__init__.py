@@ -2,7 +2,7 @@
 
 ``python -m repro serve`` starts a :class:`~repro.service.server.JobServer`:
 a newline-JSON TCP protocol feeding a bounded queue and a **supervised**
-process worker pool (:mod:`repro.service.pool` — known pids, hard kills
+process worker pool (:mod:`repro.workers` — known pids, hard kills
 on timeout, automatic rebuild on worker death), every worker reading and
 publishing through one shared :mod:`repro.store` directory.  Failures
 are classified transient vs deterministic (:mod:`repro.service.errors`)
@@ -16,8 +16,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.errors import (
     CLASS_DETERMINISTIC,
     CLASS_TRANSIENT,
-    JobTimeoutError,
-    WorkerCrash,
     backoff_delay,
     classify_exception,
 )
@@ -29,13 +27,13 @@ from repro.service.journal import (
     read_journal,
     unfinished_jobs,
 )
-from repro.service.pool import SupervisedPool
 from repro.service.server import (
     DEFAULT_DRAIN_TIMEOUT_S,
     DEFAULT_WORKER_CACHE_ENTRIES,
     JobServer,
     serve,
 )
+from repro.workers import JobTimeoutError, SupervisedPool, WorkerCrash
 
 __all__ = [
     "CLASS_DETERMINISTIC",

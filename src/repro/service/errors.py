@@ -20,34 +20,24 @@ from __future__ import annotations
 
 import random
 
+from repro.workers import WorkerCrash
+
 #: Classification labels (the ``class`` field of ``error`` events).
 CLASS_TRANSIENT = "transient"
 CLASS_DETERMINISTIC = "deterministic"
 
 
-class WorkerCrash(RuntimeError):
-    """A pool worker died (SIGKILL/OOM/segfault) while owning a job."""
-
-
-class JobTimeoutError(TimeoutError):
-    """A job attempt exceeded the per-job timeout; its worker was killed."""
-
-
 def classify_exception(exc: BaseException) -> str:
     """``CLASS_TRANSIENT`` or ``CLASS_DETERMINISTIC`` for ``exc``.
 
-    Transient: worker death, timeouts, and OS-level I/O errors (a store
+    Transient: worker death, timeouts (the pool's ``JobTimeoutError`` is
+    a ``TimeoutError``), and OS-level I/O errors (a store
     read that failed mid-job — ``ConnectionError`` is an ``OSError``
     subclass and lands here too).  Everything else — validation errors,
     synthesis exceptions — is deterministic: the job would fail the same
     way again.
     """
-    try:
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - stdlib always has it
-        BrokenProcessPool = ()
-    transient = (WorkerCrash, JobTimeoutError, TimeoutError, OSError,
-                 BrokenProcessPool)
+    transient = (WorkerCrash, TimeoutError, OSError)
     return CLASS_TRANSIENT if isinstance(exc, transient) \
         else CLASS_DETERMINISTIC
 

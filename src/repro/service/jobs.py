@@ -33,6 +33,15 @@ def validate_job(job) -> str | None:
     if kind in ("synth", "verify", "explore") \
             and not isinstance(job.get("benchmark"), str):
         return f"{kind} job needs a 'benchmark' string"
+    if kind == "explore":
+        # The server's pool already runs jobs in parallel; one explore
+        # job runs in-process inside one worker.
+        for name in ("shards", "steal"):
+            value = job.get(name, 1)
+            if not isinstance(value, int) or value > 1:
+                return (f"explore job field {name!r} must be at most 1 "
+                        f"(got {value!r}): the server's worker pool "
+                        f"supplies the parallelism")
     return None
 
 
@@ -47,7 +56,7 @@ def _search_from_job(job):
 
 
 def execute_job(job: dict, store_dir=None,
-                max_cache_entries: int | None = None, *,
+                max_cache_entries: int | None = None,
                 faults=None) -> dict:
     """Run one validated job in this (worker) process; returns its result.
 
@@ -58,7 +67,7 @@ def execute_job(job: dict, store_dir=None,
 
     ``faults`` is an optional list of fault payloads from a
     :class:`repro.faults.FaultPlan`, applied around the execution by
-    :func:`repro.faults.activate` — only the supervised pool passes
+    :func:`repro.faults.activate` — only the server's pool tasks pass
     them, and a ``kill_worker`` payload really does SIGKILL the calling
     process, so never pass faults when executing inline.
     """
@@ -130,7 +139,6 @@ def _run_explore(job: dict, store_dir) -> dict:
     result = explore(job["benchmark"],
                      laxities=tuple(job.get("laxities", DEFAULT_LAXITIES)),
                      seeds=(int(job.get("seed", 0)),),
-                     shards=int(job.get("shards", 1)),
                      n_passes=int(job.get("passes", 20)),
                      stimulus_seed=int(job.get("stimulus_seed", 7)),
                      search=_search_from_job(job),

@@ -34,15 +34,15 @@ import asyncio
 import itertools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.faults import FaultPlan, plan_from_env
 from repro.service.errors import (
     CLASS_TRANSIENT,
-    JobTimeoutError,
-    WorkerCrash,
     backoff_delay,
+    classify_exception,
 )
-from repro.service.jobs import validate_job
+from repro.service.jobs import execute_job, validate_job
 from repro.service.journal import (
     JOURNAL_NAME,
     JobJournal,
@@ -50,8 +50,8 @@ from repro.service.journal import (
     read_journal,
     unfinished_jobs,
 )
-from repro.service.pool import SupervisedPool
 from repro.store import STORE_DIR_ENV, open_store
+from repro.workers import JobTimeoutError, SupervisedPool, WorkerCrash
 
 #: Default in-memory cache bound inside workers: long-lived pool
 #: processes must not grow without bound across jobs (the store holds
@@ -115,6 +115,12 @@ class _NullConn:
 _NULL_CONN = _NullConn()
 
 
+def _stop_pool(pool: SupervisedPool, calls: ThreadPoolExecutor) -> None:
+    """Stop the workers, then join their call threads (blocking)."""
+    pool.shutdown()
+    calls.shutdown(wait=True)
+
+
 class JobServer:
     """Bounded job queue + supervised worker pool over a shared store.
 
@@ -161,6 +167,8 @@ class JobServer:
         self._ids = itertools.count(1)
         self._queue: asyncio.Queue | None = None
         self._pool: SupervisedPool | None = None
+        #: One thread per pool slot: its consumer's blocking pool calls.
+        self._calls: ThreadPoolExecutor | None = None
         self._consumers: list[asyncio.Task] = []
         self._conns: set[_Conn] = set()
         self._open_jobs: dict[int, dict] = {}
@@ -188,8 +196,9 @@ class JobServer:
         self._queue = asyncio.Queue(
             maxsize=max(self.queue_size, len(backlog)))
         if self.workers > 0:
-            self._pool = SupervisedPool(self.workers,
-                                        job_timeout_s=self.job_timeout_s)
+            self._pool = SupervisedPool(self.workers)
+            self._calls = ThreadPoolExecutor(max_workers=self.workers,
+                                             thread_name_prefix="repro-pool")
             self._consumers = [asyncio.ensure_future(self._consume(slot))
                                for slot in range(self.workers)]
         if backlog:
@@ -234,8 +243,9 @@ class JobServer:
         self._consumers = []
         if self._pool is not None:
             pool, self._pool = self._pool, None
+            calls, self._calls = self._calls, None
             await asyncio.get_event_loop().run_in_executor(
-                None, pool.shutdown)
+                None, _stop_pool, pool, calls)
 
     # -- journal -----------------------------------------------------------------
 
@@ -341,26 +351,24 @@ class JobServer:
                                         "attempt": attempt})
             faults = (self._plan.take_worker_faults(job_id)
                       if self._plan is not None else None)
+            task = (execute_job, (job, self.store_dir,
+                                  self.max_cache_entries, faults))
             try:
-                status, payload = await self._pool.run(
-                    slot, (job, self.store_dir, self.max_cache_entries,
-                           faults))
-            except asyncio.CancelledError:
-                raise
+                status, payload = await asyncio.get_event_loop(
+                ).run_in_executor(self._calls, self._pool.call, slot, task,
+                                  self.job_timeout_s)
             except (WorkerCrash, JobTimeoutError) as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                klass = CLASS_TRANSIENT
-            else:
-                if status == "ok":
-                    self._done += 1
-                    await self._journal_record(
-                        {"rec": "finished", "id": job_id,
-                         "status": "result", "attempts": attempt})
-                    await conn.send({"event": "result", "id": job_id,
-                                     "attempts": attempt, "result": payload})
-                    return
-                type_name, detail, klass = payload
-                message = f"{type_name}: {detail}"
+                status, payload = "error", exc
+            if status == "ok":
+                self._done += 1
+                await self._journal_record(
+                    {"rec": "finished", "id": job_id,
+                     "status": "result", "attempts": attempt})
+                await conn.send({"event": "result", "id": job_id,
+                                 "attempts": attempt, "result": payload})
+                return
+            message = f"{type(payload).__name__}: {payload}"
+            klass = classify_exception(payload)
             if klass == CLASS_TRANSIENT and attempt <= self.retries:
                 self._retried += 1
                 await asyncio.sleep(backoff_delay(

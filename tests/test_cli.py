@@ -80,8 +80,10 @@ class TestCommands:
         one = json.loads((tmp_path / "explore_loops.json").read_text())
         assert main(args + ["--shards", "2"]) == 0
         two = json.loads((tmp_path / "explore_loops.json").read_text())
-        assert one["rows"] == two["rows"]
-        assert one["jobs"] == two["jobs"]
+        assert main(args + ["--steal", "2"]) == 0
+        stolen = json.loads((tmp_path / "explore_loops.json").read_text())
+        assert one["rows"] == two["rows"] == stolen["rows"]
+        assert one["jobs"] == two["jobs"] == stolen["jobs"]
         assert one["rows"], "frontier report is empty"
         # --no-verify leaves the verification verdict unset, not false.
         assert one["verified"] is None

@@ -1,4 +1,4 @@
-"""The explore() driver: grid, determinism across shards, verification."""
+"""The explore() driver: grid, determinism across worker counts, verification."""
 
 import dataclasses
 
@@ -78,14 +78,14 @@ class TestExplore:
         assert summary["hypervolume"] > 0.0
 
     def test_sharded_run_is_bit_identical(self, loops_result, loops_sharded):
-        assert loops_sharded.shards > 1
+        assert loops_sharded.steal_workers > 1
         assert loops_sharded.rows() == loops_result.rows()
         assert loops_sharded.jobs == loops_result.jobs
 
     def test_shards_capped_by_job_count(self):
         result = explore("loops", laxities=(1.0,), objectives=("area",),
                          shards=16, n_passes=6, search=TINY)
-        assert result.shards == 1
+        assert result.steal_workers == 0  # capped to 1: in-process
 
 
 class TestVerifyFrontier:

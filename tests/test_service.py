@@ -66,6 +66,12 @@ def test_validate_job_rejects_malformed_payloads():
     assert validate_job(["kind", "synth"]) is not None
     assert "unknown job kind" in validate_job({"kind": "frobnicate"})
     assert "benchmark" in validate_job({"kind": "synth"})
+    # The server's pool is the parallelism; an explore job runs in-process.
+    for name in ("shards", "steal"):
+        assert name in validate_job(
+            {"kind": "explore", "benchmark": "gcd", name: 2})
+        assert validate_job(
+            {"kind": "explore", "benchmark": "gcd", name: 1}) is None
     for kind in JOB_KINDS:
         ok = {"kind": kind, "benchmark": "gcd"}
         assert validate_job(ok) is None

@@ -361,55 +361,31 @@ def cmd_fuzz(args) -> int:
             print(verdict.detail)
         return 0 if verdict.ok else 1
 
-    if args.coverage:
-        from repro.genprog.fleet import fleet_run
-
-        report = fleet_run(args.count, args.seed, guided=not args.blind,
-                           laxities=args.laxities, n_passes=args.passes,
-                           gen=gen, search=search,
-                           use_iverilog=args.iverilog,
-                           results_dir=args.results_dir,
-                           shrink_trials=args.shrink_trials,
-                           store_dir=args.store)
-        summary = report.summary()
-        rows = report.rows()
-        mode = "guided" if summary["guided"] else "blind"
-        print(format_table(rows, title=(
-            f"repro fuzz --coverage ({mode}): {report.n_bins} structural "
-            f"bins, corpus {report.corpus_size} (seed {report.seed})")))
-        families = ", ".join(f"{family}:{count}" for family, count
-                             in summary["bin_families"].items())
-        print(f"\nbins by family: {families}")
-        for digest, names in sorted(report.triage.items()):
-            print(f"failure {digest}: {', '.join(sorted(names))} -> "
-                  f"{args.results_dir / ('fuzz_repro_' + digest + '.src')}")
-        written = write_report(rows, args.results_dir / "fleet",
-                               title=f"repro fuzz --coverage ({mode}, "
-                                     f"seed {report.seed})",
-                               extra=summary)
-        print("reports: " + ", ".join(str(p) for p in written.values()))
-        return 0 if report.ok else 1
-
-    report = fuzz_run(args.count, args.seed, laxities=args.laxities,
-                      n_passes=args.passes, gen=gen, search=search,
-                      use_iverilog=args.iverilog,
+    report = fuzz_run(args.count, args.seed, guided=args.coverage,
+                      laxities=args.laxities, n_passes=args.passes, gen=gen,
+                      search=search, use_iverilog=args.iverilog,
                       results_dir=args.results_dir,
                       shrink_trials=args.shrink_trials,
                       store_dir=args.store)
+    summary = report.summary()
     rows = report.rows()
+    command = "repro fuzz --coverage" if args.coverage else "repro fuzz"
     print(format_table(rows, title=(
-        f"repro fuzz: {report.n_ok}/{report.count} programs "
-        f"conformance-clean (seed {report.seed})")))
+        f"{command}: {report.n_ok}/{report.count} programs "
+        f"conformance-clean, {report.n_bins} structural bins, corpus "
+        f"{report.corpus_size} (seed {report.seed})")))
+    families = ", ".join(f"{family}:{count}" for family, count
+                         in summary["bin_families"].items())
+    print(f"\nbins by family: {families}")
     for verdict in report.verdicts:
         if not verdict.ok:
+            path = args.results_dir / verdict.reproducer
             print(f"\n{verdict.name} [{verdict.status}]: {verdict.detail}")
-            if verdict.reproducer:
-                print(f"  shrunk reproducer: {verdict.reproducer} "
-                      f"(re-run: python -m repro fuzz --replay "
-                      f"{verdict.reproducer} --seed {verdict.seed})")
+            print(f"  shrunk reproducer: {path} (re-run: python -m repro "
+                  f"fuzz --replay {path} --seed {verdict.seed})")
     written = write_report(rows, args.results_dir / "fuzz",
-                           title=f"repro fuzz (seed {report.seed})",
-                           extra=report.summary())
+                           title=f"{command} (seed {report.seed})",
+                           extra=summary)
     print("reports: " + ", ".join(str(p) for p in written.values()))
     return 0 if report.ok else 1
 
@@ -552,13 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external cosim oracle policy (default %(default)s; "
                         "off keeps results/fuzz.json machine-independent)")
     p.add_argument("--coverage", action="store_true",
-                   help="coverage-guided fleet mode: structural bins steer "
-                        "a mutating corpus, failures dedupe by triage "
-                        "digest (see docs/fuzzing.md)")
-    p.add_argument("--blind", action="store_true",
-                   help="with --coverage: measure bins but never steer — "
-                        "the control arm coverage gains are compared "
-                        "against")
+                   help="let structural coverage steer: once fresh "
+                        "programs stop finding new bins, breed mutants "
+                        "of rare corpus entries (see docs/fuzzing.md)")
     p.add_argument("--replay", type=pathlib.Path, default=None,
                    metavar="FILE",
                    help="re-run the chain on a saved reproducer source "

@@ -91,7 +91,7 @@ class Profiler:
         """Count one stage event without timing a block.
 
         The counter-only entry point for stages whose cost is not the
-        interesting part — coverage extraction in the fuzz fleet,
+        interesting part — coverage extraction in fuzz runs,
         explore checkpoint hits — where callers want the event visible
         in :meth:`stats` next to the timed stages.
         """

@@ -12,14 +12,15 @@ benchmark corpus:
   into a small reproducer;
 * :mod:`repro.genprog.corpus` — the pinned-seed ``synth_N`` benchmark
   family registered into ``repro.benchmarks``;
-* :mod:`repro.genprog.fuzz` — the generate → synthesize → conformance
-  pipeline driven by the CLI and the nightly CI job;
+* :mod:`repro.genprog.fuzz` / :func:`fuzz_run` — the one generate →
+  synthesize → conformance → shrink → file loop behind
+  ``python -m repro fuzz`` (``--coverage`` lets coverage steer it);
 * :mod:`repro.genprog.coverage` / :func:`extract_coverage` — structural
   coverage bins read off the pipeline's own artifacts;
 * :mod:`repro.genprog.mutate` / :func:`mutate` — AST-level splice /
   graft / widen / nest mutators over generated programs;
-* :mod:`repro.genprog.fleet` / :func:`fleet_run` — the coverage-guided
-  fuzzing fleet behind ``python -m repro fuzz --coverage``.
+* :mod:`repro.genprog.fleet` — the corpus policy of guided runs:
+  :class:`Corpus`, mutant breeding and :func:`triage_digest`.
 
 See ``docs/fuzzing.md``.
 """
@@ -28,7 +29,8 @@ from repro.genprog.config import DEFAULT_WIDTHS, GenConfig
 from repro.genprog.coverage import bin_families, coverage_digest, extract_coverage
 from repro.genprog.emit import emit_source, strip_positions
 from repro.genprog.evaluate import evaluate_process
-from repro.genprog.fleet import Corpus, FleetReport, fleet_run, triage_digest
+from repro.genprog.fleet import Corpus, triage_digest
+from repro.genprog.fuzz import FuzzReport, fuzz_run
 from repro.genprog.generator import (
     GeneratedProgram,
     check_roundtrip,
@@ -41,7 +43,7 @@ from repro.genprog.shrink import shrink_process
 __all__ = [
     "Corpus",
     "DEFAULT_WIDTHS",
-    "FleetReport",
+    "FuzzReport",
     "GenConfig",
     "GeneratedProgram",
     "MUTATORS",
@@ -51,7 +53,7 @@ __all__ = [
     "emit_source",
     "evaluate_process",
     "extract_coverage",
-    "fleet_run",
+    "fuzz_run",
     "generate_program",
     "mutate",
     "program_from_source",

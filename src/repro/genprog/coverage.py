@@ -1,6 +1,7 @@
-"""Structural coverage bins for the coverage-guided fuzzing fleet.
+"""Structural coverage bins measured by every fuzz run.
 
-The fleet (:mod:`repro.genprog.fleet`) steers generation toward program
+A guided run (``fuzz_run(..., guided=True)``, corpus policy in
+:mod:`repro.genprog.fleet`) steers generation toward program
 *structure* the pipeline has not exercised yet.  "Structure" is read off
 the artifacts the pipeline already computes — never off ids, timings or
 anything else that varies run to run:
@@ -187,7 +188,7 @@ def extract_coverage(*, cdfg=None, history=None, stg=None,
 
     Any argument may be ``None`` (a program that failed before synthesis
     still contributes its region shape).  Counted under the profiler's
-    ``coverage`` stage so fleet reports show extraction traffic.
+    ``coverage`` stage so profiles show extraction traffic.
     """
     bins: frozenset[str] = frozenset()
     if cdfg is not None:

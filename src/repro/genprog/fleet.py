@@ -1,50 +1,41 @@
-"""Coverage-guided fuzzing fleet: corpus scheduling over structural bins.
+"""Corpus policy for coverage-guided fuzzing over structural bins.
 
-The blind fuzzer (:mod:`repro.genprog.fuzz`) samples independent programs
-from the generator; every program exercises roughly the same slice of the
-pipeline.  The fleet closes the loop: each program's run is folded into a
-set of **structural coverage bins** (:mod:`repro.genprog.coverage`), and
-programs that lit up bins nobody had hit before are kept in a corpus.
-Subsequent programs are *mutants* of rare corpus entries — spliced,
-grafted, widened and nested by :mod:`repro.genprog.mutate`, with the
-mutator choice biased toward bin families the corpus is short on — so the
-fleet climbs toward region shapes, STG patterns and conformance paths
-the generator alone would take far longer to reach.
+Plain fuzzing samples independent programs from the generator; every
+program exercises roughly the same slice of the pipeline.  With
+``fuzz_run(..., guided=True)`` (``repro fuzz --coverage``) coverage
+closes the loop: each program's run is folded into a set of
+**structural coverage bins** (:mod:`repro.genprog.coverage`), programs
+that lit up bins nobody had hit before are kept in a :class:`Corpus`,
+and once fresh programs stop paying off, later slots are filled by
+:func:`breed_mutant` — rare corpus entries spliced, grafted, widened
+and nested by :mod:`repro.genprog.mutate`, with the mutator choice
+biased toward bin families the corpus is short on — so the run climbs
+toward region shapes, STG patterns and conformance paths the generator
+alone would take far longer to reach.
 
-Failures ride the existing shrink machinery, but are filed under a
-**triage digest** — a stable hash of ``(failure stage, shrunk AST)`` — so
-two programs that shrink to the same minimal reproducer land in one
-``results/fuzz_repro_<digest>.src`` file instead of two copies.
+:func:`triage_digest` names every failure: a stable hash of ``(failure
+stage, shrunk AST)`` with the process name normalized, so two programs
+that shrink to the same minimal reproducer share one
+``results/fuzz_repro_<digest>.src`` file.
 
-Everything is deterministic in ``(seed, knobs)``: the per-program RNG is
-``random.Random(f"fleet:{seed}:{index}")``, corpus evolution is a pure
-function of the verdict stream, and the report carries no wall-clock
-data — ``results/fleet.json`` is bit-identical across runs and across
-cache on/off and store warm/cold (a CI-enforced property).
+This module holds the policy only; the generate -> fuzz -> file loop is
+:func:`repro.genprog.fuzz.fuzz_run`.  Everything here is deterministic:
+the breeding RNG is ``random.Random(f"fleet:{seed}:{index}")`` and
+corpus evolution is a pure function of the verdict stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.genprog.config import GenConfig
-from repro.genprog.coverage import bin_families, coverage_digest, extract_coverage
+from repro.genprog.coverage import bin_families
 from repro.genprog.emit import emit_source, strip_positions
-from repro.genprog.fuzz import (
-    DEFAULT_LAXITIES,
-    SEED_STRIDE,
-    ProgramVerdict,
-    _search_config,
-    _still_fails,
-    fuzz_program,
-)
-from repro.genprog.generator import GeneratedProgram, check_roundtrip, generate_program
+from repro.genprog.generator import GeneratedProgram, check_roundtrip
 from repro.genprog.mutate import MUTATORS, mutate
-from repro.genprog.shrink import shrink_process
 
 #: How many mutation attempts (validation failures) before falling back
 #: to a fresh generated program for the slot.
@@ -80,7 +71,7 @@ class CorpusEntry:
 
 
 class Corpus:
-    """The fleet's seed pool plus the global covered-bin set.
+    """The guided run's seed pool plus the global covered-bin set.
 
     ``consider`` keeps a program iff it contributed at least one new
     bin; ``pick`` samples an entry weighted by *rarity* — the summed
@@ -124,110 +115,34 @@ class Corpus:
         return weights
 
 
-@dataclass
-class FleetVerdict:
-    """Per-program fleet outcome: fuzz verdict plus coverage accounting."""
-
-    verdict: ProgramVerdict
-    origin: str
-    bins: frozenset[str] = frozenset()
-    new_bins: frozenset[str] = frozenset()
-    kept: bool = False
-
-    def row(self) -> dict:
-        row = self.verdict.row()
-        row.update({
-            "origin": self.origin,
-            "bins": len(self.bins),
-            "new_bins": sorted(self.new_bins),
-            "kept": self.kept,
-        })
-        return row
-
-
-@dataclass
-class FleetReport:
-    """Outcome of one fleet run (JSON-stable: no ids, no wall clock)."""
-
-    count: int
-    seed: int
-    guided: bool
-    laxities: tuple[float, ...]
-    n_passes: int
-    verdicts: list[FleetVerdict] = field(default_factory=list)
-    covered: set[str] = field(default_factory=set)
-    #: triage digest -> sorted program names that shrank to it.
-    triage: dict[str, list[str]] = field(default_factory=dict)
-    corpus_size: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(v.verdict.ok for v in self.verdicts)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.covered)
-
-    def rows(self) -> list[dict]:
-        return [v.row() for v in self.verdicts]
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "guided": self.guided,
-            "laxities": list(self.laxities),
-            "n_passes": self.n_passes,
-            "ok": self.ok,
-            "bins": self.n_bins,
-            "bin_families": bin_families(self.covered),
-            "coverage_digest": coverage_digest(frozenset(self.covered)),
-            "corpus_size": self.corpus_size,
-            "triage": {digest: sorted(names)
-                       for digest, names in sorted(self.triage.items())},
-        }
+#: The process name every filed reproducer carries: the shrinker keeps
+#: the failing program's own name, which must not split one bug in two.
+TRIAGE_NAME = "repro"
 
 
 def triage_digest(stage: str, process) -> str:
-    """Stable short digest of (failure stage, shrunk AST) for dedup."""
+    """Stable short digest of (failure stage, shrunk AST) for dedup.
+
+    Source positions and the process name are ignored, so two programs
+    that shrink to the same body share a digest.
+    """
     from repro.store import digest_key
 
+    process = dataclasses.replace(process, name=TRIAGE_NAME)
     return digest_key((stage, strip_positions(process)))[:12]
 
 
-def _file_reproducer(program: GeneratedProgram, stage: str, laxities,
-                     n_passes: int, search, use_iverilog: str,
-                     results_dir: Path, max_trials: int,
-                     store_dir=None) -> tuple[str, str]:
-    """Shrink a failure and file it under its triage digest.
+def breed_mutant(corpus: Corpus, seed: int, index: int, name: str,
+                 config: GenConfig, n_passes: int):
+    """Try to breed a validated mutant for slot ``index``; None on give-up.
 
-    Returns ``(digest, path)``.  Two failures that shrink to the same
-    minimal program at the same stage share a digest — the second filing
-    is a no-op (the bytes are identical by construction).
+    Returns ``(program, origin)``.  Mutator choice is deficit-biased
+    toward under-covered bin families; a mutant must survive the full
+    round-trip check (compile + AST/interpreter agreement over the fuzz
+    stimulus) to be scheduled — the check *executes* the program, so
+    accepted mutants also terminate.
     """
-    small = shrink_process(
-        program.process,
-        lambda proc: _still_fails(proc, program.config, laxities, n_passes,
-                                  search, use_iverilog, store_dir=store_dir),
-        max_trials=max_trials)
-    digest = triage_digest(stage, small)
-    path = results_dir / f"fuzz_repro_{digest}.src"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(emit_source(small), encoding="utf-8")
-    # The row records the digest-named file, not the absolute path --
-    # reports must stay byte-identical across checkout locations.
-    return digest, path.name
-
-
-def _mutant_program(corpus: Corpus, rng, name: str, program_seed: int,
-                    template: GenConfig, n_passes: int):
-    """Try to breed a validated mutant from the corpus; None on give-up.
-
-    Mutator choice is deficit-biased toward under-covered bin families;
-    a mutant must survive the full round-trip check (compile + AST/
-    interpreter agreement over the fuzz stimulus) to be scheduled — the
-    check *executes* the program, so accepted mutants also terminate.
-    """
+    rng = random.Random(f"fleet:{seed}:{index}")
     weights = corpus.mutator_weights()
     ops = list(MUTATORS)
     for _ in range(MUTATION_RETRIES):
@@ -239,103 +154,12 @@ def _mutant_program(corpus: Corpus, rng, name: str, program_seed: int,
         if mutant is None:
             continue
         mutant = dataclasses.replace(mutant, name=name)
-        config = dataclasses.replace(template, seed=program_seed)
         candidate = GeneratedProgram(name=name, config=config,
                                      process=mutant,
                                      source=emit_source(mutant))
         try:
-            cdfg = check_roundtrip(candidate, n_passes=n_passes, seed=0)
+            check_roundtrip(candidate, n_passes=n_passes, seed=0)
         except ReproError:
             continue
-        origin = f"mutant:{op}:{parent.program.name}"
-        return candidate, cdfg, origin
+        return candidate, f"mutant:{op}:{parent.program.name}"
     return None
-
-
-def fleet_run(count: int, seed: int, *, guided: bool = True,
-              laxities=DEFAULT_LAXITIES, n_passes: int = 10,
-              gen: GenConfig | None = None, search=None,
-              use_iverilog: str = "off",
-              results_dir: Path | str = "results",
-              corpus_dir: Path | str | None = None,
-              shrink_trials: int = 200, store_dir=None) -> FleetReport:
-    """Run ``count`` programs with structural-coverage feedback.
-
-    ``guided=False`` is the blind baseline: the exact generator family
-    ``fuzz_run`` samples (seed * SEED_STRIDE + index), with coverage
-    *measured* but never steering — the control arm the acceptance test
-    compares against.  ``guided=True`` breeds mutants of rare corpus
-    entries once the corpus is non-empty.
-
-    ``corpus_dir`` (default ``<results_dir>/fleet_corpus``) receives the
-    source of every kept entry, so a nightly fleet's corpus can seed the
-    next run or be attached to a bug report.
-    """
-    results_dir = Path(results_dir)
-    corpus_dir = Path(corpus_dir) if corpus_dir is not None else (
-        results_dir / "fleet_corpus")
-    template = (gen or GenConfig()).validated()
-    search = _search_config(search)
-    report = FleetReport(count=count, seed=seed, guided=guided,
-                         laxities=tuple(laxities), n_passes=n_passes)
-    corpus = Corpus()
-    fresh_dry = 0  # consecutive fresh programs with zero new bins
-
-    for index in range(count):
-        rng = random.Random(f"fleet:{seed}:{index}")
-        program_seed = seed * SEED_STRIDE + index
-        name = f"fleet{index}"
-        bred = None
-        if guided and corpus.entries and fresh_dry >= FRESH_PATIENCE:
-            bred = _mutant_program(corpus, rng, name, program_seed,
-                                   template, n_passes)
-        if bred is not None:
-            program, _cdfg, origin = bred
-        else:
-            config = dataclasses.replace(template, seed=program_seed)
-            program = generate_program(config, name=name)
-            origin = "fresh"
-
-        bins: set[str] = set()
-
-        def observe(_laxity, result):
-            bins.update(extract_coverage(cdfg=result.design.cdfg,
-                                         history=result.history,
-                                         stg=result.design.stg,
-                                         replay=result.design.rep))
-
-        verdict = fuzz_program(program, laxities=laxities,
-                               n_passes=n_passes, search=search,
-                               use_iverilog=use_iverilog,
-                               store_dir=store_dir, observer=observe)
-        if not bins:
-            # Failed before any laxity synthesized: the region shape is
-            # still coverage (and often the interesting part).
-            from repro.lang import parse
-            try:
-                bins.update(extract_coverage(cdfg=parse(program.source)))
-            except ReproError:
-                pass
-
-        entry = FleetVerdict(verdict=verdict, origin=origin,
-                             bins=frozenset(bins))
-        entry.new_bins = corpus.consider(program, entry.bins, origin)
-        entry.kept = bool(entry.new_bins)
-        if origin == "fresh":
-            fresh_dry = 0 if entry.new_bins else fresh_dry + 1
-        if entry.kept:
-            corpus_dir.mkdir(parents=True, exist_ok=True)
-            (corpus_dir / f"{name}.src").write_text(program.source,
-                                                    encoding="utf-8")
-        if not verdict.ok:
-            digest, path = _file_reproducer(
-                program, verdict.status, laxities, n_passes, search,
-                use_iverilog, results_dir, shrink_trials,
-                store_dir=store_dir)
-            verdict.reproducer = path
-            report.triage.setdefault(digest, []).append(name)
-        report.verdicts.append(entry)
-
-    report.covered = set(corpus.covered)
-    report.corpus_size = len(corpus.entries)
-    return report

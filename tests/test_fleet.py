@@ -1,12 +1,11 @@
-"""The coverage-guided fleet: corpus policy, triage dedup, determinism.
+"""Coverage-guided fuzzing: corpus policy, triage dedup, guided runs.
 
-The expensive guided-vs-blind comparison runs at a pinned seed with the
+The expensive guided-vs-plain comparison runs at a pinned seed with the
 CLI's generator family — the run is deterministic, so the strict
 inequality asserted here is a property of the code, not of luck.
 """
 
 import dataclasses
-import json
 
 import pytest
 
@@ -14,12 +13,12 @@ from repro.core.search import SearchConfig
 from repro.genprog import (
     GenConfig,
     emit_source,
-    fleet_run,
+    fuzz_run,
     generate_program,
     triage_digest,
 )
-from repro.genprog import fleet as fleet_mod
-from repro.genprog.fleet import Corpus
+from repro.genprog import fuzz as fuzz_mod
+from repro.genprog.fleet import TRIAGE_NAME, Corpus
 from repro.genprog.fuzz import ProgramVerdict
 from repro.lang.frontend import parse_process
 
@@ -30,11 +29,6 @@ process m(a: uint4) -> (o: uint4) {
   o = (a + 1);
 }
 """)
-
-
-def report_bytes(report) -> str:
-    return json.dumps({"summary": report.summary(), "rows": report.rows()},
-                      sort_keys=True)
 
 
 class TestCorpus:
@@ -83,54 +77,57 @@ class TestTriage:
         assert triage_digest("divergence", MINIMAL) == triage_digest(
             "divergence", other)
 
+    def test_digest_ignores_process_name(self):
+        # The shrinker keeps each program's own name, so two programs
+        # that shrink to the same body must still share a digest.
+        renamed = dataclasses.replace(MINIMAL, name="fuzz7")
+        assert triage_digest("divergence", MINIMAL) == triage_digest(
+            "divergence", renamed)
+
     def test_digest_separates_stages(self):
         assert triage_digest("divergence", MINIMAL) != triage_digest(
             "synthesis", MINIMAL)
 
     def test_same_shrunk_failure_files_once(self, tmp_path, monkeypatch):
-        # Two distinct programs whose failures shrink to the same minimal
-        # reproducer must share one digest-named file, with both program
-        # names recorded under the digest.
+        # Two distinct programs whose failures shrink to the same body
+        # must share one digest-named file, with both program names
+        # recorded under the digest.  Like the real shrinker, the stub
+        # keeps each program's own process name.
         def fake_fuzz(program, **_kw):
             return ProgramVerdict(name=program.name, seed=program.config.seed,
                                   status="divergence", detail="stubbed")
 
-        monkeypatch.setattr(fleet_mod, "fuzz_program", fake_fuzz)
-        monkeypatch.setattr(fleet_mod, "shrink_process",
-                            lambda process, predicate, max_trials: MINIMAL)
-        report = fleet_run(2, 0, guided=False, n_passes=4, search=TINY,
-                           results_dir=tmp_path)
+        monkeypatch.setattr(fuzz_mod, "fuzz_program", fake_fuzz)
+        monkeypatch.setattr(
+            fuzz_mod, "shrink_process",
+            lambda process, predicate, max_trials: dataclasses.replace(
+                MINIMAL, name=process.name))
+        report = fuzz_run(2, 0, n_passes=4, search=TINY,
+                          results_dir=tmp_path)
         digest = triage_digest("divergence", MINIMAL)
-        assert report.triage == {digest: ["fleet0", "fleet1"]}
+        assert report.triage == {digest: ["fuzz0", "fuzz1"]}
         filed = sorted(tmp_path.glob("fuzz_repro_*.src"))
         assert [p.name for p in filed] == [f"fuzz_repro_{digest}.src"]
-        assert filed[0].read_text(encoding="utf-8") == emit_source(MINIMAL)
-        assert all(v.verdict.reproducer == filed[0].name
-                   for v in report.verdicts)
+        assert filed[0].read_text(encoding="utf-8") == emit_source(
+            dataclasses.replace(MINIMAL, name=TRIAGE_NAME))
+        assert all(v.reproducer == filed[0].name for v in report.verdicts)
 
 
 class TestFleetRun:
     GEN = GenConfig(ops_budget=14, max_depth=2)
 
-    def test_report_is_byte_identical_across_runs(self, tmp_path):
-        one = fleet_run(5, 3, gen=self.GEN, n_passes=4, search=TINY,
-                        results_dir=tmp_path / "one")
-        two = fleet_run(5, 3, gen=self.GEN, n_passes=4, search=TINY,
-                        results_dir=tmp_path / "two")
-        assert report_bytes(one) == report_bytes(two)
-
     def test_kept_entries_land_in_corpus_dir(self, tmp_path):
-        report = fleet_run(4, 0, gen=self.GEN, n_passes=4, search=TINY,
-                           results_dir=tmp_path)
+        report = fuzz_run(4, 0, guided=True, gen=self.GEN, n_passes=4,
+                          search=TINY, results_dir=tmp_path)
         kept = [v for v in report.verdicts if v.kept]
         assert kept, "no program discovered a new bin"
-        names = {p.name for p in (tmp_path / "fleet_corpus").glob("*.src")}
-        assert names == {f"{v.verdict.name}.src" for v in kept}
+        names = {p.name for p in (tmp_path / "fuzz_corpus").glob("*.src")}
+        assert names == {f"{v.name}.src" for v in kept}
         assert report.corpus_size == len(kept)
 
     def test_summary_shape(self, tmp_path):
-        report = fleet_run(2, 0, gen=self.GEN, n_passes=4, search=TINY,
-                           results_dir=tmp_path)
+        report = fuzz_run(2, 0, guided=True, gen=self.GEN, n_passes=4,
+                          search=TINY, results_dir=tmp_path)
         summary = report.summary()
         assert summary["count"] == 2 and summary["seed"] == 0
         assert summary["guided"] is True
@@ -142,9 +139,11 @@ class TestFleetRun:
                    for row in rows)
 
     def test_blind_never_mutates(self, tmp_path):
-        report = fleet_run(4, 0, guided=False, gen=self.GEN, n_passes=4,
-                           search=TINY, results_dir=tmp_path)
+        report = fuzz_run(4, 0, guided=False, gen=self.GEN, n_passes=4,
+                          search=TINY, results_dir=tmp_path)
         assert all(v.origin == "fresh" for v in report.verdicts)
+        # Nothing is bred, so no corpus is written.
+        assert not (tmp_path / "fuzz_corpus").exists()
 
 
 class TestGuidedBeatsBlind:
@@ -152,10 +151,10 @@ class TestGuidedBeatsBlind:
         # Pinned seed, default generator family: deterministic, so the
         # strict inequality is stable.  Guided switches to breeding
         # mutants once fresh programs stop paying off.
-        guided = fleet_run(28, 0, guided=True, n_passes=6, search=TINY,
-                           results_dir=tmp_path / "guided")
-        blind = fleet_run(28, 0, guided=False, n_passes=6, search=TINY,
-                          results_dir=tmp_path / "blind")
+        guided = fuzz_run(28, 0, guided=True, n_passes=6, search=TINY,
+                          results_dir=tmp_path / "guided")
+        blind = fuzz_run(28, 0, guided=False, n_passes=6, search=TINY,
+                         results_dir=tmp_path / "blind")
         assert guided.ok and blind.ok
         assert any(v.origin != "fresh" for v in guided.verdicts)
         assert guided.n_bins > blind.n_bins, (

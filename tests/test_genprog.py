@@ -16,6 +16,7 @@ from repro.genprog import (
     program_from_source,
     shrink_process,
     strip_positions,
+    triage_digest,
 )
 from repro.lang import ast_nodes as ast
 from repro.lang.frontend import parse_process
@@ -198,8 +199,9 @@ process shr(a: uint4) -> (o: uint4) {
         def fake_chain(prog, laxities, n_passes, search, use_iverilog, **kw):
             probed.append(tuple(laxities))
             if 2.0 in laxities and self._has_while(prog.process):
-                return {2.0: "diverged(1)"}, "divergence", "laxity 2: stub"
-            return {lax: "ok" for lax in laxities}, None, ""
+                return ({2.0: "diverged(1)"}, "divergence", "laxity 2: stub",
+                        set())
+            return {lax: "ok" for lax in laxities}, None, "", set()
 
         monkeypatch.setattr(fuzz_mod, "_chain_failure", fake_chain)
 
@@ -267,22 +269,37 @@ process shr(a: uint4) -> (o: uint4) {
 
 
 class TestFuzzRun:
-    def test_small_run_clean_and_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("guided", [False, True],
+                             ids=["plain", "guided"])
+    def test_small_run_clean_and_deterministic(self, tmp_path, guided):
+        from repro.core.search import SearchConfig
         from repro.genprog.fuzz import fuzz_run
 
-        kwargs = dict(laxities=(1.0,), n_passes=4,
-                      gen=GenConfig(ops_budget=10),
-                      results_dir=tmp_path)
-        one = fuzz_run(2, 0, **kwargs)
-        assert one.ok and one.n_ok == 2
-        two = fuzz_run(2, 0, **kwargs)
-        assert [v.row() for v in one.verdicts] == [v.row() for v in two.verdicts]
+        # Small shallow programs saturate the generator's bins quickly,
+        # so the guided run breeds mutants within 12 slots.
+        kwargs = dict(guided=guided, laxities=(1.0,), n_passes=4,
+                      gen=GenConfig(ops_budget=6, max_depth=1),
+                      search=SearchConfig(max_depth=2, max_candidates=6,
+                                          max_iterations=2, seed=0))
+        one = fuzz_run(12, 0, results_dir=tmp_path / "one", **kwargs)
+        assert one.ok and one.n_ok == 12
+        bred = [v for v in one.verdicts if v.origin != "fresh"]
+        assert bool(bred) == guided
+        two = fuzz_run(12, 0, results_dir=tmp_path / "two", **kwargs)
+
+        def report_bytes(report):
+            return json.dumps({"summary": report.summary(),
+                               "rows": report.rows()}, sort_keys=True)
+
+        assert report_bytes(one) == report_bytes(two)
 
     def test_failure_is_shrunk_to_reproducer(self, tmp_path, monkeypatch):
         import repro.genprog.fuzz as fuzz_mod
+        from repro.genprog.fleet import TRIAGE_NAME
 
         # Force the semantic invariant to fail for every program: the
-        # driver must record the failure and emit a shrunk reproducer.
+        # driver must record the failure and file a shrunk reproducer
+        # under its triage digest.
         def broken_roundtrip(_program, **_kwargs):
             raise GenerationError("forced failure")
 
@@ -293,10 +310,16 @@ class TestFuzzRun:
         assert not report.ok
         verdict = report.verdicts[0]
         assert verdict.status == "semantic"
-        assert verdict.reproducer is not None
-        source = (tmp_path / f"fuzz_repro_{verdict.name}.src").read_text()
+        (digest,) = report.triage
+        assert report.triage[digest] == [verdict.name]
+        # The row holds the bare, digest-named file name.
+        assert verdict.reproducer == f"fuzz_repro_{digest}.src"
+        source = (tmp_path / verdict.reproducer).read_text()
+        process = parse_process(source)
+        assert process.name == TRIAGE_NAME
+        assert triage_digest("semantic", process) == digest
         # The reproducer is itself a valid program...
-        build_cdfg(parse_process(source)).validate()
+        build_cdfg(process).validate()
         # ...and much smaller than a typical generated one.
         assert source.count(";") <= 12
 
@@ -334,6 +357,7 @@ class TestFuzzCLI:
         ["fuzz", "--laxities", ""],
         ["fuzz", "--branch-density", "1.5"],
         ["fuzz", "--max-ops", "0"],
+        ["fuzz", "--coverage", "--blind"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         from repro.cli import main
@@ -341,6 +365,32 @@ class TestFuzzCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    def test_generator_invariant_failure_is_a_verdict_under_coverage(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.genprog.generator as generator_mod
+        from repro.cli import main
+
+        # The generator's own round-trip invariant trips for every
+        # program: a coverage run must record `generate` verdicts and
+        # file reproducers, not abort.
+        def broken_roundtrip(_program, **_kwargs):
+            raise GenerationError("forced generator failure")
+
+        monkeypatch.setattr(generator_mod, "check_roundtrip",
+                            broken_roundtrip)
+        code = main(["fuzz", "--coverage", "--count", "2", "--seed", "0",
+                     "--passes", "3", "--laxities", "1.0", "--max-ops", "8",
+                     "--search-depth", "1", "--search-candidates", "2",
+                     "--search-iterations", "1", "--shrink-trials", "2",
+                     "--results-dir", str(tmp_path)])
+        assert code == 1
+        payload = json.loads((tmp_path / "fuzz.json").read_text())
+        assert [row["status"] for row in payload["rows"]] == ["generate"] * 2
+        for row in payload["rows"]:
+            assert (tmp_path / row["reproducer"]).is_file()
+            assert row["bins"] > 0  # the region shape still counts
+        assert "--replay" in capsys.readouterr().out
 
     def test_missing_replay_file_exits_2(self, tmp_path, capsys):
         from repro.cli import main

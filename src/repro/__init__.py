@@ -51,19 +51,9 @@ from repro.sched import (
 )
 from repro.benchmarks import BENCHMARKS, get_benchmark
 from repro.genprog import GenConfig, generate_program
+from repro.verify import verify_architecture, verify_benchmark
 
 __version__ = "1.3.0"
-
-
-def __getattr__(name):
-    # Lazy: importing the conformance harness at package-import time would
-    # pre-load repro.verify.conformance and trip runpy's double-import
-    # warning under `python -m repro.verify.conformance`.
-    if name in ("verify_architecture", "verify_benchmark", "ConformanceReport"):
-        from repro.verify import conformance
-
-        return getattr(conformance, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "parse",

@@ -81,7 +81,7 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_laxities(text: str) -> tuple[float, ...]:
-    """Parse ``--laxities`` for fuzz: comma floats, each >= 1.0."""
+    """Parse ``--laxities``: a non-empty list of comma floats, each >= 1.0."""
     laxities = _parse_floats(text)
     if not laxities:
         raise argparse.ArgumentTypeError("no laxities given")
@@ -111,7 +111,7 @@ def _add_common(parser: argparse.ArgumentParser, *, passes: int) -> None:
     parser.add_argument("-b", "--benchmark", required=True,
                         choices=sorted(BENCHMARKS),
                         help="registry benchmark to run on")
-    parser.add_argument("--passes", type=int, default=passes,
+    parser.add_argument("--passes", type=_positive_int, default=passes,
                         help="profiling stimulus passes (default %(default)s)")
     parser.add_argument("--stimulus-seed", type=int, default=7,
                         help="stimulus RNG seed (default %(default)s)")
@@ -244,16 +244,19 @@ def cmd_verify(args) -> int:
     if names == [None]:
         print("repro verify: pass -b <benchmark> or --all", file=sys.stderr)
         return 2
-    rows = []
-    ok = True
-    for name in names:
-        report = verify_benchmark(name, n_passes=args.passes,
-                                  seed=args.stimulus_seed,
-                                  use_iverilog=args.iverilog,
-                                  store_dir=args.store)
-        rows.append(report.summary())
-        ok = ok and report.ok
+    reports = [verify_benchmark(name, n_passes=args.passes,
+                                seed=args.stimulus_seed,
+                                use_iverilog=args.iverilog,
+                                store_dir=args.store)
+               for name in names]
+    rows = [report.summary() for report in reports]
+    ok = all(report.ok for report in reports)
     print(format_table(rows, title=f"repro verify ({args.passes} passes)"))
+    for report in reports:
+        if report.divergences:
+            print(f"\n{report.name}:")
+            for divergence in report.divergences:
+                print(f"    {divergence}")
     written = write_report(
         rows, args.results_dir / "verify_cli",
         title=f"repro verify ({args.passes} passes)",
@@ -445,14 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multi-objective Pareto-frontier exploration")
     _add_common(p, passes=20)
     _add_search(p)
-    p.add_argument("--steal", "--shards", dest="steal", type=int, default=1,
-                   metavar="N",
-                   help="worker processes (--shards is an alias): idle "
-                        "workers take the next grid cell, 1 runs "
-                        "in-process; the frontier is bit-identical for any "
-                        "value (default %(default)s)")
-    p.add_argument("--laxities", type=_parse_floats, default=DEFAULT_LAXITIES,
-                   metavar="L1,L2,...",
+    p.add_argument("--steal", type=int, default=1, metavar="N",
+                   help="worker processes: idle workers take the next "
+                        "grid cell, 1 runs in-process; the frontier is "
+                        "bit-identical for any value (default %(default)s)")
+    p.add_argument("--laxities", type=_parse_laxities,
+                   default=DEFAULT_LAXITIES, metavar="L1,L2,...",
                    help="laxity grid (default %(default)s)")
     p.add_argument("--objectives", type=_parse_objectives,
                    default=DEFAULT_OBJECTIVES,
@@ -470,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--all", action="store_true",
                    help="verify every registry benchmark")
-    p.add_argument("--passes", type=int, default=100)
+    p.add_argument("--passes", type=_positive_int, default=100)
     p.add_argument("--stimulus-seed", type=int, default=0)
     p.add_argument("--iverilog", choices=("auto", "off", "require"),
                    default="auto")
@@ -482,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="Figure 13 laxity sweep + reports")
     _add_common(p, passes=15)
     _add_search(p)
-    p.add_argument("--points", type=int, default=5,
+    p.add_argument("--points", type=_positive_int, default=5,
                    help="laxity grid size over [1, 3] (default %(default)s)")
-    p.add_argument("--laxities", type=_parse_floats, default=None,
+    p.add_argument("--laxities", type=_parse_laxities, default=None,
                    metavar="L1,L2,...", help="explicit laxity grid")
     p.set_defaults(fn=cmd_bench)
 

@@ -26,6 +26,10 @@ from repro.core.moves import Move, generate_moves
 #: search visits (see :func:`iterative_improvement`).
 Observer = Callable[[DesignPoint, Evaluation], None]
 
+#: Smallest cumulative cost gain that commits a move-sequence prefix;
+#: anything below it is float noise, and the search stops.
+MIN_GAIN = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -35,7 +39,6 @@ class SearchConfig:
     max_candidates: int = 16
     max_iterations: int = 10
     seed: int = 0
-    min_gain: float = 1e-9
 
 
 @dataclass
@@ -248,7 +251,7 @@ def iterative_improvement(
 
         history.iterations.append(steps)
         history.committed.append(best_prefix_len)
-        if best_prefix_gain > config.min_gain and best_prefix_len > 0:
+        if best_prefix_gain > MIN_GAIN and best_prefix_len > 0:
             current = snapshots[best_prefix_len - 1]
             current_cost = design_cost(current, mode, enc_budget)
         else:

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.benchmarks import get_benchmark
 from repro.core.design import equal_throughput_vdd
-from repro.core.engine import SynthesisEngine, SynthesisResult
+from repro.core.engine import SynthesisResult
 from repro.core.search import SearchConfig
+from repro.explore import engine_for_benchmark
 from repro.gatesim import rescale_result, simulate_architecture
-from repro.sched.engine import ScheduleOptions
 
 #: The paper's laxity grid (Figure 13 x-axis).
 FULL_LAXITY_GRID = tuple(round(1.0 + 0.2 * i, 1) for i in range(11))
@@ -114,34 +113,22 @@ def run_laxity_sweep(
     n_passes: int = 30,
     seed: int = 7,
     search: SearchConfig | None = None,
-    options: ScheduleOptions | None = None,
-    caching: bool = True,
-    engine: SynthesisEngine | None = None,
     store_dir=None,
 ) -> LaxitySweep:
     """Regenerate one Figure 13 subplot.
 
-    One :class:`SynthesisEngine` carries the trace store, the initial
-    design point and the pipeline memo tables across every laxity point
-    and both optimization modes, so the repeated portions of the searches
-    (shared prefixes of the move sequences, re-visited bindings) are not
-    recomputed.  Pass ``engine`` to share that state with a caller; the
-    engine then supplies the program, stimulus and configuration, and
-    ``benchmark`` is just the sweep's label (``n_passes``/``seed``/
-    ``options``/``caching`` are ignored).  ``store_dir`` attaches the
-    persistent artifact store (``None`` consults ``$REPRO_STORE_DIR``),
-    so a repeated sweep replays schedules and replay results from disk.
+    One engine (from :func:`~repro.explore.engine_for_benchmark`)
+    carries the trace store, the initial design point and the pipeline
+    memo tables across every laxity point and both optimization modes,
+    so the repeated portions of the searches (shared prefixes of the
+    move sequences, re-visited bindings) are not recomputed.
+    ``store_dir`` attaches the persistent artifact store (``None``
+    consults ``$REPRO_STORE_DIR``), so a repeated sweep replays
+    schedules and replay results from disk.
     """
     search = search or SearchConfig(max_depth=5, max_candidates=12, max_iterations=6)
-    if engine is None:
-        bench = get_benchmark(benchmark)
-        cdfg = bench.cdfg()
-        stimulus = bench.stimulus(n_passes, seed=seed)
-        options = options or ScheduleOptions(clock_ns=bench.clock_ns)
-        from repro.store import attached_cache
-        engine = SynthesisEngine(
-            cdfg, stimulus, options=options,
-            cache=attached_cache(caching=caching, store_dir=store_dir))
+    engine = engine_for_benchmark(benchmark, n_passes=n_passes, seed=seed,
+                                  store_dir=store_dir)
     stimulus = engine.stimulus
 
     from repro.core.profile import PROFILER

@@ -2,8 +2,8 @@
 
 ``explore()`` runs a grid of (objective x laxity x seed) synthesis
 searches in-process or on N worker processes of the supervised pool
-(``steal=N``, alias ``shards=N``; idle workers take the next cell, and
-every cell checkpoints and warm-starts through the artifact store) —
+(``steal=N``; idle workers take the next cell, and every cell
+checkpoints and warm-starts through the artifact store) —
 feeds every feasible visited design into a Pareto archive, and merges
 the per-job archives into one deterministic (area, power, latency)
 frontier; ``verify_frontier()`` conformance-checks the design behind
@@ -23,7 +23,7 @@ from repro.explore.driver import (
     verify_frontier,
 )
 from repro.explore.pareto import ParetoFront, ParetoPoint, dominates
-from repro.explore.steal import StealOutcome, completed_log, job_checkpoint_key
+from repro.explore.steal import StealOutcome, job_checkpoint_key
 
 __all__ = [
     "DEFAULT_LAXITIES",
@@ -33,7 +33,6 @@ __all__ = [
     "ParetoFront",
     "ParetoPoint",
     "StealOutcome",
-    "completed_log",
     "dominates",
     "engine_for_benchmark",
     "explore",

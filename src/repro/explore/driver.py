@@ -9,9 +9,9 @@ scalarizations) and search seeds — runs each through a
 :class:`~repro.explore.pareto.ParetoFront`, not just the winner), and
 merges the per-job fronts into one global frontier.
 
-Parallelism: ``steal=N`` (alias ``shards=N``) runs the grid on N worker
-*processes* of the supervised pool (:mod:`repro.explore.steal`); idle
-workers take the next pending cell, and each worker keeps one engine,
+Parallelism: ``steal=N`` runs the grid on N worker *processes* of the
+supervised pool (:mod:`repro.explore.steal`); idle workers take the
+next pending cell, and each worker keeps one engine,
 so the jobs it runs share its content-addressed pipeline caches the way
 a sequential run would.  ``N <= 1`` runs in-process.  Because every job
 is independently deterministic (cached and uncached evaluation are
@@ -90,8 +90,7 @@ class ExploreResult:
     search: SearchConfig = field(default_factory=SearchConfig)
     #: Pool accounting: worker processes spawned (respawns included;
     #: zero for an in-process run) and ``steal_log``, (job index, slot)
-    #: in claim order — feed its completed subset back as ``steal_plan``
-    #: to replay the schedule.
+    #: in claim order.
     steal_workers: int = 0
     steal_log: list = field(default_factory=list)
     warm_hits: int = 0
@@ -137,16 +136,15 @@ class ExploreResult:
 
 
 def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
-                         caching: bool = True,
                          store_dir=None,
                          cache_entries: int | None = None) -> SynthesisEngine:
     """Build a ready-to-run engine for a registry benchmark.
 
     Parses the benchmark's source, draws ``n_passes`` stimulus passes with
     ``seed``, and configures the designer clock from the registry entry.
-    This is the one construction path the CLI, the explorer, the job
-    server and the examples share, so their engines are always
-    comparable.
+    This is the one construction path the CLI, the explorer, the laxity
+    sweep, the conformance harness, the job server and the examples
+    share, so their engines are always comparable.
 
     ``store_dir`` attaches the persistent artifact store (``None``
     consults ``$REPRO_STORE_DIR``; see :func:`repro.store.attached_cache`)
@@ -160,7 +158,7 @@ def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
     return SynthesisEngine(
         bench.cdfg(), bench.stimulus(n_passes, seed=seed),
         options=ScheduleOptions(clock_ns=bench.clock_ns),
-        cache=attached_cache(caching=caching, store_dir=store_dir,
+        cache=attached_cache(store_dir=store_dir,
                              max_entries=cache_entries))
 
 
@@ -240,13 +238,10 @@ def explore(benchmark: str, *,
             laxities=DEFAULT_LAXITIES,
             seeds=(0,),
             steal: int = 1,
-            shards: int | None = None,
-            steal_plan=None,
             fault_plan=None,
             n_passes: int = 20,
             stimulus_seed: int = 7,
             search: SearchConfig | None = None,
-            caching: bool = True,
             store_dir=None,
             hv_reference: tuple[float, float, float] | None = None
             ) -> ExploreResult:
@@ -272,12 +267,6 @@ def explore(benchmark: str, *,
         and the merge is in job order) — the steal order is recorded on
         the result, not baked into it.  Every cell checkpoints into the
         artifact store (when attached) and warm-starts later runs.
-    shards:
-        Alias of ``steal``; when given, it sets the worker count.
-    steal_plan:
-        A recorded steal log (``(job index, slot)`` pairs covering every
-        job) to replay on the pool: each job is pinned to its recorded
-        slot, in the recorded per-slot order.
     fault_plan:
         A :class:`~repro.faults.plan.FaultPlan` injected into the pool
         (so it forces a pool run); ``kill_worker@N`` kills the worker
@@ -301,12 +290,11 @@ def explore(benchmark: str, *,
     """
     search = search or SearchConfig()
     jobs = make_jobs(objectives, laxities, seeds)
-    workers = max(1, min(steal if shards is None else shards, len(jobs)))
+    workers = max(1, min(steal, len(jobs)))
     recipe = {
         "benchmark": benchmark,
         "n_passes": n_passes,
         "stimulus_seed": stimulus_seed,
-        "caching": caching,
         "store_dir": store_dir,
         "search": search,
     }
@@ -314,9 +302,9 @@ def explore(benchmark: str, *,
 
     engine = None
     designs: dict[tuple[int, int], object] = {}
-    if workers > 1 or steal_plan or fault_plan is not None:
+    if workers > 1 or fault_plan is not None:
         outcome = run_stolen(recipe, jobs, workers=workers,
-                             steal_plan=steal_plan, fault_plan=fault_plan)
+                             fault_plan=fault_plan)
     else:
         # In-process run: keep each searched job's archived designs so a
         # later verify_frontier call can skip re-running the searches.

@@ -13,8 +13,7 @@ job-index order, so **the frontier is bit-identical to an in-process run
 no matter which slot ran what, or when** — including runs where a
 worker was killed mid-job and its job re-ran on the respawned worker.
 The *steal log* (job index, slot) in claim order is recorded on the
-result; replaying it through ``steal_plan`` gives each slot its own
-deque of the jobs it ran, in the same order.
+result.
 
 Supervision is the pool's: a worker that dies mid-job is respawned and
 the job goes back on the deque **clean** (worker faults are consumed at
@@ -80,7 +79,7 @@ def cell_context(recipe: dict) -> tuple:
     """``(engine, CDFG digest, checkpoint store or None)`` for a recipe.
 
     ``recipe`` is the engine recipe every cell shares (benchmark /
-    n_passes / stimulus_seed / caching / store_dir / search).  A
+    n_passes / stimulus_seed / store_dir / search).  A
     ``store_dir`` of ``None`` consults ``$REPRO_STORE_DIR``; ``""``
     means no store.
     """
@@ -89,8 +88,7 @@ def cell_context(recipe: dict) -> tuple:
 
     engine = engine_for_benchmark(
         recipe["benchmark"], n_passes=recipe["n_passes"],
-        seed=recipe["stimulus_seed"], caching=recipe["caching"],
-        store_dir=recipe["store_dir"])
+        seed=recipe["stimulus_seed"], store_dir=recipe["store_dir"])
     root = recipe["store_dir"]
     if root is None:
         root = os.environ.get(STORE_DIR_ENV)
@@ -143,39 +141,20 @@ def run_cell(recipe: dict, job, faults=None, *, context=None,
         return record, False, designs
 
 
-def run_stolen(recipe: dict, jobs, *, workers: int, steal_plan=None,
+def run_stolen(recipe: dict, jobs, *, workers: int,
                fault_plan=None) -> StealOutcome:
     """Run the grid on a supervised worker pool; returns all job results.
 
     ``recipe`` is the engine recipe (see :func:`cell_context`) shared by
-    every worker; ``jobs`` the full grid.
-
-    Scheduling: by default every slot pops from one shared deque in
-    index order, with ``workers`` slots.  With ``steal_plan`` (a
-    recorded ``StealOutcome.log``, completed attempts only) each slot
-    pops from its own deque of the jobs the plan gives it, in plan
-    order, replaying the recorded assignment exactly.
+    every worker; ``jobs`` the full grid.  Each of the ``workers`` slots
+    pops the next job index from one shared deque, in index order.
     """
     import threading
     from collections import deque
 
     from repro.workers import SupervisedPool, WorkerCrash
 
-    if steal_plan:
-        plan = [(int(index), int(slot)) for index, slot in steal_plan]
-        planned = {index for index, _ in plan}
-        missing = [job.index for job in jobs if job.index not in planned]
-        if missing:
-            raise ValueError(
-                f"steal plan does not cover jobs {missing}; replay one "
-                f"recorded log entry per job")
-        queues: dict[int, deque] = {}
-        for index, slot in plan:
-            queues.setdefault(slot, deque()).append(index)
-    else:
-        shared = deque(job.index for job in jobs)
-        queues = {slot: shared for slot in range(max(1, workers))}
-
+    queue = deque(job.index for job in jobs)
     by_index = {job.index: job for job in jobs}
     fire = {}  # job index -> [kill_worker payloads], consumed at dispatch
     if fault_plan is not None:
@@ -188,10 +167,9 @@ def run_stolen(recipe: dict, jobs, *, workers: int, steal_plan=None,
     outcome = StealOutcome()
     errors: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
-    pool = SupervisedPool(len(queues))
+    pool = SupervisedPool(workers)
 
-    def drain(position: int, slot: int) -> None:
-        queue = queues[slot]
+    def drain(slot: int) -> None:
         while True:
             with lock:
                 if errors or not queue:
@@ -201,7 +179,7 @@ def run_stolen(recipe: dict, jobs, *, workers: int, steal_plan=None,
                 outcome.log.append((index, slot))
             task = (run_cell, (recipe, by_index[index], faults))
             try:
-                status, value = pool.call(position, task)
+                status, value = pool.call(slot, task)
             except WorkerCrash:
                 with lock:
                     queue.appendleft(index)  # the retry runs clean
@@ -216,33 +194,17 @@ def run_stolen(recipe: dict, jobs, *, workers: int, steal_plan=None,
                 outcome.results[index] = record
                 outcome.warm_hits += int(warm)
 
-    threads = [threading.Thread(target=drain, args=(position, slot),
-                                daemon=True)
-               for position, slot in enumerate(sorted(queues))]
+    threads = [threading.Thread(target=drain, args=(slot,), daemon=True)
+               for slot in range(workers)]
     try:
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
     finally:
-        outcome.workers = len(queues) + pool.restarts
+        outcome.workers = workers + pool.restarts
         pool.shutdown()
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return outcome
 
-
-def completed_log(outcome: StealOutcome) -> list[tuple[int, int]]:
-    """The replayable subset of a steal log: last claim per finished job.
-
-    Killed attempts stay in ``outcome.log`` for forensics but cannot be
-    replayed (replay runs clean); the surviving attempt can.
-    """
-    last: dict[int, int] = {}
-    order: list[int] = []
-    for index, slot in outcome.log:
-        if index in outcome.results:
-            if index not in last:
-                order.append(index)
-            last[index] = slot
-    return [(index, last[index]) for index in order]

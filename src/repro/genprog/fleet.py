@@ -67,7 +67,7 @@ class CorpusEntry:
     program: GeneratedProgram
     bins: frozenset[str]
     new_bins: frozenset[str]
-    origin: str  # "fresh" | "mutant:<op>:<parent>"
+    origin: str  # "fresh" | "mutant:<op>:<parent corpus file>"
 
 
 class Corpus:
@@ -132,6 +132,18 @@ def triage_digest(stage: str, process) -> str:
     return digest_key((stage, strip_positions(process)))[:12]
 
 
+def corpus_file(source: str) -> str:
+    """File name a kept program's ``source`` is written under.
+
+    A digest of the source, like a reproducer's triage digest, so guided
+    runs that share a results directory never overwrite each other's
+    corpus, and one program kept twice is one file.
+    """
+    from repro.store import digest_key
+
+    return f"{digest_key(('corpus', source))[:12]}.src"
+
+
 def breed_mutant(corpus: Corpus, seed: int, index: int, name: str,
                  config: GenConfig, n_passes: int):
     """Try to breed a validated mutant for slot ``index``; None on give-up.
@@ -161,5 +173,5 @@ def breed_mutant(corpus: Corpus, seed: int, index: int, name: str,
             check_roundtrip(candidate, n_passes=n_passes, seed=0)
         except ReproError:
             continue
-        return candidate, f"mutant:{op}:{parent.program.name}"
+        return candidate, f"mutant:{op}:{corpus_file(parent.program.source)}"
     return None

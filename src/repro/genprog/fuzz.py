@@ -40,6 +40,7 @@ from repro.genprog.fleet import (
     TRIAGE_NAME,
     Corpus,
     breed_mutant,
+    corpus_file,
     triage_digest,
 )
 from repro.genprog.generator import (
@@ -71,13 +72,17 @@ class ProgramVerdict:
     laxities: dict[float, str] = field(default_factory=dict)
     #: File name (no directory) of the shrunk reproducer source, if any.
     reproducer: str | None = None
-    origin: str = "fresh"            # "fresh" | "mutant:<op>:<parent>"
+    #: "fresh" | "mutant:<op>:<parent corpus file>".
+    origin: str = "fresh"
     #: Structural coverage bins this program's run lit up.
     bins: frozenset[str] = frozenset()
     #: The bins no earlier program in the run had hit.
     new_bins: frozenset[str] = frozenset()
     #: Whether the program joined the corpus (it found new bins).
     kept: bool = False
+    #: File name (no directory) of the kept source under
+    #: ``fuzz_corpus/``; guided runs only.
+    corpus: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -98,6 +103,7 @@ class ProgramVerdict:
             "bins": len(self.bins),
             "new_bins": sorted(self.new_bins),
             "kept": self.kept,
+            "corpus": self.corpus or "",
         }
 
 
@@ -326,8 +332,9 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
     only fresh generator programs; ``guided=True`` switches to mutants
     bred from the corpus once :data:`~repro.genprog.fleet.FRESH_PATIENCE`
     fresh programs in a row found no new bin, and writes every kept
-    entry's source to ``<results_dir>/fuzz_corpus/<name>.src`` so a
-    mutant row's parent can be looked up.
+    entry's source to ``<results_dir>/fuzz_corpus/<digest>.src`` (see
+    :func:`~repro.genprog.fleet.corpus_file`), the name its row's
+    ``corpus`` field and its mutants' ``origin`` carry.
 
     ``store_dir`` attaches the persistent artifact store (``None``
     consults ``$REPRO_STORE_DIR``) so repeated runs over the same seeds
@@ -372,10 +379,11 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
         if origin == "fresh":
             fresh_dry = 0 if verdict.kept else fresh_dry + 1
         if verdict.kept and guided:
+            verdict.corpus = corpus_file(program.source)
             corpus_dir = results_dir / "fuzz_corpus"
             corpus_dir.mkdir(parents=True, exist_ok=True)
-            (corpus_dir / f"{name}.src").write_text(program.source,
-                                                    encoding="utf-8")
+            (corpus_dir / verdict.corpus).write_text(program.source,
+                                                     encoding="utf-8")
         if not verdict.ok:
             digest, verdict.reproducer = _file_reproducer(
                 program, verdict.status, laxities, n_passes, search,

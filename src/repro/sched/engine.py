@@ -68,8 +68,6 @@ class ScheduleOptions:
     branch_parallel: bool = True
     fuse_loops: bool = True
     hoist_loop_control: bool = True
-    mux_delay_ns: float = MUX_DELAY_NS
-    chain_overhead: float = CHAIN_OVERHEAD
 
 
 @dataclass
@@ -430,7 +428,7 @@ class _Engine:
         if got is None:
             n_ops = len(self.binding.fus[fu_id].ops)
             got = 0.0 if n_ops <= 1 else \
-                math.ceil(math.log2(n_ops)) * self.options.mux_delay_ns
+                math.ceil(math.log2(n_ops)) * MUX_DELAY_NS
             self._in_mux_memo[fu_id] = got
         return got
 
@@ -446,7 +444,7 @@ class _Engine:
                        if self.cdfg.node(w).is_schedulable or
                        self.cdfg.node(w).kind is OpKind.INPUT]
             got = 0.0 if len(writers) <= 1 else \
-                math.ceil(math.log2(len(writers))) * self.options.mux_delay_ns
+                math.ceil(math.log2(len(writers))) * MUX_DELAY_NS
         self._out_mux_memo[node_id] = got
         return got
 
@@ -502,7 +500,7 @@ class _Engine:
                 start = max(start, placed_here[edge.src])
         base = self.delays.get(node_id, 0.0)
         if base > 0.0 and start > 0.0:
-            base *= 1.0 + self.options.chain_overhead
+            base *= 1.0 + CHAIN_OVERHEAD
         end = start + base + self._est_input_mux(fu_id) + self._est_output_mux(node_id)
         clock = self.options.clock_ns
         need = max(1, math.ceil(end / clock - 1e-9))

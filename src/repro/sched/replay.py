@@ -9,10 +9,10 @@ condition values.  It produces:
   occurrence — the ordering information trace manipulation (Section 2.3)
   needs to merge per-unit traces without re-simulation.
 
-Replay also *verifies* the schedule: with ``check=True`` (default) it
-asserts that every occurrence stream is consumed exactly — i.e. the STG
-executes every operation exactly as often as the behavior did, on every
-profiled path.
+Replay also *verifies* the schedule: it asserts that every occurrence
+stream is consumed exactly — i.e. the STG executes every operation
+exactly as often as the behavior did, on every profiled path — and
+raises :class:`~repro.errors.ScheduleError` otherwise.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ReplayResult:
                         dtype=np.int64)
 
 
-def replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True,
+def replay(stg: STG, cdfg: CDFG, store: TraceStore,
            cache=None) -> ReplayResult:
     """Execute the STG over every profiled pass (see module docstring).
 
@@ -110,20 +110,20 @@ def replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True,
     share one :class:`ReplayResult`.
     """
     if cache is None:
-        return _replay(stg, cdfg, store, check)
-    key = (id(store), id(cdfg), stg.replay_signature(), check)
+        return _replay(stg, cdfg, store)
+    key = (id(store), id(cdfg), stg.replay_signature())
     return cache.replay.get_or_compute(
-        key, lambda: _replay(stg, cdfg, store, check))
+        key, lambda: _replay(stg, cdfg, store))
 
 
-def _replay(stg: STG, cdfg: CDFG, store: TraceStore, check: bool = True) -> ReplayResult:
+def _replay(stg: STG, cdfg: CDFG, store: TraceStore) -> ReplayResult:
     from repro.core.profile import PROFILER
 
     with PROFILER.stage("replay") as token:
-        return _replay_impl(stg, cdfg, store, check, token)
+        return _replay_impl(stg, cdfg, store, token)
 
 
-def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool,
+def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore,
                  token) -> ReplayResult:
     """Full replay, in two phases.
 
@@ -392,17 +392,16 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore, check: bool,
         op_start[n] = em_start[lo:hi]
         op_state[n] = em_state[lo:hi]
 
-    if check:
-        for node_id in store.occurrences:
-            node = cdfg.node(node_id)
-            if not node.is_schedulable:
-                continue
-            consumed = len(op_cycle[node_id]) if node_id in scheduled else 0
-            expected = store.count(node_id)
-            if consumed != expected:
-                raise ScheduleError(
-                    f"node {node.name}: STG executed it {consumed} times but "
-                    f"the behavior executed it {expected} times")
+    for node_id in store.occurrences:
+        node = cdfg.node(node_id)
+        if not node.is_schedulable:
+            continue
+        consumed = len(op_cycle[node_id]) if node_id in scheduled else 0
+        expected = store.count(node_id)
+        if consumed != expected:
+            raise ScheduleError(
+                f"node {node.name}: STG executed it {consumed} times but "
+                f"the behavior executed it {expected} times")
 
     return ReplayResult(
         cycles=np.array(cycles_per_pass, dtype=np.int64),

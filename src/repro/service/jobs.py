@@ -33,6 +33,10 @@ def validate_job(job) -> str | None:
     if kind in ("synth", "verify", "explore") \
             and not isinstance(job.get("benchmark"), str):
         return f"{kind} job needs a 'benchmark' string"
+    if "passes" in job and (not isinstance(job["passes"], int)
+                            or job["passes"] <= 0):
+        return (f"job field 'passes' must be a positive integer "
+                f"(got {job['passes']!r})")
     if kind == "explore":
         # The server's pool already runs jobs in parallel; one explore
         # job runs in-process inside one worker.

@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-def attached_cache(*, caching: bool = True,
-                   store_dir: str | os.PathLike | None = None,
+def attached_cache(*, store_dir: str | os.PathLike | None = None,
                    max_entries: int | None = None) -> SynthesisCache:
     """A pipeline cache, store-backed when a store directory is configured.
 
@@ -72,11 +71,11 @@ def attached_cache(*, caching: bool = True,
     """
     root = store_dir if store_dir is not None else os.environ.get(STORE_DIR_ENV)
     if not root:
-        return SynthesisCache(enabled=caching, max_entries=max_entries)
+        return SynthesisCache(max_entries=max_entries)
     try:
         store = open_store(root)
     except Exception as exc:  # degraded: compute cold rather than fail
         print(f"repro.store: cannot open store at {root!r} ({exc}); "
               f"running with in-process cache only", file=sys.stderr)
-        return SynthesisCache(enabled=caching, max_entries=max_entries)
-    return PersistentCache(store, enabled=caching, max_entries=max_entries)
+        return SynthesisCache(max_entries=max_entries)
+    return PersistentCache(store, max_entries=max_entries)

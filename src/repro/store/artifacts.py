@@ -58,9 +58,7 @@ _GC_EVERY = 32
 #: ``hook(op, kind, digest)`` with ``op`` in ``("read", "write")``
 #: before every blob access.  Raising :class:`OSError` simulates a hard
 #: I/O failure (EIO-style), which deliberately propagates to the caller
-#: — unlike a missing blob, which is a clean cold miss.  The
-#: per-instance ``_publish_hook`` below stays the crash-window
-#: simulator; this one is the deterministic chaos seam.
+#: — unlike a missing blob, which is a clean cold miss.
 _IO_FAULT_HOOK = None
 
 
@@ -81,10 +79,6 @@ class ArtifactStore:
         self._lock = threading.Lock()
         self._stats: dict[str, CacheStats] = {}
         self._puts_since_gc = 0
-        #: Test-only crash injection: called as ``hook(tmp, final)`` right
-        #: before a blob would be published; raising simulates a writer
-        #: killed mid-publish (the temp exists, the final name does not).
-        self._publish_hook = None
         self.version_dir.mkdir(parents=True, exist_ok=True)
         stamp = self.root / "STORE_VERSION"
         if not stamp.exists():
@@ -144,14 +138,7 @@ class ArtifactStore:
         if _IO_FAULT_HOOK is not None:
             _IO_FAULT_HOOK("write", kind, digest)
         with PROFILER.stage("store"):
-            if self._publish_hook is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_name("." + path.name + ".crash.tmp")
-                tmp.write_bytes(blob)
-                self._publish_hook(tmp, path)
-                os.replace(tmp, path)
-            else:
-                atomic_write_bytes(path, blob)
+            atomic_write_bytes(path, blob)
         self._maybe_gc()
 
     def put_json(self, kind: str, digest: str, payload) -> None:

@@ -41,17 +41,14 @@ class PersistentMemoTable(MemoTable):
     """A memo table whose misses read through to the artifact store."""
 
     def __init__(self, name: str, store: ArtifactStore, durable_key,
-                 encode, decode, enabled: bool = True,
-                 max_entries: int | None = None):
-        super().__init__(name, enabled, max_entries)
+                 encode, decode, max_entries: int | None = None):
+        super().__init__(name, max_entries=max_entries)
         self.store = store
         self._durable_key = durable_key
         self._encode = encode
         self._decode = decode
 
     def get_or_compute(self, key, compute):
-        if not self.enabled:
-            return super().get_or_compute(key, compute)
         with self._lock:
             if key in self._table:
                 self.stats.hits += 1
@@ -87,9 +84,9 @@ class PersistentMemoTable(MemoTable):
 class PersistentCache(SynthesisCache):
     """A :class:`SynthesisCache` backed by a shared on-disk artifact store."""
 
-    def __init__(self, store: ArtifactStore, enabled: bool = True,
+    def __init__(self, store: ArtifactStore,
                  max_entries: int | None = None):
-        super().__init__(enabled, max_entries)
+        super().__init__(max_entries=max_entries)
         self.store = store
         self._bind_lock = threading.Lock()
         #: id(obj) -> (pinned obj, content digest).  Pinning keeps the id
@@ -97,10 +94,10 @@ class PersistentCache(SynthesisCache):
         self._digests: dict[int, tuple[object, str]] = {}
         self.schedule = PersistentMemoTable(
             "schedule", store, self._schedule_key, encode_stg, decode_stg,
-            enabled, max_entries)
+            max_entries)
         self.replay = PersistentMemoTable(
             "replay", store, self._replay_key, encode_replay, decode_replay,
-            enabled, max_entries)
+            max_entries)
 
     # -- id -> content-digest binding -------------------------------------------
 
@@ -121,7 +118,7 @@ class PersistentCache(SynthesisCache):
     # Memo key shapes are owned by the compute sites:
     #   schedule: (id(cdfg), binding.schedule_signature(), options)
     #             -- repro.sched.engine.schedule
-    #   replay:   (id(store), id(cdfg), stg.replay_signature(), check)
+    #   replay:   (id(store), id(cdfg), stg.replay_signature())
     #             -- repro.sched.replay.replay
 
     def _schedule_key(self, key) -> str | None:
@@ -132,12 +129,12 @@ class PersistentCache(SynthesisCache):
         return digest_key(("schedule", graph, schedule_sig, options))
 
     def _replay_key(self, key) -> str | None:
-        store_id, cdfg_id, replay_sig, check = key
+        store_id, cdfg_id, replay_sig = key
         traces = self._digest_of(store_id)
         graph = self._digest_of(cdfg_id)
         if traces is None or graph is None:
             return None
-        return digest_key(("replay", traces, graph, replay_sig, check))
+        return digest_key(("replay", traces, graph, replay_sig))
 
     # -- explicit artifact publication -----------------------------------------
 

@@ -8,6 +8,14 @@ printed Verilog text — and asserts output-value and cycle-count
 agreement, minimizing the first divergent stimulus automatically.
 """
 
+from repro.verify.conformance import (
+    ConformanceReport,
+    Divergence,
+    minimize_stimulus,
+    verify_architecture,
+    verify_benchmark,
+)
+
 __all__ = [
     "ConformanceReport",
     "Divergence",
@@ -15,14 +23,3 @@ __all__ = [
     "verify_architecture",
     "verify_benchmark",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-export: keeps `python -m repro.verify.conformance` free of
-    # the runpy double-import warning while preserving
-    # `from repro.verify import verify_benchmark`-style imports.
-    if name in __all__:
-        from repro.verify import conformance
-
-        return getattr(conformance, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

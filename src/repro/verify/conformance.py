@@ -19,21 +19,17 @@ the smallest reproducing input rather than a random 100-pass blob.
 
 Run it from the command line::
 
-    python -m repro.verify.conformance --all          # every registry benchmark
-    python -m repro.verify.conformance -b gcd -p 200  # one benchmark, 200 passes
+    python -m repro verify --all                   # every registry benchmark
+    python -m repro verify -b gcd --passes 200     # one benchmark, 200 passes
 
 or programmatically through :meth:`repro.SynthesisEngine.verify`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import ConformanceError, HDLError, ReproError
 from repro.cdfg.graph import CDFG
@@ -336,6 +332,9 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
     """
     if use_iverilog not in ("auto", "off", "require"):
         raise ConformanceError(f"unknown iverilog mode {use_iverilog!r}")
+    if not stimulus:
+        # Zero passes compare nothing; an "ok" over them would be vacuous.
+        raise ConformanceError(f"{name}: no stimulus passes to verify")
     t0 = time.perf_counter()
     model_s = dict.fromkeys(BACKENDS, 0.0)
     if store is None:
@@ -401,78 +400,9 @@ def verify_benchmark(name: str, n_passes: int = 100, seed: int = 0, *,
     filed under the design's content key.  The conformance chain itself
     always re-executes — a stored verdict is provenance, not a shortcut.
     """
-    from repro.benchmarks import get_benchmark
-    from repro.core.engine import SynthesisEngine
-    from repro.sched.engine import ScheduleOptions
-    from repro.store import attached_cache
+    from repro.explore.driver import engine_for_benchmark
 
-    bench = get_benchmark(name)
-    cdfg = bench.cdfg()
-    stimulus = bench.stimulus(n_passes, seed=seed)
-    engine = SynthesisEngine(cdfg, stimulus,
-                             options=ScheduleOptions(clock_ns=bench.clock_ns),
-                             cache=attached_cache(store_dir=store_dir))
+    engine = engine_for_benchmark(name, n_passes=n_passes, seed=seed,
+                                  store_dir=store_dir)
     return engine.verify(use_iverilog=use_iverilog, minimize=minimize, name=name)
 
-
-def _format_row(report: ConformanceReport) -> str:
-    verdict = "ok" if report.ok else f"FAIL ({len(report.divergences)})"
-    backends = "+".join(report.backends)
-    models = " ".join(f"{model} {seconds:.2f}s"
-                      for model, seconds in report.model_s.items())
-    return (f"{report.name:<10s} {report.n_passes:>5d} passes  "
-            f"{report.total_cycles:>8d} cycles  {backends:<40s} "
-            f"{report.wall_s:>7.2f}s  {verdict}  [{models}]")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.conformance",
-        description="Differential cosimulation over the benchmark registry.")
-    parser.add_argument("--all", action="store_true",
-                        help="verify every registry benchmark")
-    parser.add_argument("-b", "--benchmark", action="append", default=[],
-                        help="verify one benchmark (repeatable)")
-    parser.add_argument("-p", "--passes", type=int, default=100,
-                        help="random stimulus passes per benchmark (default 100)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iverilog", choices=("auto", "off", "require"),
-                        default="auto")
-    parser.add_argument("--no-minimize", action="store_true",
-                        help="skip divergent-stimulus minimization")
-    parser.add_argument("--json", type=Path, default=None,
-                        help="write a machine-readable summary to this path")
-    args = parser.parse_args(argv)
-
-    from repro.benchmarks import BENCHMARKS
-
-    names = list(BENCHMARKS) if args.all or not args.benchmark else args.benchmark
-    reports: list[ConformanceReport] = []
-    for name in names:
-        report = verify_benchmark(name, n_passes=args.passes, seed=args.seed,
-                                  use_iverilog=args.iverilog,
-                                  minimize=not args.no_minimize)
-        reports.append(report)
-        print(_format_row(report))
-        for div in report.divergences:
-            print(f"    {div}")
-
-    all_ok = all(r.ok for r in reports)
-    print(f"\nconformance: {sum(r.ok for r in reports)}/{len(reports)} benchmarks "
-          f"agree across {'/'.join(BACKENDS)}"
-          + (" + iverilog" if any(r.iverilog_ran for r in reports) else ""))
-    if args.json is not None:
-        payload = {
-            "ok": all_ok,
-            "passes": args.passes,
-            "seed": args.seed,
-            "benchmarks": [r.summary() for r in reports],
-        }
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    return 0 if all_ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -76,14 +76,12 @@ class TestCommands:
                 "--depth", "2", "--candidates", "5", "--iterations", "2",
                 "--seed", "0", "--no-verify",
                 "--results-dir", str(tmp_path)]
-        assert main(args + ["--shards", "1"]) == 0
+        assert main(args + ["--steal", "1"]) == 0
         one = json.loads((tmp_path / "explore_loops.json").read_text())
-        assert main(args + ["--shards", "2"]) == 0
-        two = json.loads((tmp_path / "explore_loops.json").read_text())
         assert main(args + ["--steal", "2"]) == 0
         stolen = json.loads((tmp_path / "explore_loops.json").read_text())
-        assert one["rows"] == two["rows"] == stolen["rows"]
-        assert one["jobs"] == two["jobs"] == stolen["jobs"]
+        assert one["rows"] == stolen["rows"]
+        assert one["jobs"] == stolen["jobs"]
         assert one["rows"], "frontier report is empty"
         # --no-verify leaves the verification verdict unset, not false.
         assert one["verified"] is None
@@ -110,3 +108,22 @@ class TestCommands:
         payload = json.loads((tmp_path / "bench_loops.json").read_text())
         assert [r["laxity"] for r in payload["rows"]] == [1.0, 2.0]
         assert payload["mismatches"] == 0
+
+
+class TestRejectedArguments:
+    """Values that would run nothing exit 2 at parse time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-b", "gcd", "--passes", "0"],
+        ["synth", "-b", "gcd", "--passes", "0"],
+        ["explore", "-b", "loops", "--passes", "0"],
+        ["bench", "-b", "gcd", "--passes", "0"],
+        ["bench", "-b", "gcd", "--points", "0"],
+        ["explore", "-b", "loops", "--laxities", ","],
+        ["explore", "-b", "loops", "--laxities", "0.5"],
+        ["bench", "-b", "gcd", "--laxities", ","],
+    ])
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -5,7 +5,7 @@ drives every registry benchmark through the full oracle chain —
 behavioral interpreter, duration-normalized STG replay, gatesim, and the
 emitted Verilog's netlist simulator — asserting output-value and
 cycle-count agreement; plus direct tests of the harness mechanics
-(divergence detection, stimulus minimization, the CLI, and
+(divergence detection, stimulus minimization, ``repro verify``, and
 ``SynthesisEngine.verify``).
 """
 
@@ -23,8 +23,8 @@ from repro.hdl import lower_architecture
 from repro.library import default_library
 from repro.sched.engine import ScheduleOptions
 from repro.sim.stimulus import random_stimulus
+from repro.cli import main as cli_main
 from repro.verify.conformance import (
-    main as conformance_main,
     minimize_stimulus,
     verify_architecture,
     verify_benchmark,
@@ -91,6 +91,19 @@ class TestRegistrySweep:
         assert report.n_passes == 20
         assert set(report.backends) >= {"interpreter", "replay",
                                         "gatesim", "netsim"}
+
+
+class TestEmptyStimulus:
+    """A verdict over zero passes would be vacuous, so it is an error."""
+
+    def test_verify_benchmark_zero_passes_raises(self):
+        with pytest.raises(ConformanceError, match="no stimulus"):
+            verify_benchmark("gcd", n_passes=0, use_iverilog="off")
+
+    def test_verify_architecture_empty_stimulus_raises(self):
+        cdfg, arch, _nl = _bench_design("gcd")
+        with pytest.raises(ConformanceError, match="no stimulus"):
+            verify_architecture(cdfg, arch, [], use_iverilog="off")
 
 
 class TestEngineVerify:
@@ -232,26 +245,50 @@ class TestDivergenceDetection:
 
 
 class TestCommandLine:
+    """``repro verify``, the one conformance CLI."""
+
     def test_single_benchmark_json(self, tmp_path, capsys):
-        out = tmp_path / "conformance.json"
-        code = conformance_main(["--benchmark", "gcd", "--passes", "10",
-                                 "--seed", str(SEED), "--iverilog", "off",
-                                 "--json", str(out)])
+        code = cli_main(["verify", "--benchmark", "gcd", "--passes", "10",
+                         "--stimulus-seed", str(SEED), "--iverilog", "off",
+                         "--results-dir", str(tmp_path)])
         assert code == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
+        payload = json.loads((tmp_path / "verify_cli.json").read_text(
+            encoding="utf-8"))
         assert payload["ok"] is True
-        assert payload["benchmarks"][0]["name"] == "gcd"
-        assert payload["benchmarks"][0]["n_passes"] == 10
-        model_s = payload["benchmarks"][0]["model_s"]
+        assert payload["rows"][0]["name"] == "gcd"
+        assert payload["rows"][0]["n_passes"] == 10
+        model_s = payload["rows"][0]["model_s"]
         assert set(model_s) == {"interpreter", "replay", "gatesim", "netsim"}
         assert all(seconds >= 0 for seconds in model_s.values())
-        row = capsys.readouterr().out
-        assert "gcd" in row and "netsim " in row
+        assert "gcd" in capsys.readouterr().out
 
-    def test_all_flag_covers_registry(self, tmp_path):
-        out = tmp_path / "conformance.json"
-        code = conformance_main(["--all", "--passes", "2", "--iverilog", "off",
-                                 "--json", str(out)])
+    def test_all_flag_covers_registry(self, tmp_path, capsys):
+        code = cli_main(["verify", "--all", "--passes", "2", "--iverilog",
+                         "off", "--results-dir", str(tmp_path)])
         assert code == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert {b["name"] for b in payload["benchmarks"]} == set(BENCHMARKS)
+        payload = json.loads((tmp_path / "verify_cli.json").read_text(
+            encoding="utf-8"))
+        assert {row["name"] for row in payload["rows"]} == set(BENCHMARKS)
+
+    def test_divergences_print_under_their_row_and_fail(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        import repro.verify.conformance as conf
+
+        real = conf.verify_benchmark
+
+        def diverging(name, **kwargs):
+            report = real(name, **kwargs)
+            report.divergences.append(conf.Divergence(
+                3, "cycles", "netsim", "9 cycles, replay says 8"))
+            return report
+
+        monkeypatch.setattr(conf, "verify_benchmark", diverging)
+        code = cli_main(["verify", "-b", "gcd", "--passes", "4",
+                         "--iverilog", "off", "--results-dir", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "gcd:\n    pass 3: netsim cycles divergence" in out
+        payload = json.loads((tmp_path / "verify_cli.json").read_text(
+            encoding="utf-8"))
+        assert payload["ok"] is False

@@ -18,12 +18,6 @@ def gcd_engine():
                            options=ScheduleOptions(clock_ns=bench.clock_ns))
 
 
-def _fingerprint(result):
-    ev = result.design.evaluate()
-    return (ev.enc, ev.legal, ev.area, ev.vdd, ev.power_5v, ev.power_scaled,
-            result.history.evaluations)
-
-
 class TestSharedState:
     def test_store_and_initial_simulated_once(self, gcd_engine):
         first = gcd_engine.run(mode="area", laxity=2.0, search=FAST)
@@ -61,18 +55,6 @@ class TestMultiStart:
                                                result.enc_budget, FAST)
             expected += history.evaluations
         assert result.history.evaluations == expected
-
-
-class TestRunMany:
-    def test_run_many_matches_individual_runs(self, gcd_engine):
-        specs = [
-            {"mode": "area", "laxity": 1.5, "search": FAST},
-            {"mode": "power", "laxity": 2.0, "search": FAST},
-        ]
-        batch = gcd_engine.run_many(specs)
-        singles = [gcd_engine.run(**spec) for spec in specs]
-        for got, want in zip(batch, singles):
-            assert _fingerprint(got) == _fingerprint(want)
 
 
 class TestLazyDesignPoint:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.benchmarks import get_benchmark
+from repro.core.cache import SynthesisCache
 from repro.core.engine import SynthesisEngine
 from repro.core.search import SearchConfig
 from repro.genprog import (
@@ -101,14 +102,13 @@ class TestPipelineBins:
         assert coverage_digest(reordered) == coverage_digest(gcd_result)
 
 
-def _pipeline_coverage(seed: int, *, caching: bool, store_dir=None):
+def _pipeline_coverage(seed: int, *, cache):
     """One generated program through the chain; its coverage bins."""
     program = generate_program(GenConfig(seed=seed))
     cdfg = parse(program.source)
     engine = SynthesisEngine(
         cdfg, program.stimulus(6, seed=0),
-        options=ScheduleOptions(clock_ns=10.0),
-        cache=attached_cache(caching=caching, store_dir=store_dir))
+        options=ScheduleOptions(clock_ns=10.0), cache=cache)
     result = engine.run(mode="power", laxity=1.5, search=TINY)
     return extract_coverage(cdfg=result.design.cdfg, history=result.history,
                             stg=result.design.stg, replay=result.design.rep)
@@ -121,13 +121,14 @@ class TestCoverageInvariance:
               suppress_health_check=list(HealthCheck))
     @given(seed=st.integers(0, 10**6))
     def test_cache_and_store_modes_agree(self, tmp_path, seed):
-        base = _pipeline_coverage(seed, caching=True)
+        base = _pipeline_coverage(seed, cache=SynthesisCache())
         assert base, "pipeline produced an empty bin set"
-        assert _pipeline_coverage(seed, caching=False) == base
+        assert _pipeline_coverage(
+            seed, cache=SynthesisCache(enabled=False)) == base
 
         store = tmp_path / f"store{seed}"
-        cold = _pipeline_coverage(seed, caching=True, store_dir=store)
-        warm = _pipeline_coverage(seed, caching=True, store_dir=store)
+        cold = _pipeline_coverage(seed, cache=attached_cache(store_dir=store))
+        warm = _pipeline_coverage(seed, cache=attached_cache(store_dir=store))
         assert cold == base, "cold store run changed the bins"
         assert warm == base, "warm store run changed the bins"
         assert coverage_digest(warm) == coverage_digest(base)

@@ -20,12 +20,12 @@ GRID = dict(laxities=(1.0, 2.0), objectives=("area", "power"))
 
 @pytest.fixture(scope="module")
 def loops_result():
-    return explore("loops", shards=1, n_passes=6, search=TINY, **GRID)
+    return explore("loops", steal=1, n_passes=6, search=TINY, **GRID)
 
 
 @pytest.fixture(scope="module")
-def loops_sharded():
-    return explore("loops", shards=3, n_passes=6, search=TINY, **GRID)
+def loops_stolen():
+    return explore("loops", steal=3, n_passes=6, search=TINY, **GRID)
 
 
 class TestJobGrid:
@@ -77,14 +77,14 @@ class TestExplore:
         assert summary["frontier_size"] == len(loops_result.front)
         assert summary["hypervolume"] > 0.0
 
-    def test_sharded_run_is_bit_identical(self, loops_result, loops_sharded):
-        assert loops_sharded.steal_workers > 1
-        assert loops_sharded.rows() == loops_result.rows()
-        assert loops_sharded.jobs == loops_result.jobs
+    def test_sharded_run_is_bit_identical(self, loops_result, loops_stolen):
+        assert loops_stolen.steal_workers > 1
+        assert loops_stolen.rows() == loops_result.rows()
+        assert loops_stolen.jobs == loops_result.jobs
 
-    def test_shards_capped_by_job_count(self):
+    def test_steal_capped_by_job_count(self):
         result = explore("loops", laxities=(1.0,), objectives=("area",),
-                         shards=16, n_passes=6, search=TINY)
+                         steal=16, n_passes=6, search=TINY)
         assert result.steal_workers == 0  # capped to 1: in-process
 
 
@@ -100,10 +100,10 @@ class TestVerifyFrontier:
         assert len(reports) == len(loops_result.front)
         assert all(r.ok for r in reports)
 
-    def test_sharded_result_verifies_by_replay(self, loops_sharded):
-        assert loops_sharded._engine is None
-        reports = verify_frontier(loops_sharded)
-        assert len(reports) == len(loops_sharded.front)
+    def test_sharded_result_verifies_by_replay(self, loops_stolen):
+        assert loops_stolen._engine is None
+        reports = verify_frontier(loops_stolen)
+        assert len(reports) == len(loops_stolen.front)
         assert all(r.ok for r in reports)
 
     def test_tampered_grid_is_detected(self, loops_result):

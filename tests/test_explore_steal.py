@@ -1,4 +1,4 @@
-"""Work-stealing explore: bit-identity, fault transparency, replay, warm start.
+"""Work-stealing explore: bit-identity, fault transparency, warm start.
 
 The pool's contract is that scheduling is invisible: any worker count,
 any steal order, any mid-job worker kill and any checkpoint temperature
@@ -37,7 +37,7 @@ def comparable(result) -> dict:
 
 @pytest.fixture(scope="module")
 def base0():
-    return run(shards=1, seeds=(0,))
+    return run(steal=1, seeds=(0,))
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestStealDeterminism:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_more_seeds_match_too(self, seed):
         assert comparable(run(steal=4, seeds=(seed,))) == comparable(
-            run(shards=1, seeds=(seed,)))
+            run(steal=1, seeds=(seed,)))
 
     def test_hv_trace_rides_the_merge_order(self, base0, stolen0):
         assert len(base0.hv_trace) == base0.summary()["jobs"]
@@ -62,7 +62,7 @@ class TestStealDeterminism:
 
     def test_fixed_reference_trace_is_nondecreasing(self):
         reference = (5000.0, 10.0, 500.0)
-        result = run(shards=1, seeds=(0,), hv_reference=reference)
+        result = run(steal=1, seeds=(0,), hv_reference=reference)
         trace = result.hv_trace
         assert trace == sorted(trace)
         assert trace[-1] == pytest.approx(
@@ -81,31 +81,6 @@ class TestFaultTransparency:
         assert result.steal_workers >= 5
         claims_of_2 = [w for index, w in result.steal_log if index == 2]
         assert len(claims_of_2) >= 2
-
-
-class TestStealPlanReplay:
-    def test_replay_pins_assignment_and_worker_order(self, stolen0):
-        # A clean run's log has exactly one completed claim per job.
-        plan = list(dict(stolen0.steal_log).items())
-        replay = run(steal_plan=plan, seeds=(0,))
-        assert comparable(replay) == comparable(stolen0)
-        # Same job -> worker assignment...
-        assert dict(replay.steal_log) == dict(plan)
-
-        # ...and each worker claims its jobs in the recorded order.  The
-        # *interleaving* across workers is arrival timing and is not
-        # replayed.
-        def per_worker(log):
-            grouped: dict[int, list[int]] = {}
-            for index, worker in log:
-                grouped.setdefault(worker, []).append(index)
-            return grouped
-
-        assert per_worker(replay.steal_log) == per_worker(plan)
-
-    def test_partial_plan_is_rejected(self):
-        with pytest.raises(ValueError, match="does not cover"):
-            run(steal_plan=[(0, 0)], seeds=(0,))
 
 
 class TestCheckpointWarmStart:

@@ -18,7 +18,7 @@ from repro.genprog import (
     triage_digest,
 )
 from repro.genprog import fuzz as fuzz_mod
-from repro.genprog.fleet import TRIAGE_NAME, Corpus
+from repro.genprog.fleet import TRIAGE_NAME, Corpus, corpus_file
 from repro.genprog.fuzz import ProgramVerdict
 from repro.lang.frontend import parse_process
 
@@ -122,8 +122,31 @@ class TestFleetRun:
         kept = [v for v in report.verdicts if v.kept]
         assert kept, "no program discovered a new bin"
         names = {p.name for p in (tmp_path / "fuzz_corpus").glob("*.src")}
-        assert names == {f"{v.name}.src" for v in kept}
+        assert names == {v.corpus for v in kept}
+        assert all(not v.corpus for v in report.verdicts if not v.kept)
         assert report.corpus_size == len(kept)
+
+    def test_runs_sharing_a_dir_keep_each_others_corpus(self, tmp_path):
+        reports = [fuzz_run(3, seed, guided=True, gen=self.GEN, n_passes=4,
+                            search=TINY, results_dir=tmp_path)
+                   for seed in (0, 1)]
+        listed = {v.corpus for r in reports for v in r.verdicts if v.kept}
+        # Both seeds name programs fuzz0..fuzz2, yet no file is shared...
+        assert len(listed) == sum(r.corpus_size for r in reports)
+        # ...and each still holds the source its name is the digest of.
+        for name in listed:
+            source = (tmp_path / "fuzz_corpus" / name).read_text(
+                encoding="utf-8")
+            assert corpus_file(source) == name
+
+    def test_mutant_origin_names_a_written_parent(self, tmp_path):
+        report = fuzz_run(10, 0, guided=True, gen=self.GEN, n_passes=4,
+                          search=TINY, results_dir=tmp_path)
+        mutants = [v for v in report.verdicts if v.origin != "fresh"]
+        assert mutants, "the run bred no mutant"
+        for verdict in mutants:
+            parent = verdict.origin.split(":")[2]
+            assert (tmp_path / "fuzz_corpus" / parent).is_file()
 
     def test_summary_shape(self, tmp_path):
         report = fuzz_run(2, 0, guided=True, gen=self.GEN, n_passes=4,

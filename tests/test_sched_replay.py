@@ -75,7 +75,7 @@ class TestReplayErrors:
         stg = wavesched(simple_cdfg, binding)
         stg.states[stg.start].ops.clear()
         with pytest.raises(ScheduleError):
-            replay(stg, simple_cdfg, store, check=True)
+            replay(stg, simple_cdfg, store)
 
 
 class TestStateSequences:

@@ -75,6 +75,9 @@ def test_validate_job_rejects_malformed_payloads():
     for kind in JOB_KINDS:
         ok = {"kind": kind, "benchmark": "gcd"}
         assert validate_job(ok) is None
+        # Zero passes would verify nothing and report success.
+        for passes in (0, -3, "10"):
+            assert "passes" in validate_job({**ok, "passes": passes})
 
 
 def test_execute_noop_job_inline():

@@ -6,8 +6,8 @@ Three properties carry the whole feature:
   disk is indistinguishable from the freshly computed one, checked with
   the same full-strength digests ``test_incremental_equivalence.py``
   uses for the incremental layer;
-* **crash safety** — a writer killed mid-publish (injected via the
-  store's test hook) never leaves a partial artifact visible, and a
+* **crash safety** — a writer SIGKILLed mid-publish, between the temp
+  write and the rename, never leaves a partial artifact visible, and a
   reopened store recomputes cold to the identical result;
 * **bounded growth** — the size-bounded GC and the FIFO-bounded memo
   tables keep both the disk and worker memory from growing without
@@ -34,6 +34,7 @@ from repro.store import (
     PersistentCache,
     attached_cache,
     open_store,
+    set_io_fault_hook,
     write_json,
 )
 from repro.store.codec import (
@@ -164,18 +165,21 @@ def test_gc_size_bound_evicts_oldest_first(tmp_path):
 
 
 def test_kill_mid_publish_never_leaves_partial_artifact(tmp_path):
-    class Killed(RuntimeError):
-        pass
+    import signal
 
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("y",))
 
-    def hook(tmp, final):  # the writer dies between temp write and rename
-        raise Killed()
-
-    store._publish_hook = hook
-    with pytest.raises(Killed):
-        store.put("schedule", digest, {"v": 4})
+    pid = os.fork()
+    if pid == 0:  # the writer: SIGKILLed between temp write and rename
+        try:
+            os.replace = lambda src, dst: os.kill(os.getpid(),
+                                                  signal.SIGKILL)
+            store.put("schedule", digest, {"v": 4})
+        finally:
+            os._exit(1)  # only reached if the kill did not happen
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     assert list((tmp_path / "store").rglob("*.pkl")) == []
     orphans = list((tmp_path / "store").rglob("*.tmp"))
     assert orphans, "the killed writer's temp file should still be on disk"
@@ -229,12 +233,16 @@ def test_crashing_store_degrades_to_cold_compute(tmp_path):
     """Publish failures are swallowed: the run completes, store stays empty."""
     store = open_store(tmp_path / "store")
 
-    def hook(tmp, final):
-        raise OSError("disk full")
+    def hook(op, kind, digest):
+        if op == "write":
+            raise OSError("disk full")
 
-    store._publish_hook = hook
-    engine = _engine(cache=PersistentCache(store))
-    degraded = engine.run(mode="area", laxity=1.5, search=SEARCH)
+    set_io_fault_hook(hook)
+    try:
+        engine = _engine(cache=PersistentCache(store))
+        degraded = engine.run(mode="area", laxity=1.5, search=SEARCH)
+    finally:
+        set_io_fault_hook(None)
     plain = _engine(cache=SynthesisCache())
     baseline = plain.run(mode="area", laxity=1.5, search=SEARCH)
     assert bundle(degraded.design) == bundle(baseline.design)

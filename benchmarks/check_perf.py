@@ -10,7 +10,7 @@ regression).  A single-record comparison flakes on noisy runners; the
 median absorbs one outlier calibration run.  When the baseline file has
 no records matching the current mode, the gate fails with a clear
 message naming the mode — run the bench once in that mode to seed the
-trajectory (the CI job's calibration run does exactly this).
+trajectory (the CI job seeds it with three runs of the parent commit).
 
 Wall time is machine-dependent; the default ratio leaves headroom for
 runner jitter while still catching the order-of-magnitude mistakes

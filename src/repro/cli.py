@@ -30,6 +30,7 @@ import pathlib
 import sys
 
 from repro.benchmarks.registry import BENCHMARKS, get_benchmark
+from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.errors import ReproError
 from repro.experiments.report import format_table, write_report
@@ -77,6 +78,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
     return value
 
 
@@ -129,14 +140,17 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
                              "purely in-process cache)")
 
 
-def _print_store_stats(cache) -> None:
-    """One line of cross-run store traffic, when a store is attached."""
+def _print_store_stats(cache, window) -> None:
+    """One line of the command's store traffic, when a store is attached.
+
+    ``window`` is the ``PROFILER.snapshot()`` taken when the command began.
+    """
     store = getattr(cache, "store", None)
     if store is None:
         return
-    totals = store.stats()["total"]
-    print(f"store: {totals['hits']} disk hits, {totals['misses']} misses "
-          f"at {store.root}")
+    stage = PROFILER.window(window).get("store", {})
+    print(f"store: {stage.get('incremental', 0)} disk hits in "
+          f"{stage.get('calls', 0)} reads and writes at {store.root}")
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
@@ -160,6 +174,7 @@ def cmd_synth(args) -> int:
 
     from repro.core.search import WeightedObjective
 
+    window = PROFILER.snapshot()
     engine = engine_for_benchmark(args.benchmark, n_passes=args.passes,
                                   seed=args.stimulus_seed,
                                   store_dir=args.store)
@@ -177,7 +192,7 @@ def cmd_synth(args) -> int:
         verified = report.ok
         print(f"conformance: {'OK' if report.ok else 'DIVERGED'} "
               f"({len(engine.stimulus)} passes)")
-    _print_store_stats(engine.cache)
+    _print_store_stats(engine.cache, window)
 
     written = write_report(
         [summary], args.results_dir / f"synth_{args.benchmark}",
@@ -283,7 +298,8 @@ def cmd_bench(args) -> int:
     print(format_sweep(sweep))
 
     # Per-stage incremental rates: how often each pipeline stage took its
-    # delta fast path instead of a full recomputation during this sweep.
+    # delta fast path instead of a full recomputation during this sweep
+    # (for a ``memo.<table>`` stage, how often a lookup hit).
     stage_rows = []
     for stage in sorted(sweep.profile):
         stats = sweep.profile[stage]
@@ -557,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool workers; 0 accepts jobs without "
                         "running them, for back-pressure testing "
                         "(default %(default)s)")
-    p.add_argument("--timeout", type=float, default=600.0,
+    p.add_argument("--timeout", type=_positive_float, default=600.0,
                    help="per-job timeout in seconds (default %(default)s)")
     p.add_argument("--retries", type=_positive_int, default=1,
                    help="retries after a timed-out or crashed job "

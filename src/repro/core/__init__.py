@@ -8,7 +8,7 @@ Huffman multiplexer-tree restructuring of Figure 12.
 """
 
 from repro.core.binding import Binding, FUInstance, RegInstance
-from repro.core.cache import CacheStats, MemoTable, SynthesisCache
+from repro.core.cache import MemoTable, SynthesisCache
 from repro.core.delta import DirtySet
 from repro.core.engine import SynthesisEngine, SynthesisResult
 from repro.core.profile import PROFILER, Profiler
@@ -17,7 +17,6 @@ __all__ = [
     "Binding",
     "FUInstance",
     "RegInstance",
-    "CacheStats",
     "DirtySet",
     "MemoTable",
     "PROFILER",

@@ -30,6 +30,11 @@ bit-identical to recomputing it.  A disabled cache recomputes every call
 but still counts it as a miss, which is what lets benches report "full
 computations avoided" by comparing hit/miss totals.
 
+Each lookup counts as one ``memo.<table>`` call of
+:data:`~repro.core.profile.PROFILER`, a hit marked incremental;
+:func:`cache_stats` turns a profiler window into per-table hit/miss
+counters.
+
 Tables are lock-guarded so threads sharing one cache stay safe; a racing
 miss at worst computes a value twice and publishes identical content.
 """
@@ -37,32 +42,33 @@ miss at worst computes a value twice and publishes identical content.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.profile import PROFILER
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one memo table (or an aggregate)."""
 
-    hits: int = 0
-    misses: int = 0
+def cache_stats(window: dict[str, dict]) -> dict[str, dict[str, float]]:
+    """Per-table and total hit/miss counters of a ``PROFILER.window``.
 
-    @property
-    def calls(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.calls if self.calls else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4)}
+    Returns ``{"schedule"|"replay"|"traces"|"design"|"total": {"hits",
+    "misses", "hit_rate"}}``; a table with no lookups in the window
+    reports zeros.
+    """
+    counts = {}
+    for table in ("schedule", "replay", "traces", "design"):
+        stage = window.get(f"memo.{table}", {})
+        hits = stage.get("incremental", 0)
+        counts[table] = (hits, stage.get("calls", 0) - hits)
+    counts["total"] = (sum(h for h, _ in counts.values()),
+                       sum(m for _, m in counts.values()))
+    return {name: {"hits": hits, "misses": misses,
+                   "hit_rate": (round(hits / (hits + misses), 4)
+                                if hits + misses else 0.0)}
+            for name, (hits, misses) in counts.items()}
 
 
 class MemoTable:
-    """One keyed memo table with hit/miss accounting.
+    """One keyed memo table whose lookups count as ``memo.<name>`` calls.
 
     ``enabled=False`` turns the table into a counter-only pass-through:
     every call recomputes and registers as a miss, so the *number of full
@@ -82,20 +88,20 @@ class MemoTable:
         self.name = name
         self.enabled = enabled
         self.max_entries = max_entries
+        self._stage = f"memo.{name}"
         self._table: dict[Any, Any] = {}
         self._lock = threading.Lock()
-        self.stats = CacheStats()
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         if not self.enabled:
-            with self._lock:
-                self.stats.misses += 1
+            PROFILER.record(self._stage)
             return compute()
         with self._lock:
-            if key in self._table:
-                self.stats.hits += 1
-                return self._table[key]
-            self.stats.misses += 1
+            hit = key in self._table
+            value = self._table.get(key)
+        PROFILER.record(self._stage, incremental=hit)
+        if hit:
+            return value
         value = compute()
         with self._lock:
             return self._publish_locked(key, value)
@@ -125,7 +131,7 @@ class MemoTable:
 
 
 class SynthesisCache:
-    """The four memo tables of the synthesis pipeline, plus counters.
+    """The four memo tables of the synthesis pipeline.
 
     One instance is owned by a :class:`~repro.core.engine.SynthesisEngine`
     (or created ad hoc by :func:`~repro.core.impact.synthesize`) and
@@ -144,45 +150,6 @@ class SynthesisCache:
     @property
     def tables(self) -> tuple[MemoTable, ...]:
         return (self.schedule, self.replay, self.traces, self.designs)
-
-    def total_hits(self) -> int:
-        return sum(t.stats.hits for t in self.tables)
-
-    def total_misses(self) -> int:
-        return sum(t.stats.misses for t in self.tables)
-
-    def snapshot(self) -> dict[str, tuple[int, int]]:
-        """(hits, misses) per table — cheap, for windowed deltas."""
-        return {t.name: (t.stats.hits, t.stats.misses) for t in self.tables}
-
-    def delta(self, since: dict[str, tuple[int, int]]) -> "CacheStats":
-        """Aggregate hits/misses accumulated after a :meth:`snapshot`."""
-        agg = CacheStats()
-        for table in self.tables:
-            hits0, misses0 = since.get(table.name, (0, 0))
-            agg.hits += table.stats.hits - hits0
-            agg.misses += table.stats.misses - misses0
-        return agg
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        out = {t.name: t.stats.as_dict() for t in self.tables}
-        total = CacheStats(self.total_hits(), self.total_misses())
-        out["total"] = total.as_dict()
-        return out
-
-    def window_stats(self, since: dict[str, tuple[int, int]]) -> dict[str, dict[str, float]]:
-        """Like :meth:`stats`, restricted to the window after ``since``."""
-        out: dict[str, dict[str, float]] = {}
-        total = CacheStats()
-        for table in self.tables:
-            hits0, misses0 = since.get(table.name, (0, 0))
-            window = CacheStats(table.stats.hits - hits0,
-                                table.stats.misses - misses0)
-            out[table.name] = window.as_dict()
-            total.hits += window.hits
-            total.misses += window.misses
-        out["total"] = total.as_dict()
-        return out
 
     def clear(self) -> None:
         for table in self.tables:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConstraintError
 from repro.cdfg.graph import CDFG
 from repro.cdfg.interpreter import simulate
-from repro.core.cache import SynthesisCache
+from repro.core.cache import SynthesisCache, cache_stats
 from repro.core.design import DesignPoint
 from repro.core.profile import PROFILER
 from repro.core.search import (
@@ -49,12 +49,12 @@ class SynthesisResult:
     enc_budget: float
     history: SearchHistory
     store: TraceStore
-    #: Run-window pipeline-cache counters: {"schedule"|"replay"|"traces"|
-    #: "total": {"hits", "misses", "hit_rate"}}.  Empty when no cache.
+    #: Memo-table counters over the run window: {"schedule"|"replay"|
+    #: "traces"|"design"|"total": {"hits", "misses", "hit_rate"}} (see
+    #: :func:`repro.core.cache.cache_stats`).  Like every ``PROFILER``
+    #: window they cover all memo lookups made in the process during the
+    #: run, not only this engine's cache.
     cache_stats: dict = field(default_factory=dict)
-    #: Run-window per-stage timing: {stage: {"calls", "seconds",
-    #: "incremental", "full"}} from :data:`repro.core.profile.PROFILER`.
-    profile: dict = field(default_factory=dict)
 
     @property
     def enc(self) -> float:
@@ -210,8 +210,7 @@ class SynthesisEngine:
         initial = self.initial
         enc_min = initial.enc
         enc_budget = laxity * enc_min
-        window = self.cache.snapshot()
-        profile_window = PROFILER.snapshot()
+        window = PROFILER.snapshot()
 
         def feasible(design: DesignPoint) -> bool:
             evaluation = design.evaluate()
@@ -248,13 +247,8 @@ class SynthesisEngine:
             enc_budget=enc_budget,
             history=best_history,
             store=self.store,
-            cache_stats=self.cache.window_stats(window),
-            profile=PROFILER.window(profile_window),
+            cache_stats=cache_stats(PROFILER.window(window)),
         )
-
-    def cache_stats(self) -> dict:
-        """Lifetime hit/miss counters of the engine's memo tables."""
-        return self.cache.stats()
 
     # -- differential verification ----------------------------------------------------
 
@@ -284,37 +278,7 @@ class SynthesisEngine:
             stimulus, store = self.stimulus, self.store
         else:
             store = None
-        report = verify_architecture(
+        return verify_architecture(
             self.cdfg, design.arch, stimulus, store=store,
             name=name or getattr(self.cdfg, "name", None) or "impact",
             use_iverilog=use_iverilog, minimize=minimize)
-        self._publish_verified(design, report, n_passes=len(stimulus))
-        return report
-
-    def _publish_verified(self, design: DesignPoint, report,
-                          *, n_passes: int) -> None:
-        """File the verdict and emitted netlist in the artifact store.
-
-        Only runs against a store-backed cache; publication is provenance
-        (signature-keyed verdicts and Verilog text a service client can
-        fetch), never a verification shortcut — conformance always
-        re-runs, so a stale artifact can never mask a divergence.
-        Best-effort: an unwritable store silently degrades.
-        """
-        design_key = getattr(self.cache, "design_key", None)
-        art_store = getattr(self.cache, "store", None)
-        if design_key is None or art_store is None:
-            return
-        try:
-            key = design_key(design)
-            if key is None:
-                return
-            art_store.put_json("conformance", key,
-                               {"passes": n_passes, **report.summary()})
-            from repro.hdl import emit_verilog, lower_architecture
-            art_store.put_json(
-                "netlist", key,
-                {"verilog": emit_verilog(lower_architecture(
-                    design.arch, name=report.name))})
-        except Exception:
-            pass

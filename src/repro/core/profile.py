@@ -4,11 +4,12 @@ The iterative-improvement search funnels every candidate evaluation
 through the same pipeline stages (schedule, replay, architecture build,
 trace merge, power estimate); knowing where the wall time goes — and how
 often the incremental evaluation layer short-circuits a stage — is what
-lets successive PRs attack the right bottleneck.  A :class:`Profiler` is
-a thread-safe bag of per-stage counters with windowed deltas, mirroring
-the :class:`~repro.core.cache.SynthesisCache` accounting style, so the
-engine can attach an exact per-run breakdown to each
-:class:`~repro.core.engine.SynthesisResult`.
+lets later changes attack the right bottleneck.  A :class:`Profiler` is
+a thread-safe bag of per-stage counters with windowed deltas.  It is the
+one counter mechanism of the package: the memo tables of
+:mod:`repro.core.cache` count their lookups into it as ``memo.<table>``
+stages (a hit is an incremental call), and the artifact store times its
+reads and writes under ``store`` (a disk hit is an incremental call).
 
 Timing uses ``time.perf_counter`` around stage bodies; the overhead is a
 dict update under a lock per stage call (microseconds against stage
@@ -91,9 +92,9 @@ class Profiler:
         """Count one stage event without timing a block.
 
         The counter-only entry point for stages whose cost is not the
-        interesting part — coverage extraction in fuzz runs,
-        explore checkpoint hits — where callers want the event visible
-        in :meth:`stats` next to the timed stages.
+        interesting part — memo-table lookups, coverage extraction in
+        fuzz runs — where callers want the event visible in a
+        :meth:`window` next to the timed stages.
         """
         with self._lock:
             stats = self._stages.get(name)
@@ -124,21 +125,6 @@ class Profiler:
                 if delta.calls:
                     out[name] = delta.as_dict()
         return out
-
-    def stats(self) -> dict[str, dict]:
-        """Lifetime per-stage stats."""
-        with self._lock:
-            return {name: s.as_dict() for name, s in self._stages.items()}
-
-    def incremental_hits(self) -> dict[str, int]:
-        """Incremental-path call counts per stage (lifetime)."""
-        with self._lock:
-            return {name: s.incremental for name, s in self._stages.items()
-                    if s.incremental}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stages.clear()
 
 
 #: The process-wide profiler every pipeline stage records into.

@@ -55,18 +55,9 @@ class SearchHistory:
     iterations: list[list[SearchStep]] = field(default_factory=list)
     committed: list[int] = field(default_factory=list)  # prefix length per iteration
     evaluations: int = 0
-    #: Pipeline-cache hits/misses accumulated while this search ran
-    #: (schedule + replay + trace-merge tables; zero without a cache).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def total_moves(self) -> int:
         return sum(self.committed)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        calls = self.cache_hits + self.cache_misses
-        return self.cache_hits / calls if calls else 0.0
 
 
 @dataclass(frozen=True)
@@ -184,8 +175,6 @@ def iterative_improvement(
     config = config or SearchConfig()
     rng = random.Random(config.seed)
     history = SearchHistory()
-    cache = initial.cache
-    cache_snapshot = cache.snapshot() if cache is not None else None
 
     current = initial
     current_eval = current.evaluate()
@@ -257,8 +246,4 @@ def iterative_improvement(
         else:
             break
 
-    if cache_snapshot is not None:
-        delta = cache.delta(cache_snapshot)
-        history.cache_hits = delta.hits
-        history.cache_misses = delta.misses
     return current, history

@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
+from repro.core.cache import cache_stats
 from repro.core.design import equal_throughput_vdd
 from repro.core.engine import SynthesisResult
+from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.explore import engine_for_benchmark
 from repro.gatesim import rescale_result, simulate_architecture
@@ -82,13 +84,14 @@ class LaxitySweep:
 
     benchmark: str
     points: list[LaxityPoint] = field(default_factory=list)
-    #: Lifetime pipeline-cache counters of the engine that ran the sweep
-    #: (see :meth:`repro.core.cache.SynthesisCache.stats`).
+    #: Memo-table counters over the sweep, which builds its own engine
+    #: (see :func:`repro.core.cache.cache_stats`).  Like :attr:`profile`
+    #: they cover all memo lookups made in the process during the sweep.
     cache_stats: dict = field(default_factory=dict)
     #: Total candidate evaluations across every synthesis run of the sweep.
     evaluations: int = 0
-    #: Per-stage timing/incremental counters accumulated over the sweep
-    #: (see :class:`repro.core.profile.Profiler`).
+    #: The ``PROFILER.window`` over the sweep: per-stage timing and
+    #: incremental counters, memo-table lookups included.
     profile: dict = field(default_factory=dict)
 
     def max_power_reduction_vs_base(self) -> float:
@@ -127,22 +130,14 @@ def run_laxity_sweep(
     schedules and replay results from disk.
     """
     search = search or SearchConfig(max_depth=5, max_candidates=12, max_iterations=6)
+    window = PROFILER.snapshot()
     engine = engine_for_benchmark(benchmark, n_passes=n_passes, seed=seed,
                                   store_dir=store_dir)
     stimulus = engine.stimulus
 
-    from repro.core.profile import PROFILER
-
     sweep = LaxitySweep(benchmark=benchmark)
-    profile_window = PROFILER.snapshot()
     prev_area = None
     prev_power = None
-    # One 5 V gatesim measurement per distinct architecture for the whole
-    # sweep: warm starts make consecutive laxity points converge on the
-    # same designs, and every other supply point is an exact Vdd^2
-    # rescaling of the 5 V run (see :func:`rescale_result`).  Entries pin
-    # the architecture object so an ``id()`` is never reused while cached.
-    sim_cache: dict[int, tuple[object, object]] = {}
     for laxity in laxities:
         # Warm-starting from the previous laxity point keeps the curves
         # monotone (any design feasible at L is feasible at L' > L); the
@@ -162,27 +157,15 @@ def run_laxity_sweep(
         sweep.evaluations += (area_res.history.evaluations
                               + power_res.history.evaluations)
         sweep.points.append(_measure_point(laxity, area_res, power_res,
-                                           stimulus, sim_cache))
-    sweep.cache_stats = engine.cache.stats()
-    sweep.profile = PROFILER.window(profile_window)
+                                           stimulus))
+    sweep.profile = PROFILER.window(window)
+    sweep.cache_stats = cache_stats(sweep.profile)
     return sweep
-
-
-def _sim_5v(arch, stimulus, expected, sim_cache: dict):
-    """The 5 V measurement of one architecture, memoized per sweep."""
-    entry = sim_cache.get(id(arch))
-    if entry is None or entry[0] is not arch:
-        entry = (arch, simulate_architecture(arch, stimulus,
-                                             expected_outputs=expected,
-                                             vdd=5.0))
-        sim_cache[id(arch)] = entry
-    return entry[1]
 
 
 def _measure_point(laxity: float, area_res: SynthesisResult,
                    power_res: SynthesisResult,
-                   stimulus: list[dict[str, int]],
-                   sim_cache: dict) -> LaxityPoint:
+                   stimulus: list[dict[str, int]]) -> LaxityPoint:
     store = area_res.store
     a_eval = area_res.design.evaluate()
     i_eval = power_res.design.evaluate()
@@ -193,10 +176,14 @@ def _measure_point(laxity: float, area_res: SynthesisResult,
     a_vdd = equal_throughput_vdd(a_eval, budget)
     i_vdd = equal_throughput_vdd(i_eval, budget)
 
-    base = _sim_5v(area_res.design.arch, stimulus, store.outputs, sim_cache)
+    # Every supply point is an exact Vdd^2 rescaling of the 5 V run (see
+    # :func:`rescale_result`), so each design is simulated once, at 5 V.
+    base = simulate_architecture(area_res.design.arch, stimulus,
+                                 expected_outputs=store.outputs, vdd=5.0)
     a_meas = rescale_result(base, a_vdd)
     i_meas = rescale_result(
-        _sim_5v(power_res.design.arch, stimulus, store.outputs, sim_cache),
+        simulate_architecture(power_res.design.arch, stimulus,
+                              expected_outputs=store.outputs, vdd=5.0),
         i_vdd)
 
     # Equal-throughput comparison: every design gets `budget` cycles of

@@ -6,10 +6,9 @@ Layout (all under one root directory, shareable by concurrent processes)::
       STORE_VERSION           # schema stamp, json: {"schema": 1}
       v1/<kind>/<dd>/<digest>.pkl
 
-``kind`` is the artifact family (``schedule``, ``replay``, ``netlist``,
-``conformance``); ``digest`` is the sha256 key from
-:mod:`repro.store.codec`; ``dd`` its first two hex chars (fan-out).  Every
-blob is a pickled envelope ``{"schema", "kind", "key", "payload"}`` —
+``kind`` is the artifact family (``schedule``, ``replay``, ``explore``);
+``digest`` is the sha256 key from :mod:`repro.store.codec`; ``dd`` its
+first two hex chars (fan-out).  Every blob is a pickled envelope ``{"schema", "kind", "key", "payload"}`` —
 loading verifies all three stamps, so a schema bump, a hash collision
 across kinds, or a torn/corrupt file all read as a clean miss (corrupt
 files are additionally unlinked).  Publication is atomic
@@ -35,7 +34,6 @@ import os
 import pathlib
 import threading
 
-from repro.core.cache import CacheStats
 from repro.core.profile import PROFILER
 from repro.store.atomic import atomic_write_bytes, sweep_orphans, write_json
 from repro.store.codec import dumps_payload, loads_payload
@@ -77,7 +75,6 @@ class ArtifactStore:
         self.max_bytes = max_bytes
         self.version_dir = self.root / f"v{SCHEMA_VERSION}"
         self._lock = threading.Lock()
-        self._stats: dict[str, CacheStats] = {}
         self._puts_since_gc = 0
         self.version_dir.mkdir(parents=True, exist_ok=True)
         stamp = self.root / "STORE_VERSION"
@@ -88,14 +85,6 @@ class ArtifactStore:
 
     def _path(self, kind: str, digest: str) -> pathlib.Path:
         return self.version_dir / kind / digest[:2] / f"{digest}.pkl"
-
-    def _count(self, kind: str, hit: bool) -> None:
-        with self._lock:
-            stats = self._stats.setdefault(kind, CacheStats())
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
 
     def get(self, kind: str, digest: str):
         """The stored payload for ``(kind, digest)``, or ``None`` on a miss.
@@ -111,7 +100,6 @@ class ArtifactStore:
             try:
                 blob = path.read_bytes()
             except OSError:
-                self._count(kind, hit=False)
                 return None
             try:
                 envelope = loads_payload(blob)
@@ -124,10 +112,8 @@ class ArtifactStore:
                     path.unlink()
                 except OSError:
                     pass
-                self._count(kind, hit=False)
                 return None
             token.incremental = True
-            self._count(kind, hit=True)
             return envelope["payload"]
 
     def put(self, kind: str, digest: str, payload) -> None:
@@ -142,7 +128,7 @@ class ArtifactStore:
         self._maybe_gc()
 
     def put_json(self, kind: str, digest: str, payload) -> None:
-        """Publish a JSON-serializable artifact (netlists, verdicts).
+        """Publish a JSON-serializable artifact (explore checkpoints).
 
         Stored through the same pickled envelope as every other kind; the
         JSON constraint is the caller's contract that the payload is
@@ -150,22 +136,6 @@ class ArtifactStore:
         """
         json.dumps(payload)  # raises early on non-serializable payloads
         self.put(kind, digest, payload)
-
-    # -- accounting ------------------------------------------------------------
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        """Per-kind and total hit/miss counters of this handle."""
-        with self._lock:
-            out = {kind: stats.as_dict()
-                   for kind, stats in sorted(self._stats.items())}
-            total = CacheStats(sum(s.hits for s in self._stats.values()),
-                               sum(s.misses for s in self._stats.values()))
-        out["total"] = total.as_dict()
-        return out
-
-    def total_hits(self) -> int:
-        with self._lock:
-            return sum(s.hits for s in self._stats.values())
 
     # -- garbage collection ----------------------------------------------------
 

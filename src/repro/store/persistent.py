@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.cache import MemoTable, SynthesisCache
+from repro.core.profile import PROFILER
 from repro.store.artifacts import ArtifactStore
 from repro.store.codec import (
     cdfg_digest,
@@ -50,9 +51,11 @@ class PersistentMemoTable(MemoTable):
 
     def get_or_compute(self, key, compute):
         with self._lock:
-            if key in self._table:
-                self.stats.hits += 1
-                return self._table[key]
+            hit = key in self._table
+            value = self._table.get(key)
+        if hit:
+            PROFILER.record(self._stage, incremental=True)
+            return value
         digest = self._durable_key(key)
         if digest is not None:
             payload = self.store.get(self.name, digest)
@@ -62,15 +65,13 @@ class PersistentMemoTable(MemoTable):
                 except Exception:
                     value = None  # stale codec / foreign payload: cold miss
                 if value is not None:
+                    # A cross-run hit: no compute ran, so it counts as a
+                    # table hit; the disk read itself is the store's
+                    # ("store" profiler stage).
+                    PROFILER.record(self._stage, incremental=True)
                     with self._lock:
-                        # A cross-run hit: no compute ran, so it counts as
-                        # a table hit; the disk read itself is accounted
-                        # on the store ("store" profiler stage + per-kind
-                        # store stats).
-                        self.stats.hits += 1
                         return self._publish_locked(key, value)
-        with self._lock:
-            self.stats.misses += 1
+        PROFILER.record(self._stage)
         value = compute()
         if digest is not None:
             try:
@@ -135,20 +136,3 @@ class PersistentCache(SynthesisCache):
         if traces is None or graph is None:
             return None
         return digest_key(("replay", traces, graph, replay_sig))
-
-    # -- explicit artifact publication -----------------------------------------
-
-    def design_key(self, design, *, extra=()) -> str | None:
-        """Durable content key of a concrete design point, or ``None``.
-
-        Used by the engine to file netlists and conformance verdicts
-        under the same signature vocabulary as the pipeline tables.
-        """
-        graph = self._digest_of(id(design.cdfg))
-        traces = self._digest_of(id(design.store))
-        if graph is None or traces is None:
-            return None
-        return digest_key((
-            "design", graph, traces, design.options,
-            design.binding.signature(), design.stg.signature(),
-            design.tree_policy, tuple(extra)))

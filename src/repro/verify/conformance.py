@@ -396,9 +396,8 @@ def verify_benchmark(name: str, n_passes: int = 100, seed: int = 0, *,
 
     ``store_dir`` attaches the persistent artifact store (``None``
     consults ``$REPRO_STORE_DIR``): schedules and replay results are
-    reused across runs, and the verdict plus the emitted netlist are
-    filed under the design's content key.  The conformance chain itself
-    always re-executes — a stored verdict is provenance, not a shortcut.
+    reused across runs.  The conformance chain itself always
+    re-executes.
     """
     from repro.explore.driver import engine_for_benchmark
 

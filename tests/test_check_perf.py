@@ -104,3 +104,19 @@ def test_gate_fails_clearly_with_no_matching_mode(tmp_path, capsys):
     records = [_record("2026-01-01T00:00:00+00:00", smoke=False)]
     assert _run_gate(tmp_path, records, _record(None)) == 1
     assert "no records matching" in capsys.readouterr().out
+
+
+def test_one_noisy_record_does_not_loosen_the_median(tmp_path):
+    # Median of [10, 30, 10] is 10: 12 s passes at 1.25 and fails at 1.1.
+    records = [_record(f"2026-01-0{i}T00:00:00+00:00", wall=wall)
+               for i, wall in enumerate((10.0, 30.0, 10.0), start=1)]
+    assert _run_gate(tmp_path, records, _record(None, wall=12.0)) == 0
+    assert _run_gate(tmp_path, records, _record(None, wall=12.0),
+                     max_ratio="1.1") == 1
+
+
+def test_missing_baseline_file_passes_as_a_seed_run(tmp_path):
+    current = tmp_path / "headline.json"
+    current.write_text(json.dumps(_record(None, wall=12.0)), encoding="utf-8")
+    assert check_perf.main(["--baseline", str(tmp_path / "missing.json"),
+                            "--current", str(current)]) == 0

@@ -122,6 +122,8 @@ class TestRejectedArguments:
         ["explore", "-b", "loops", "--laxities", ","],
         ["explore", "-b", "loops", "--laxities", "0.5"],
         ["bench", "-b", "gcd", "--laxities", ","],
+        ["serve", "--timeout", "0"],
+        ["serve", "--timeout", "-1"],
     ])
     def test_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

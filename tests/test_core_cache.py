@@ -4,8 +4,9 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.core.binding import Binding
-from repro.core.cache import MemoTable, SynthesisCache
+from repro.core.cache import MemoTable, SynthesisCache, cache_stats
 from repro.core.impact import synthesize
+from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.library import default_library
 from repro.sched.engine import ScheduleOptions
@@ -13,50 +14,58 @@ from repro.sched.engine import ScheduleOptions
 FAST = SearchConfig(max_depth=3, max_candidates=8, max_iterations=3, seed=0)
 
 
+def _hits_misses(table: MemoTable, window) -> tuple[int, int]:
+    """(hits, misses) of ``table`` in the profiler window after ``window``."""
+    stage = PROFILER.window(window).get(f"memo.{table.name}", {})
+    return stage.get("incremental", 0), stage.get("full", 0)
+
+
 class TestMemoTable:
     def test_miss_then_hit_shares_value(self):
         table = MemoTable("t")
+        window = PROFILER.snapshot()
         calls = []
         first = table.get_or_compute("k", lambda: calls.append(1) or [1, 2])
         second = table.get_or_compute("k", lambda: calls.append(1) or [1, 2])
         assert second is first
         assert calls == [1]
-        assert (table.stats.hits, table.stats.misses) == (1, 1)
+        assert _hits_misses(table, window) == (1, 1)
 
     def test_disabled_recomputes_but_counts_misses(self):
         table = MemoTable("t", enabled=False)
+        window = PROFILER.snapshot()
         first = table.get_or_compute("k", lambda: [1])
         second = table.get_or_compute("k", lambda: [1])
         assert second is not first
-        assert (table.stats.hits, table.stats.misses) == (0, 2)
+        assert _hits_misses(table, window) == (0, 2)
         assert len(table) == 0
 
     def test_distinct_keys_distinct_values(self):
         table = MemoTable("t")
+        window = PROFILER.snapshot()
         assert table.get_or_compute("a", lambda: 1) == 1
         assert table.get_or_compute("b", lambda: 2) == 2
-        assert table.stats.misses == 2
+        assert _hits_misses(table, window) == (0, 2)
 
 
 class TestSynthesisCacheStats:
     def test_window_delta(self):
         cache = SynthesisCache()
         cache.schedule.get_or_compute("x", lambda: 1)
-        window = cache.snapshot()
+        window = PROFILER.snapshot()
         cache.schedule.get_or_compute("x", lambda: 1)
         cache.replay.get_or_compute("y", lambda: 2)
-        delta = cache.delta(window)
-        assert (delta.hits, delta.misses) == (1, 1)
-        stats = cache.window_stats(window)
+        stats = cache_stats(PROFILER.window(window))
         assert stats["schedule"]["hits"] == 1
         assert stats["replay"]["misses"] == 1
-        assert stats["total"]["hits"] == 1
+        assert stats["total"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
 
     def test_lifetime_stats_shape(self):
-        cache = SynthesisCache()
-        stats = cache.stats()
+        # Every table reports, lookups or not.
+        stats = cache_stats({})
         assert set(stats) == {"schedule", "replay", "traces", "design",
                               "total"}
+        assert stats["design"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
 
 
 class TestSignatures:
@@ -127,7 +136,5 @@ def test_caching_is_bit_identical_on_registry_benchmarks(name):
     # Caching strictly reduces full computations.
     assert (cached.cache_stats["total"]["misses"]
             < uncached.cache_stats["total"]["misses"])
-    # The same counters surface on the search history and the summary.
-    assert cached.history.cache_hits > 0
-    assert uncached.history.cache_hits == 0
+    # The same counters surface on the summary.
     assert cached.summary()["cache_hits"] == cached.cache_stats["total"]["hits"]

@@ -1,9 +1,7 @@
-"""Unit tests for the per-stage profiler, dirty sets, and the perf gate."""
+"""Unit tests for the per-stage profiler and dirty sets."""
 
 from __future__ import annotations
 
-import importlib.util
-import pathlib
 import threading
 
 from repro.core.delta import DirtySet, port_key_dirty
@@ -18,7 +16,7 @@ class TestProfiler:
                 pass
         with profiler.stage("merge", incremental=True):
             pass
-        stats = profiler.stats()["merge"]
+        stats = profiler.window({})["merge"]
         assert stats["calls"] == 4
         assert stats["incremental"] == 1
         assert stats["full"] == 3
@@ -31,7 +29,7 @@ class TestProfiler:
                 raise ValueError
         except ValueError:
             pass
-        assert profiler.stats()["boom"]["calls"] == 1
+        assert profiler.window({})["boom"]["calls"] == 1
 
     def test_window_deltas(self):
         profiler = Profiler()
@@ -60,7 +58,10 @@ class TestProfiler:
             pass
         with profiler.stage("merge"):
             pass
-        assert profiler.incremental_hits() == {"arch": 1}
+        profiler.record("memo.t", incremental=True)
+        counts = {name: (stats["incremental"], stats["full"])
+                  for name, stats in profiler.window({}).items()}
+        assert counts == {"arch": (1, 1), "merge": (0, 1), "memo.t": (1, 0)}
 
     def test_thread_safety(self):
         profiler = Profiler()
@@ -75,7 +76,7 @@ class TestProfiler:
             t.start()
         for t in threads:
             t.join()
-        stats = profiler.stats()["hot"]
+        stats = profiler.window({})["hot"]
         assert stats["calls"] == 800
         assert stats["incremental"] == 800
 
@@ -102,77 +103,3 @@ class TestDirtySet:
         assert not port_key_dirty(("reg_in", 3), dirty)
         assert port_key_dirty(("tmp_in", 9), dirty)
         assert not port_key_dirty(("tmp_in", 10), dirty)
-
-
-def _load_check_perf():
-    path = (pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks" / "check_perf.py")
-    spec = importlib.util.spec_from_file_location("check_perf", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _rec(day: int, wall: float, benchmarks=("loops", "gcd"), smoke=False):
-    return {"benchmarks": list(benchmarks), "smoke": smoke,
-            "recorded_at": f"2026-01-{day:02d}T00:00:00+00:00",
-            "wall_time_s": wall}
-
-
-class TestPerfGate:
-    def test_baseline_selection_matches_mode_and_time(self):
-        check_perf = _load_check_perf()
-        records = [
-            _rec(1, 10.0, benchmarks=["gcd"]),        # different set
-            _rec(2, 99.0, smoke=True),                # different mode
-            _rec(3, 4.0), _rec(4, 5.0), _rec(5, 6.0), _rec(6, 7.0),
-        ]
-        current = _rec(7, 7.0)
-        baselines = check_perf.find_baselines(records, current)
-        # Window of the last 3 matching records, oldest first.
-        assert [r["wall_time_s"] for r in baselines] == [5.0, 6.0, 7.0]
-        # The current run itself (same timestamp) is never its baseline.
-        assert check_perf.find_baselines([current], current) == []
-        # Smoke runs only ever compare against smoke runs.
-        smoke_current = _rec(7, 1.0, smoke=True)
-        assert [r["wall_time_s"]
-                for r in check_perf.find_baselines(records, smoke_current)] == [99.0]
-
-    def test_gate_compares_against_median_of_last_three(self, tmp_path):
-        import json
-
-        check_perf = _load_check_perf()
-        # Median of [10, 30, 10] is 10 — the single noisy 30s record must
-        # not loosen the gate.
-        baseline = {"records": [_rec(1, 10.0), _rec(2, 30.0), _rec(3, 10.0)]}
-        (tmp_path / "BENCH_headline.json").write_text(json.dumps(baseline))
-        (tmp_path / "headline.json").write_text(json.dumps(_rec(4, 12.0)))
-        argv = ["--baseline", str(tmp_path / "BENCH_headline.json"),
-                "--current", str(tmp_path / "headline.json")]
-        assert check_perf.main(argv + ["--max-ratio", "1.25"]) == 0
-        assert check_perf.main(argv + ["--max-ratio", "1.1"]) == 1
-
-    def test_gate_fails_clearly_without_matching_records(self, tmp_path, capsys):
-        import json
-
-        check_perf = _load_check_perf()
-        # Records exist, but none match the current run's mode.
-        baseline = {"records": [_rec(1, 10.0, smoke=True)]}
-        (tmp_path / "BENCH_headline.json").write_text(json.dumps(baseline))
-        (tmp_path / "headline.json").write_text(json.dumps(_rec(2, 12.0)))
-        code = check_perf.main(["--baseline",
-                                str(tmp_path / "BENCH_headline.json"),
-                                "--current", str(tmp_path / "headline.json")])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "no records matching" in out
-
-    def test_gate_seeds_quietly_without_baseline(self, tmp_path):
-        import json
-
-        check_perf = _load_check_perf()
-        (tmp_path / "headline.json").write_text(
-            json.dumps(_rec(2, 12.0, benchmarks=["paulin"])))
-        assert check_perf.main(["--baseline", str(tmp_path / "missing.json"),
-                                "--current",
-                                str(tmp_path / "headline.json")]) == 0

@@ -112,13 +112,12 @@ def test_replay_codec_round_trip_bit_identical():
 def test_store_put_get_and_stats(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("x", 1))
+    window = PROFILER.snapshot()
     assert store.get("schedule", digest) is None
     store.put("schedule", digest, {"v": 1})
     assert store.get("schedule", digest) == {"v": 1}
-    stats = store.stats()
-    assert stats["schedule"]["hits"] == 1
-    assert stats["schedule"]["misses"] == 1
-    assert store.total_hits() == 1
+    stage = PROFILER.window(window)["store"]
+    assert (stage["incremental"], stage["full"]) == (1, 2)  # 1 hit; miss, put
     # A second instance over the same root sees the artifact (cross-run).
     again = ArtifactStore(tmp_path / "store")
     assert again.get("schedule", digest) == {"v": 1}
@@ -212,14 +211,21 @@ def test_cold_run_then_fresh_cache_hits_disk_bit_identically(tmp_path):
     plain = _engine(cache=SynthesisCache())
     baseline = plain.run(mode="area", laxity=1.5, search=SEARCH)
 
+    window = PROFILER.snapshot()
     cold = _engine(cache=PersistentCache(open_store(root)))
     cold_res = cold.run(mode="area", laxity=1.5, search=SEARCH)
-    assert cold.cache.store.stats()["total"]["misses"] > 0
+    cold_stage = PROFILER.window(window)["store"]
+    assert cold_stage["full"] > 0 and cold_stage["incremental"] == 0
 
+    window = PROFILER.snapshot()
     warm = _engine(cache=PersistentCache(open_store(root)))
     warm_res = warm.run(mode="area", laxity=1.5, search=SEARCH)
-    assert warm.cache.store.stats()["total"]["hits"] > 0, \
+    assert PROFILER.window(window)["store"]["incremental"] > 0, \
         "a fresh in-process cache over a warm store must hit disk"
+    # The same lookups, but disk hits count as memo-table hits.
+    for table in ("schedule", "replay"):
+        assert (warm_res.cache_stats[table]["hits"]
+                > cold_res.cache_stats[table]["hits"])
 
     for result in (cold_res, warm_res):
         assert bundle(result.design) == bundle(baseline.design)
@@ -247,15 +253,6 @@ def test_crashing_store_degrades_to_cold_compute(tmp_path):
     baseline = plain.run(mode="area", laxity=1.5, search=SEARCH)
     assert bundle(degraded.design) == bundle(baseline.design)
     assert list((tmp_path / "store").rglob("*.pkl")) == []
-
-
-def test_verify_publishes_netlist_and_conformance_artifacts(tmp_path):
-    engine = _engine(cache=PersistentCache(open_store(tmp_path / "store")))
-    report = engine.verify(use_iverilog="off", minimize=False)
-    assert report.ok
-    kinds = {p.parent.parent.name
-             for p in (tmp_path / "store").rglob("*.pkl")}
-    assert {"conformance", "netlist"} <= kinds
 
 
 # -- attached_cache -------------------------------------------------------------------
@@ -290,10 +287,10 @@ def test_memo_table_len_and_fifo_bound():
         assert table.get_or_compute(i, lambda i=i: i * 10) == i * 10
     assert len(table) == 3
     # FIFO: 0 and 1 were evicted, 2..4 remain as hits.
-    hits = table.stats.hits
+    window = PROFILER.snapshot()
     for i in (2, 3, 4):
         assert table.get_or_compute(i, lambda: "recomputed") == i * 10
-    assert table.stats.hits == hits + 3
+    assert PROFILER.window(window)["memo.t"]["incremental"] == 3
     assert table.get_or_compute(0, lambda: "recomputed") == "recomputed"
 
 

@@ -52,12 +52,9 @@ BENCH_LOG = pathlib.Path(__file__).resolve().parent.parent / "BENCH_headline.jso
 
 #: Every pipeline stage with an incremental fast path.  Emitted explicitly
 #: (zeros included) in ``incremental_hits`` so trend tooling sees a stage
-#: losing its incremental coverage as a 0, not as a missing key.  The
-#: ``store`` stage counts cross-run disk hits from the persistent
-#: artifact store (nonzero only when ``$REPRO_STORE_DIR`` points at a
-#: warm store — see ``docs/service.md``).
+#: losing its incremental coverage as a 0, not as a missing key.
 PIPELINE_STAGES = ("arch_build", "power_estimate", "replay", "schedule",
-                   "store", "trace_merge")
+                   "trace_merge")
 
 #: The checked-in trajectory keeps only this many most-recent records.
 MAX_RECORDS = 50

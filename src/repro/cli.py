@@ -10,12 +10,13 @@ Six subcommands cover the production entry points (documented in
 * ``repro bench``   — a Figure 13 laxity sweep with report emission;
 * ``repro fuzz``    — random-program fuzzing through the full synthesize
   + conformance chain (see docs/fuzzing.md), with shrunk reproducers;
-* ``repro serve``   — the async synthesis job server over the persistent
-  artifact store (see docs/service.md).
+* ``repro serve``   — the async synthesis job server (see
+  docs/service.md).
 
-Run-producing subcommands take ``--store DIR`` to attach the persistent
-content-addressed artifact store (default: ``$REPRO_STORE_DIR`` when
-set), so repeated runs replay schedules and replay results from disk.
+``explore`` and ``serve`` take ``--store DIR`` (default:
+``$REPRO_STORE_DIR`` when set), the persistent artifact store that
+checkpoints explore grid cells, so a repeated exploration warm-starts
+from disk.
 
 Every report lands under ``--results-dir`` (default ``results/``) as
 JSON + CSV + markdown via :func:`repro.experiments.report.write_report`.
@@ -30,7 +31,6 @@ import pathlib
 import sys
 
 from repro.benchmarks.registry import BENCHMARKS, get_benchmark
-from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.errors import ReproError
 from repro.experiments.report import format_table, write_report
@@ -129,39 +129,25 @@ def _add_common(parser: argparse.ArgumentParser, *, passes: int) -> None:
     parser.add_argument("--results-dir", type=pathlib.Path,
                         default=DEFAULT_RESULTS_DIR,
                         help="report output directory (default %(default)s)")
-    _add_store(parser)
 
 
 def _add_store(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", type=pathlib.Path, default=None,
                         metavar="DIR",
-                        help="persistent artifact-store directory (default "
-                             "$REPRO_STORE_DIR when set; omit both for a "
-                             "purely in-process cache)")
-
-
-def _print_store_stats(cache, window) -> None:
-    """One line of the command's store traffic, when a store is attached.
-
-    ``window`` is the ``PROFILER.snapshot()`` taken when the command began.
-    """
-    store = getattr(cache, "store", None)
-    if store is None:
-        return
-    stage = PROFILER.window(window).get("store", {})
-    print(f"store: {stage.get('incremental', 0)} disk hits in "
-          f"{stage.get('calls', 0)} reads and writes at {store.root}")
+                        help="artifact-store directory for explore "
+                             "checkpoints (default $REPRO_STORE_DIR when "
+                             "set; omit both to run without a store)")
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="search RNG seed (default %(default)s)")
-    parser.add_argument("--depth", type=int, default=5,
+    parser.add_argument("--depth", type=_positive_int, default=5,
                         help="max move-sequence depth (default %(default)s)")
-    parser.add_argument("--candidates", type=int, default=12,
+    parser.add_argument("--candidates", type=_positive_int, default=12,
                         help="candidate moves sampled per depth "
                              "(default %(default)s)")
-    parser.add_argument("--iterations", type=int, default=6,
+    parser.add_argument("--iterations", type=_positive_int, default=6,
                         help="max search iterations (default %(default)s)")
 
 
@@ -174,10 +160,8 @@ def cmd_synth(args) -> int:
 
     from repro.core.search import WeightedObjective
 
-    window = PROFILER.snapshot()
     engine = engine_for_benchmark(args.benchmark, n_passes=args.passes,
-                                  seed=args.stimulus_seed,
-                                  store_dir=args.store)
+                                  seed=args.stimulus_seed)
     mode = args.mode
     if args.weights is not None:
         mode = WeightedObjective.for_engine(engine, args.weights, args.laxity)
@@ -192,7 +176,6 @@ def cmd_synth(args) -> int:
         verified = report.ok
         print(f"conformance: {'OK' if report.ok else 'DIVERGED'} "
               f"({len(engine.stimulus)} passes)")
-    _print_store_stats(engine.cache, window)
 
     written = write_report(
         [summary], args.results_dir / f"synth_{args.benchmark}",
@@ -261,8 +244,7 @@ def cmd_verify(args) -> int:
         return 2
     reports = [verify_benchmark(name, n_passes=args.passes,
                                 seed=args.stimulus_seed,
-                                use_iverilog=args.iverilog,
-                                store_dir=args.store)
+                                use_iverilog=args.iverilog)
                for name in names]
     rows = [report.summary() for report in reports]
     ok = all(report.ok for report in reports)
@@ -293,8 +275,7 @@ def cmd_bench(args) -> int:
         for i in range(args.points))
     sweep = run_laxity_sweep(args.benchmark, laxities=laxities,
                              n_passes=args.passes, seed=args.stimulus_seed,
-                             search=_search_from_args(args),
-                             store_dir=args.store)
+                             search=_search_from_args(args))
     print(format_sweep(sweep))
 
     # Per-stage incremental rates: how often each pipeline stage took its
@@ -372,8 +353,7 @@ def cmd_fuzz(args) -> int:
             config=dataclasses.replace(gen, seed=args.seed))
         verdict = fuzz_program(program, laxities=args.laxities,
                                n_passes=args.passes, search=search,
-                               use_iverilog=args.iverilog,
-                               store_dir=args.store)
+                               use_iverilog=args.iverilog)
         print(format_table([verdict.row()],
                            title=f"repro fuzz --replay {args.replay}"))
         if verdict.detail:
@@ -384,8 +364,7 @@ def cmd_fuzz(args) -> int:
                       laxities=args.laxities, n_passes=args.passes, gen=gen,
                       search=search, use_iverilog=args.iverilog,
                       results_dir=args.results_dir,
-                      shrink_trials=args.shrink_trials,
-                      store_dir=args.store)
+                      shrink_trials=args.shrink_trials)
     summary = report.summary()
     rows = report.rows()
     command = "repro fuzz --coverage" if args.coverage else "repro fuzz"
@@ -480,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip conformance-checking the frontier")
     p.add_argument("--iverilog", choices=("auto", "off", "require"),
                    default="auto", help="external cosim oracle policy")
+    _add_store(p)
     p.set_defaults(fn=cmd_explore, verify=True)
 
     p = sub.add_parser("verify", help="differential conformance oracle chain")
@@ -493,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--results-dir", type=pathlib.Path,
                    default=DEFAULT_RESULTS_DIR)
-    _add_store(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="Figure 13 laxity sweep + reports")
@@ -556,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results-dir", type=pathlib.Path,
                    default=DEFAULT_RESULTS_DIR,
                    help="report output directory (default %(default)s)")
-    _add_store(p)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser(
@@ -579,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retries after a timed-out or crashed job "
                         "(default %(default)s)")
     p.add_argument("--max-cache-entries", type=_positive_int, default=256,
-                   help="in-memory memo-table bound per worker; the store "
-                        "keeps the durable copies (default %(default)s)")
+                   help="memo-table bound for each synth job's engine; "
+                        "every job builds a fresh engine, so this caps "
+                        "one job's memory (default %(default)s)")
     p.add_argument("--resume", action="store_true",
                    help="re-enqueue the journal's accepted-but-unfinished "
                         "jobs from a previous (crashed or drained) run")

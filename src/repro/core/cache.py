@@ -37,6 +37,8 @@ counters.
 
 Tables are lock-guarded so threads sharing one cache stay safe; a racing
 miss at worst computes a value twice and publishes identical content.
+Every table is in-process only: the keys hold ``id()`` values, and a cache
+lives exactly as long as its engine.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ class MemoTable:
     ``max_entries`` optionally bounds the table with FIFO eviction
     (python dicts iterate in insertion order, so the oldest entry is the
     first key).  Off by default — a search-lifetime engine wants every
-    artifact — and enabled by long-lived owners such as the job-server
-    worker pool, whose engines would otherwise grow without bound.
-    Eviction only drops the in-process reference; correctness is
-    untouched (a re-request recomputes or re-reads the same content).
+    artifact.  The job server sets it (``--max-cache-entries``) to cap
+    the memory one job's engine holds; every job builds a fresh engine,
+    so nothing carries over between jobs either way.  Eviction only
+    drops the reference; correctness is untouched (a re-request
+    recomputes the same content).
     """
 
     def __init__(self, name: str, enabled: bool = True,

@@ -174,11 +174,6 @@ class DesignPoint:
                 cache=None, incremental: bool = True) -> "DesignPoint":
         """The paper's starting point: fully parallel, fastest modules."""
         options = options or ScheduleOptions()
-        bind = getattr(cache, "bind", None)
-        if bind is not None:
-            # A store-backed cache needs content digests for the id-keyed
-            # memo keys before the first schedule/replay lookup.
-            bind(cdfg=cdfg, trace_store=store)
         binding = Binding.initial_parallel(cdfg, library)
         stg = schedule(cdfg, binding, options, cache=cache)
         rep = replay(stg, cdfg, store, cache=cache)

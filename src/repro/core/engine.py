@@ -11,7 +11,9 @@ identical schedules, replays and merged traces.
 single entry point behind :func:`repro.core.impact.synthesize`; it searches
 from each start in turn; repeated runs on one engine share its state.
 Results are bit-identical with caching toggled off: every cached artifact
-is immutable and content-addressed.
+is immutable and content-addressed.  The memo tables live as long as the
+engine and are never written to disk; the artifact store keeps only
+explore checkpoints (:mod:`repro.explore.steal`).
 """
 
 from __future__ import annotations
@@ -98,14 +100,10 @@ class SynthesisEngine:
         path for every candidate; results are bit-identical either way
         (the equivalence suite enforces it).
     cache:
-        An optional pre-built pipeline cache.  This is the factory seam
-        for the persistent artifact store: pass a
-        :class:`~repro.store.persistent.PersistentCache` (e.g. from
-        :func:`repro.store.attached_cache`) and every schedule/replay the
-        engine computes is read from / published to the shared on-disk
-        store.  ``None`` builds a plain in-process
-        :class:`~repro.core.cache.SynthesisCache`; when a cache is given
-        its own ``enabled`` flag governs and ``caching`` is ignored.
+        An optional pre-built :class:`~repro.core.cache.SynthesisCache`,
+        e.g. one bounded with ``max_entries``.  ``None`` builds one from
+        ``caching``; when a cache is given its own ``enabled`` flag
+        governs and ``caching`` is ignored.
     store, initial:
         Optional pre-computed trace store / initial design point (e.g.
         from an earlier engine); both are lazily built when omitted.
@@ -124,18 +122,9 @@ class SynthesisEngine:
         self.library = library or default_library()
         self.options = options or ScheduleOptions()
         self.cache = cache if cache is not None else SynthesisCache(enabled=caching)
-        self._bind_cache(cdfg=cdfg)
         self.incremental = incremental
         self._store = store
-        if store is not None:
-            self._bind_cache(trace_store=store)
         self._initial = self._adopt(initial)
-
-    def _bind_cache(self, **objects) -> None:
-        """Register id-keyed objects with a store-backed cache, if any."""
-        bind = getattr(self.cache, "bind", None)
-        if bind is not None:
-            bind(**objects)
 
     # -- shared state ---------------------------------------------------------------
 
@@ -144,7 +133,6 @@ class SynthesisEngine:
         """The behavioral profile, simulated once per engine."""
         if self._store is None:
             self._store = simulate(self.cdfg, self.stimulus)
-            self._bind_cache(trace_store=self._store)
         return self._store
 
     @property
@@ -173,7 +161,6 @@ class SynthesisEngine:
                 "design point was built on a different CDFG than the engine's")
         if self._store is None:
             self._store = design.store
-            self._bind_cache(trace_store=self._store)
         elif design.store is not self._store:
             raise ConstraintError(
                 "design point was profiled against a different trace store "

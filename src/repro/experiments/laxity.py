@@ -116,7 +116,6 @@ def run_laxity_sweep(
     n_passes: int = 30,
     seed: int = 7,
     search: SearchConfig | None = None,
-    store_dir=None,
 ) -> LaxitySweep:
     """Regenerate one Figure 13 subplot.
 
@@ -125,14 +124,10 @@ def run_laxity_sweep(
     memo tables across every laxity point and both optimization modes,
     so the repeated portions of the searches (shared prefixes of the
     move sequences, re-visited bindings) are not recomputed.
-    ``store_dir`` attaches the persistent artifact store (``None``
-    consults ``$REPRO_STORE_DIR``), so a repeated sweep replays
-    schedules and replay results from disk.
     """
     search = search or SearchConfig(max_depth=5, max_candidates=12, max_iterations=6)
     window = PROFILER.snapshot()
-    engine = engine_for_benchmark(benchmark, n_passes=n_passes, seed=seed,
-                                  store_dir=store_dir)
+    engine = engine_for_benchmark(benchmark, n_passes=n_passes, seed=seed)
     stimulus = engine.stimulus
 
     sweep = LaxitySweep(benchmark=benchmark)

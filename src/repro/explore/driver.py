@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.benchmarks.registry import get_benchmark
+from repro.core.cache import SynthesisCache
 from repro.core.engine import SynthesisEngine
 from repro.core.search import SearchConfig, WeightedObjective
 from repro.errors import ExperimentError
@@ -136,7 +137,6 @@ class ExploreResult:
 
 
 def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
-                         store_dir=None,
                          cache_entries: int | None = None) -> SynthesisEngine:
     """Build a ready-to-run engine for a registry benchmark.
 
@@ -146,20 +146,14 @@ def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
     sweep, the conformance harness, the job server and the examples
     share, so their engines are always comparable.
 
-    ``store_dir`` attaches the persistent artifact store (``None``
-    consults ``$REPRO_STORE_DIR``; see :func:`repro.store.attached_cache`)
-    and ``cache_entries`` bounds the in-process memo tables (used by
-    long-lived owners like the job-server workers).  Results are
-    bit-identical with or without a store.
+    ``cache_entries`` bounds the engine's memo tables (the job server
+    caps each synth job's memory with it).
     """
-    from repro.store import attached_cache
-
     bench = get_benchmark(name)
     return SynthesisEngine(
         bench.cdfg(), bench.stimulus(n_passes, seed=seed),
         options=ScheduleOptions(clock_ns=bench.clock_ns),
-        cache=attached_cache(store_dir=store_dir,
-                             max_entries=cache_entries))
+        cache=SynthesisCache(max_entries=cache_entries))
 
 
 def _resolve_mode(engine: SynthesisEngine, job: ExploreJob):
@@ -279,11 +273,11 @@ def explore(benchmark: str, *,
         only its ``seed``.
     store_dir:
         Artifact-store root shared by every worker (``None`` consults
-        ``$REPRO_STORE_DIR``; pass ``""`` to force a plain in-process
-        cache).  Workers publish and reuse schedules/replays and per-cell
-        checkpoints through the store — concurrency-safe because
-        publication is atomic and content-addressed — and the frontier
-        stays bit-identical with or without it.
+        ``$REPRO_STORE_DIR``; pass ``""`` to run without a store).
+        Workers publish and reuse per-cell checkpoints through the
+        store — concurrency-safe because publication is atomic and
+        content-addressed — and the frontier stays bit-identical with or
+        without it.
 
     Returns an :class:`ExploreResult` whose ``front`` holds the merged,
     non-dominated (area, power, latency) points with per-job provenance.

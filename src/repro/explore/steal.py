@@ -88,7 +88,7 @@ def cell_context(recipe: dict) -> tuple:
 
     engine = engine_for_benchmark(
         recipe["benchmark"], n_passes=recipe["n_passes"],
-        seed=recipe["stimulus_seed"], store_dir=recipe["store_dir"])
+        seed=recipe["stimulus_seed"])
     root = recipe["store_dir"]
     if root is None:
         root = os.environ.get(STORE_DIR_ENV)

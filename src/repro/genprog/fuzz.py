@@ -166,8 +166,7 @@ def _search_config(args_search):
 
 def _chain_failure(program: GeneratedProgram, laxities, n_passes: int,
                    search, use_iverilog: str, *,
-                   stop_on_failure: bool = False, store_dir=None,
-                   cdfg=None,
+                   stop_on_failure: bool = False, cdfg=None,
                    ) -> tuple[dict[float, str], str | None, str, set[str]]:
     """Run synth+conformance at every laxity.
 
@@ -186,7 +185,6 @@ def _chain_failure(program: GeneratedProgram, laxities, n_passes: int,
     from repro.core.engine import SynthesisEngine
     from repro.lang import parse
     from repro.sched.engine import ScheduleOptions
-    from repro.store import attached_cache
 
     verdicts: dict[float, str] = {}
     stage: str | None = None
@@ -196,8 +194,7 @@ def _chain_failure(program: GeneratedProgram, laxities, n_passes: int,
         cdfg = parse(program.source)
     stimulus = program.stimulus(n_passes, seed=0)
     engine = SynthesisEngine(cdfg, stimulus,
-                             options=ScheduleOptions(clock_ns=10.0),
-                             cache=attached_cache(store_dir=store_dir))
+                             options=ScheduleOptions(clock_ns=10.0))
     for laxity in laxities:
         try:
             result = engine.run(mode="power", laxity=laxity, search=search)
@@ -238,7 +235,7 @@ def _shape_bins(program: GeneratedProgram) -> frozenset[str]:
 
 
 def _still_fails(process, config: GenConfig, laxities, n_passes: int,
-                 search, use_iverilog: str, store_dir=None) -> bool:
+                 search, use_iverilog: str) -> bool:
     """Shrink predicate: the candidate still fails somewhere in the chain.
 
     The round-trip check runs over the *same* stimulus (n_passes, seed
@@ -257,7 +254,7 @@ def _still_fails(process, config: GenConfig, laxities, n_passes: int,
     try:
         _verdicts, stage, _detail, _bins = _chain_failure(
             candidate, laxities, n_passes, search, use_iverilog,
-            stop_on_failure=True, store_dir=store_dir, cdfg=cdfg)
+            stop_on_failure=True, cdfg=cdfg)
     except ReproError:
         return False
     return stage is not None
@@ -265,8 +262,7 @@ def _still_fails(process, config: GenConfig, laxities, n_passes: int,
 
 def _file_reproducer(program: GeneratedProgram, stage: str, laxities,
                      n_passes: int, search, use_iverilog: str,
-                     results_dir: Path, max_trials: int,
-                     store_dir=None) -> tuple[str, str]:
+                     results_dir: Path, max_trials: int) -> tuple[str, str]:
     """Shrink a failure and file it under its triage digest.
 
     Returns ``(digest, file name)``.  Two failures that shrink to the
@@ -278,7 +274,7 @@ def _file_reproducer(program: GeneratedProgram, stage: str, laxities,
     small = shrink_process(
         program.process,
         lambda proc: _still_fails(proc, program.config, laxities, n_passes,
-                                  search, use_iverilog, store_dir=store_dir),
+                                  search, use_iverilog),
         max_trials=max_trials)
     small = dataclasses.replace(small, name=TRIAGE_NAME)
     digest = triage_digest(stage, small)
@@ -290,8 +286,7 @@ def _file_reproducer(program: GeneratedProgram, stage: str, laxities,
 
 def fuzz_program(program: GeneratedProgram, *,
                  laxities=DEFAULT_LAXITIES, n_passes: int = 10,
-                 search=None, use_iverilog: str = "off",
-                 store_dir=None) -> ProgramVerdict:
+                 search=None, use_iverilog: str = "off") -> ProgramVerdict:
     """Fuzz one already-generated program (also the --replay entry point).
 
     The verdict carries the program's coverage bins; the corpus fields
@@ -309,8 +304,7 @@ def fuzz_program(program: GeneratedProgram, *,
         verdict.bins = _shape_bins(program)
         return verdict
     verdicts, stage, detail, bins = _chain_failure(
-        program, laxities, n_passes, search, use_iverilog,
-        store_dir=store_dir, cdfg=cdfg)
+        program, laxities, n_passes, search, use_iverilog, cdfg=cdfg)
     verdict.laxities = verdicts
     verdict.bins = frozenset(bins) or _shape_bins(program)
     if stage is not None:
@@ -323,7 +317,7 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
              gen: GenConfig | None = None, search=None,
              use_iverilog: str = "off",
              results_dir: Path | str = "results",
-             shrink_trials: int = 200, store_dir=None) -> FuzzReport:
+             shrink_trials: int = 200) -> FuzzReport:
     """Fuzz ``count`` programs; shrink and file every failure.
 
     The i-th slot's generator seed is ``seed * SEED_STRIDE + i`` and
@@ -335,10 +329,6 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
     entry's source to ``<results_dir>/fuzz_corpus/<digest>.src`` (see
     :func:`~repro.genprog.fleet.corpus_file`), the name its row's
     ``corpus`` field and its mutants' ``origin`` carry.
-
-    ``store_dir`` attaches the persistent artifact store (``None``
-    consults ``$REPRO_STORE_DIR``) so repeated runs over the same seeds
-    replay synthesis work from disk; verdicts are identical either way.
     """
     results_dir = Path(results_dir)
     template = (gen or GenConfig()).validated()
@@ -371,8 +361,7 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
         if verdict is None:
             verdict = fuzz_program(program, laxities=laxities,
                                    n_passes=n_passes, search=search,
-                                   use_iverilog=use_iverilog,
-                                   store_dir=store_dir)
+                                   use_iverilog=use_iverilog)
         verdict.origin = origin
         verdict.new_bins = corpus.consider(program, verdict.bins, origin)
         verdict.kept = bool(verdict.new_bins)
@@ -387,8 +376,7 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
         if not verdict.ok:
             digest, verdict.reproducer = _file_reproducer(
                 program, verdict.status, laxities, n_passes, search,
-                use_iverilog, results_dir, shrink_trials,
-                store_dir=store_dir)
+                use_iverilog, results_dir, shrink_trials)
             report.triage.setdefault(digest, []).append(name)
         report.verdicts.append(verdict)
     report.covered = set(corpus.covered)

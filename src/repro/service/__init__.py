@@ -1,10 +1,10 @@
-"""Async synthesis job server over the persistent artifact store.
+"""Async synthesis job server.
 
 ``python -m repro serve`` starts a :class:`~repro.service.server.JobServer`:
 a newline-JSON TCP protocol feeding a bounded queue and a **supervised**
 process worker pool (:mod:`repro.workers` — known pids, hard kills
-on timeout, automatic rebuild on worker death), every worker reading and
-publishing through one shared :mod:`repro.store` directory.  Failures
+on timeout, automatic rebuild on worker death); explore jobs checkpoint
+their grid cells into one shared :mod:`repro.store` directory.  Failures
 are classified transient vs deterministic (:mod:`repro.service.errors`)
 and only transient ones retried; every job transition is journaled
 durably (:mod:`repro.service.journal`) so ``--resume`` survives crashes.

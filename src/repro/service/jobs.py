@@ -5,12 +5,13 @@ A job is a plain JSON object with a ``kind`` plus kind-specific fields
 rejects malformed payloads before they reach the queue;
 :func:`execute_job` runs one job to completion inside a worker process.
 
-Each execution builds a *fresh* :func:`repro.store.attached_cache` over
-the server's shared store directory, so nothing is reused through
-process-local memory: every artifact a repeated job gets back is a disk
-hit, visible in the ``store`` profiler stage the result carries.  An
-unreadable store degrades to cold in-process compute (the
-``attached_cache`` contract) — jobs still complete, just slower.
+Each execution builds a *fresh* engine, so nothing is reused through
+process-local memory between jobs.  Only ``explore`` jobs touch the
+server's store directory: every grid cell is checkpointed there, and a
+repeated explore job warm-starts from those checkpoints, visible as
+``warm_hits`` in its summary and as disk hits in the ``store`` profiler
+stage every result carries.  A failing store read or write raises; the
+server classifies the ``OSError`` as transient and retries the job.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def validate_job(job) -> str | None:
                             or job["passes"] <= 0):
         return (f"job field 'passes' must be a positive integer "
                 f"(got {job['passes']!r})")
+    search = job.get("search") or {}
+    if not isinstance(search, dict):
+        return f"job field 'search' must be a JSON object (got {search!r})"
+    for name in ("depth", "candidates", "iterations"):
+        if name in search and (not isinstance(search[name], int)
+                               or search[name] <= 0):
+            return (f"job field 'search.{name}' must be a positive integer "
+                    f"(got {search[name]!r})")
     if kind == "explore":
         # The server's pool already runs jobs in parallel; one explore
         # job runs in-process inside one worker.
@@ -66,8 +75,9 @@ def execute_job(job: dict, store_dir=None,
 
     The result dict always carries ``kind`` and ``store_stage`` — the
     window of the ``store`` profiler stage over just this job, where
-    ``incremental`` counts cross-run disk hits and ``calls`` counts every
-    store access.  A warm store shows up as ``incremental > 0``.
+    ``incremental`` counts checkpoint disk hits and ``calls`` counts
+    every store access.  Only ``explore`` jobs use ``store_dir``;
+    ``max_cache_entries`` bounds a ``synth`` job's memo tables.
 
     ``faults`` is an optional list of fault payloads from a
     :class:`repro.faults.FaultPlan`, applied around the execution by
@@ -93,24 +103,24 @@ def _execute(job: dict, store_dir, max_cache_entries) -> dict:
 
     window = PROFILER.snapshot()
     if kind == "synth":
-        result = _run_synth(job, store_dir, max_cache_entries)
+        result = _run_synth(job, max_cache_entries)
     elif kind == "verify":
-        result = _run_verify(job, store_dir)
+        result = _run_verify(job)
     elif kind == "explore":
         result = _run_explore(job, store_dir)
     else:
-        result = _run_fuzz(job, store_dir)
+        result = _run_fuzz(job)
     result["kind"] = kind
     result["store_stage"] = PROFILER.window(window).get("store", {})
     return result
 
 
-def _run_synth(job: dict, store_dir, max_cache_entries) -> dict:
+def _run_synth(job: dict, max_cache_entries) -> dict:
     from repro.explore.driver import engine_for_benchmark
 
     engine = engine_for_benchmark(
         job["benchmark"], n_passes=int(job.get("passes", 20)),
-        seed=int(job.get("stimulus_seed", 7)), store_dir=store_dir,
+        seed=int(job.get("stimulus_seed", 7)),
         cache_entries=max_cache_entries)
     result = engine.run(mode=job.get("mode", "power"),
                         laxity=float(job.get("laxity", 2.0)),
@@ -125,14 +135,14 @@ def _run_synth(job: dict, store_dir, max_cache_entries) -> dict:
     return payload
 
 
-def _run_verify(job: dict, store_dir) -> dict:
+def _run_verify(job: dict) -> dict:
     from repro.verify.conformance import verify_benchmark
 
     report = verify_benchmark(job["benchmark"],
                               n_passes=int(job.get("passes", 25)),
                               seed=int(job.get("stimulus_seed", 0)),
                               use_iverilog=job.get("iverilog", "off"),
-                              minimize=False, store_dir=store_dir)
+                              minimize=False)
     return {"benchmark": job["benchmark"], "ok": report.ok,
             "report": report.summary()}
 
@@ -151,12 +161,11 @@ def _run_explore(job: dict, store_dir) -> dict:
             "frontier": result.rows()}
 
 
-def _run_fuzz(job: dict, store_dir) -> dict:
+def _run_fuzz(job: dict) -> dict:
     from repro.genprog.fuzz import fuzz_run
 
     report = fuzz_run(int(job.get("count", 2)), int(job.get("seed", 0)),
                       n_passes=int(job.get("passes", 6)),
                       use_iverilog=job.get("iverilog", "off"),
-                      results_dir=job.get("results_dir", "results"),
-                      store_dir=store_dir)
+                      results_dir=job.get("results_dir", "results"))
     return {"summary": report.summary(), "rows": report.rows()}

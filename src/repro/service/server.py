@@ -4,8 +4,9 @@ Newline-delimited JSON over TCP: each request line is an object with an
 ``op`` (``submit`` / ``stats`` / ``ping``) and each response line an
 object with an ``event``.  Accepted jobs flow through a bounded
 :class:`asyncio.Queue` into a supervised process worker pool sharing one
-persistent artifact store; a full queue answers immediately with a
-429-style ``rejected`` event instead of buffering unboundedly.  See
+store directory (explore checkpoints and the job journal); a full queue
+answers immediately with a 429-style ``rejected`` event instead of
+buffering unboundedly.  See
 ``docs/service.md`` for the protocol and a worked example.
 
 Fault-tolerance properties the tests pin down (``tests/test_faults.py``
@@ -53,9 +54,9 @@ from repro.service.journal import (
 from repro.store import STORE_DIR_ENV, open_store
 from repro.workers import JobTimeoutError, SupervisedPool, WorkerCrash
 
-#: Default in-memory cache bound inside workers: long-lived pool
-#: processes must not grow without bound across jobs (the store holds
-#: the durable copies; memory is just the hot front).
+#: Default memo-table bound for one synth job's engine.  Every job builds
+#: a fresh engine, so the bound caps the memory a single job's search can
+#: pin, not growth across jobs.
 DEFAULT_WORKER_CACHE_ENTRIES = 256
 
 #: Default seconds a graceful shutdown waits for queued jobs to finish.

@@ -6,9 +6,10 @@ Layout (all under one root directory, shareable by concurrent processes)::
       STORE_VERSION           # schema stamp, json: {"schema": 1}
       v1/<kind>/<dd>/<digest>.pkl
 
-``kind`` is the artifact family (``schedule``, ``replay``, ``explore``);
-``digest`` is the sha256 key from :mod:`repro.store.codec`; ``dd`` its
-first two hex chars (fan-out).  Every blob is a pickled envelope ``{"schema", "kind", "key", "payload"}`` —
+``kind`` is the artifact family (``explore``: one grid-cell checkpoint
+per blob); ``digest`` is the sha256 key from :mod:`repro.store.codec`;
+``dd`` its first two hex chars (fan-out).  Every blob is a pickled
+envelope ``{"schema", "kind", "key", "payload"}`` —
 loading verifies all three stamps, so a schema bump, a hash collision
 across kinds, or a torn/corrupt file all read as a clean miss (corrupt
 files are additionally unlinked).  Publication is atomic
@@ -18,8 +19,8 @@ killed mid-job — never observe a partial artifact.
 
 Reads and writes are timed under the ``store`` stage of
 :data:`repro.core.profile.PROFILER` with a disk hit marked incremental,
-which is how cross-run reuse surfaces in ``results/profile.json`` and the
-``BENCH_headline.json`` trajectory next to the schedule/replay stages.
+which is how checkpoint reuse surfaces in a job server result's
+``store_stage``.
 
 The GC is size-bounded: when the store exceeds ``max_bytes`` (constructor
 argument or ``REPRO_STORE_MAX_BYTES``), oldest-mtime blobs are evicted

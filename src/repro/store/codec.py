@@ -1,24 +1,13 @@
-"""Durable keys and value codecs for the artifact store.
+"""Durable keys and blob encoding for the artifact store.
 
-The in-process memo tables key on ``id(cdfg)`` / ``id(store)`` — correct
-within one process, meaningless on disk.  This module supplies the two
-halves of the persistent translation:
-
-* **keys** — :func:`digest_key` canonicalizes the id-free parts of a memo
-  key (binding/schedule signatures, STG (replay) signatures,
-  :class:`~repro.sched.engine.ScheduleOptions`) into one sha256 hex
-  digest, and :func:`cdfg_digest` / :func:`trace_store_digest` replace
-  the volatile object ids with content digests of the graph and the
-  recorded profile;
-* **values** — explicit encode/decode pairs for the artifacts the store
-  holds.  STGs are rebuilt state by state *preserving transition list
-  order* (replay's first-match walk and the controller emission both
-  read it), so a decoded STG is bit-identical to the computed one in
-  everything downstream consumes.
-
-Payload blobs are pickled plain containers (dicts/lists/tuples/numpy
-arrays) — pickle round-trips ints, floats and array dtypes exactly,
-which is what the bit-identity acceptance tests check.
+* **keys** — :func:`digest_key` canonicalizes an id-free key structure
+  (plain containers, enums, dataclasses such as
+  :class:`~repro.core.search.SearchConfig`) into one sha256 hex digest,
+  and :func:`cdfg_digest` gives a CDFG a content digest that is stable
+  across parses and processes.  An explore checkpoint key combines both
+  (see :func:`repro.explore.steal.job_checkpoint_key`).
+* **blobs** — payloads are pickled plain containers with a pinned
+  protocol, so ints and floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +17,6 @@ import enum
 import hashlib
 import pickle
 from typing import Any
-
-import numpy as np
 
 #: Pickle protocol for store blobs (fixed so blobs stay cross-readable
 #: between the python versions CI runs).
@@ -107,93 +94,7 @@ def cdfg_digest(cdfg) -> str:
     return cached
 
 
-def trace_store_digest(store) -> str:
-    """Content digest of a profiled TraceStore (memoized on the object)."""
-    cached = getattr(store, "_content_digest", None)
-    if cached is None:
-        h = hashlib.sha256()
-        h.update(f"traces:{store.n_passes}".encode())
-        for node_id in sorted(store.occurrences):
-            occ = store.occurrences[node_id]
-            h.update(f"n{node_id}:{len(occ.ins)}".encode())
-            for arr in (occ.pass_idx, occ.step, occ.out, *occ.ins):
-                h.update(str(arr.dtype).encode())
-                h.update(arr.tobytes())
-        for name in sorted(store.outputs):
-            h.update(f"o{name}".encode())
-            h.update(store.outputs[name].tobytes())
-        for region in sorted(store.loop_trips):
-            h.update(f"l{region}".encode())
-            h.update(store.loop_trips[region].tobytes())
-        cached = h.hexdigest()
-        store._content_digest = cached
-    return cached
-
-
-# -- value codecs ------------------------------------------------------------------
-
-
-def encode_stg(stg) -> dict:
-    """STG -> plain payload dict (transition order preserved verbatim)."""
-    return {
-        "start": stg.start,
-        "done": stg.done,
-        "next_id": stg._next_id,
-        "states": [
-            (sid, state.duration,
-             [(op.node, op.fu, op.start, op.end) for op in state.ops])
-            for sid, state in sorted(stg.states.items())
-        ],
-        "transitions": [
-            (t.src, t.dst, sorted(t.conds)) for t in stg.transitions
-        ],
-    }
-
-
-def decode_stg(payload: dict):
-    """Payload dict -> STG, bit-identical in all replayed/emitted content."""
-    from repro.sched.stg import STG, ScheduledOp, State
-
-    stg = STG()
-    for sid, duration, ops in payload["states"]:
-        stg.states[sid] = State(
-            id=sid, duration=duration,
-            ops=[ScheduledOp(node=node, fu=fu, start=start, end=end)
-                 for node, fu, start, end in ops])
-    stg.start = payload["start"]
-    stg.done = payload["done"]
-    stg._next_id = payload["next_id"]
-    for src, dst, conds in payload["transitions"]:
-        stg.add_transition(src, dst, frozenset((c, want) for c, want in conds))
-    return stg
-
-
-def encode_replay(result) -> dict:
-    """ReplayResult -> plain payload dict (numpy arrays pass through)."""
-    return {
-        "cycles": result.cycles,
-        "op_cycle": dict(result.op_cycle),
-        "op_start": dict(result.op_start),
-        "op_state": dict(result.op_state),
-        "total_cycles": result.total_cycles,
-        "state_visits": dict(result.state_visits),
-        "state_seq": list(result.state_seq),
-    }
-
-
-def decode_replay(payload: dict):
-    """Payload dict -> ReplayResult with a fresh (empty) state-count memo."""
-    from repro.sched.replay import ReplayResult
-
-    return ReplayResult(
-        cycles=np.asarray(payload["cycles"]),
-        op_cycle=dict(payload["op_cycle"]),
-        op_start=dict(payload["op_start"]),
-        op_state=dict(payload["op_state"]),
-        total_cycles=int(payload["total_cycles"]),
-        state_visits=dict(payload["state_visits"]),
-        state_seq=list(payload["state_seq"]),
-    )
+# -- blobs -------------------------------------------------------------------------
 
 
 def dumps_payload(payload: Any) -> bytes:

@@ -390,18 +390,10 @@ def verify_architecture(cdfg: CDFG, arch: Architecture,
 
 def verify_benchmark(name: str, n_passes: int = 100, seed: int = 0, *,
                      use_iverilog: str = "auto",
-                     minimize: bool = True,
-                     store_dir=None) -> ConformanceReport:
-    """Conformance-check one registry benchmark's initial design point.
-
-    ``store_dir`` attaches the persistent artifact store (``None``
-    consults ``$REPRO_STORE_DIR``): schedules and replay results are
-    reused across runs.  The conformance chain itself always
-    re-executes.
-    """
+                     minimize: bool = True) -> ConformanceReport:
+    """Conformance-check one registry benchmark's initial design point."""
     from repro.explore.driver import engine_for_benchmark
 
-    engine = engine_for_benchmark(name, n_passes=n_passes, seed=seed,
-                                  store_dir=store_dir)
+    engine = engine_for_benchmark(name, n_passes=n_passes, seed=seed)
     return engine.verify(use_iverilog=use_iverilog, minimize=minimize, name=name)
 

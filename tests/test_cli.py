@@ -111,7 +111,8 @@ class TestCommands:
 
 
 class TestRejectedArguments:
-    """Values that would run nothing exit 2 at parse time."""
+    """Values that would run nothing, and options a subcommand lacks,
+    exit 2 at parse time."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "-b", "gcd", "--passes", "0"],
@@ -124,6 +125,17 @@ class TestRejectedArguments:
         ["bench", "-b", "gcd", "--laxities", ","],
         ["serve", "--timeout", "0"],
         ["serve", "--timeout", "-1"],
+        # A search with zero effort would report 0 moves as a result.
+        ["synth", "-b", "gcd", "--depth", "0"],
+        ["synth", "-b", "gcd", "--candidates", "0"],
+        ["synth", "-b", "gcd", "--iterations", "-1"],
+        ["explore", "-b", "loops", "--depth", "0"],
+        ["bench", "-b", "gcd", "--candidates", "0"],
+        # Only explore and serve keep the checkpoint store.
+        ["synth", "-b", "gcd", "--store", "store"],
+        ["bench", "-b", "gcd", "--store", "store"],
+        ["verify", "--all", "--store", "store"],
+        ["fuzz", "--store", "store"],
     ])
     def test_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

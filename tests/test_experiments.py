@@ -74,11 +74,8 @@ class TestLaxitySweep:
                                 max_iterations=5, seed=0)
 
         def sweep_counts():
-            # store_dir="" keeps a configured persistent store out of it:
-            # a warm store would serve schedules without a stage call.
             sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0, 3.0),
-                                     n_passes=15, search=headline,
-                                     store_dir="")
+                                     n_passes=15, search=headline)
             stages = {name: (stats["calls"], stats["incremental"])
                       for name, stats in sweep.profile.items()}
             return stages, sweep.evaluations

@@ -131,21 +131,21 @@ def test_backoff_is_seeded_capped_and_jittered():
 def test_store_io_faults_raise_on_the_kth_call(tmp_path):
     store = open_store(tmp_path / "store")
     d1, d2 = "aa" + "0" * 62, "bb" + "1" * 62
-    store.put("schedule", d1, {"x": 1})
+    store.put("explore", d1, {"x": 1})
 
     with activate([{"kind": "store_read", "arg": 2},
                    {"kind": "store_write", "arg": 1}]):
         with pytest.raises(OSError, match="injected store write"):
-            store.put("schedule", d2, {"x": 2})
-        assert store.get("schedule", d1) == {"x": 1}  # read 1: clean
+            store.put("explore", d2, {"x": 2})
+        assert store.get("explore", d1) == {"x": 1}  # read 1: clean
         with pytest.raises(OSError, match="injected store read"):
-            store.get("schedule", d1)  # read 2: faulted
+            store.get("explore", d1)  # read 2: faulted
 
     # Hook uninstalled: everything clean again, and the faulted write
     # never published a partial artifact.
-    assert store.get("schedule", d2) is None
-    store.put("schedule", d2, {"x": 2})
-    assert store.get("schedule", d2) == {"x": 2}
+    assert store.get("explore", d2) is None
+    store.put("explore", d2, {"x": 2})
+    assert store.get("explore", d2) == {"x": 2}
 
 
 # -- server recovery under a pinned plan ----------------------------------------------
@@ -207,8 +207,9 @@ def test_deterministic_failure_is_not_retried():
 
 
 def test_store_read_fault_is_transient_and_retried(tmp_path):
-    job = {"kind": "synth", "benchmark": "loops", "passes": 2,
-           "laxity": 1.0, "mode": "area",
+    # The explore job's first checkpoint lookup raises on attempt 1.
+    job = {"kind": "explore", "benchmark": "loops", "passes": 2,
+           "laxities": [1.0],
            "search": {"depth": 1, "candidates": 2, "iterations": 1}}
 
     async def body(reader, writer, server):

@@ -78,6 +78,14 @@ def test_validate_job_rejects_malformed_payloads():
         # Zero passes would verify nothing and report success.
         for passes in (0, -3, "10"):
             assert "passes" in validate_job({**ok, "passes": passes})
+        # A search with zero effort would report 0 moves as a result.
+        for name in ("depth", "candidates", "iterations"):
+            for value in (0, -1, "4", 2.5):
+                assert f"search.{name}" in validate_job(
+                    {**ok, "search": {name: value}})
+        assert validate_job({**ok, "search": {"depth": 1, "candidates": 1,
+                                              "iterations": 1}}) is None
+        assert "search" in validate_job({**ok, "search": [1, 2]})
 
 
 def test_execute_noop_job_inline():
@@ -257,15 +265,15 @@ def test_client_retry_wins_once_queue_frees_up():
 # -- the blocking client + a real synthesis job ---------------------------------------
 
 
-def test_service_client_runs_synth_job_with_warm_store(tmp_path):
+def test_service_client_runs_explore_job_with_warm_store(tmp_path):
     """Full path: ServiceClient -> queue -> worker process -> store.
 
-    The same job submitted twice against one store directory: the second
-    run's ``store`` stage must show cross-run disk hits, and the design
-    summaries (cache counters aside) must be bit-identical.
+    The same explore job submitted twice against one store directory:
+    the second run must warm-start every grid cell from the checkpoints
+    the first one wrote, and the frontiers must be bit-identical.
     """
-    job = {"kind": "synth", "benchmark": "loops", "passes": 4,
-           "laxity": 1.5, "mode": "area",
+    job = {"kind": "explore", "benchmark": "loops", "passes": 4,
+           "laxities": [1.0],
            "search": {"depth": 2, "candidates": 4, "iterations": 2}}
 
     async def body(reader, writer, server):
@@ -281,14 +289,12 @@ def test_service_client_runs_synth_job_with_warm_store(tmp_path):
                 return first, second
 
         first, second = await loop.run_in_executor(None, client_side)
-        assert second["store_stage"]["incremental"] > 0, \
-            "second submission must hit the warm store"
-
-        def design_only(summary):
-            return {k: v for k, v in summary.items()
-                    if not k.startswith("cache_")}
-
-        assert design_only(first["summary"]) == design_only(second["summary"])
+        assert first["summary"]["warm_hits"] == 0
+        assert second["summary"]["warm_hits"] == second["summary"]["jobs"], \
+            "second submission must warm-start every cell from the store"
+        assert second["store_stage"]["incremental"] == \
+            second["summary"]["jobs"]
+        assert second["frontier"] == first["frontier"]
 
     _serve(body, workers=1, store_dir=str(tmp_path / "store"),
            job_timeout_s=120)

@@ -3,27 +3,28 @@
 Starts ``python -m repro serve`` as a subprocess on a free port with a
 temporary store, then:
 
-1. submits a ``synth`` job and a ``verify`` job for ``gcd`` and checks
-   the streamed results against the same work run in-process through
-   the CLI-path entry points (``engine_for_benchmark`` /
-   ``verify_benchmark``);
-2. re-submits the synth job and asserts the warm store answered — the
-   ``store`` stage must report cross-run disk hits — with the design
-   summary bit-identical to the cold run.
+1. submits a ``synth`` job (id 1) and a ``verify`` job (id 2) for
+   ``gcd`` and checks the streamed results against the same work run
+   in-process through the CLI-path entry points
+   (``engine_for_benchmark`` / ``verify_benchmark``);
+2. submits one ``explore`` job twice (ids 3 and 4) and asserts the warm
+   store answered: the second run warm-starts every grid cell from the
+   checkpoints the first wrote (``warm_hits`` equals its job count) and
+   streams a frontier identical to the first run's.
 
 With ``--faults PLAN`` (the ``chaos-smoke`` CI job) the server runs
-under a pinned :mod:`repro.faults` plan — e.g. a worker SIGKILL during
-the cold synth job and an injected store write error during verify —
-and the smoke additionally asserts the chaos was survived: the killed
-job retried (``attempts`` > 1), the pool rebuilt
-(``worker_restarts`` > 0), and the streamed results *still* match the
-in-process CLI path bit-for-bit.
+under a pinned :mod:`repro.faults` plan — a worker SIGKILL during the
+synth job and an injected store write error on the cold explore job's
+first checkpoint — and the smoke additionally asserts the chaos was
+survived: both faulted jobs retried (``attempts`` > 1), the pool
+rebuilt (``worker_restarts`` > 0), and the streamed results *still*
+match the in-process CLI path bit-for-bit.
 
 Exit code is non-zero on any mismatch.  Run from the repository root:
 
     PYTHONPATH=src python tools/service_smoke.py
     PYTHONPATH=src python tools/service_smoke.py \
-        --faults "seed=11;kill_worker@1;store_write@2:1"
+        --faults "seed=11;kill_worker@1;store_write@3:1"
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ SYNTH_JOB = {"kind": "synth", "benchmark": "gcd", "passes": 6,
                         "seed": 0}}
 VERIFY_JOB = {"kind": "verify", "benchmark": "gcd", "passes": 10,
               "stimulus_seed": 0, "iverilog": "off"}
+EXPLORE_JOB = {"kind": "explore", "benchmark": "gcd", "passes": 6,
+               "stimulus_seed": 7, "laxities": [1.0, 2.0], "seed": 0,
+               "search": {"depth": 3, "candidates": 6, "iterations": 3}}
 
 
 def design_summary(summary: dict) -> dict:
@@ -58,15 +62,14 @@ def verdict(report: dict) -> dict:
 
 
 def cli_path_results() -> tuple[dict, dict]:
-    """The same synth + verify work, run in-process (no store)."""
+    """The same synth + verify work, run in-process."""
     from repro.core.search import SearchConfig
     from repro.explore.driver import engine_for_benchmark
     from repro.verify.conformance import verify_benchmark
 
     engine = engine_for_benchmark(SYNTH_JOB["benchmark"],
                                   n_passes=SYNTH_JOB["passes"],
-                                  seed=SYNTH_JOB["stimulus_seed"],
-                                  store_dir="")
+                                  seed=SYNTH_JOB["stimulus_seed"])
     spec = SYNTH_JOB["search"]
     result = engine.run(mode=SYNTH_JOB["mode"], laxity=SYNTH_JOB["laxity"],
                         search=SearchConfig(max_depth=spec["depth"],
@@ -76,8 +79,7 @@ def cli_path_results() -> tuple[dict, dict]:
     report = verify_benchmark(VERIFY_JOB["benchmark"],
                               n_passes=VERIFY_JOB["passes"],
                               seed=VERIFY_JOB["stimulus_seed"],
-                              use_iverilog="off", minimize=False,
-                              store_dir="")
+                              use_iverilog="off", minimize=False)
     return result.summary(), report.summary()
 
 
@@ -85,7 +87,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="fault plan spec to run the server under "
-                             "(e.g. 'seed=11;kill_worker@1;store_write@2:1')")
+                             "(e.g. 'seed=11;kill_worker@1;store_write@3:1')")
     opts = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="repro-store-") as store:
@@ -105,10 +107,8 @@ def main() -> int:
             from repro.service import ServiceClient
 
             with ServiceClient(port=serving["port"], timeout=600) as client:
-                cold_event = client.run(SYNTH_JOB)
-                cold = cold_event["result"]
-                verify = client.run(VERIFY_JOB)["result"]
-                warm = client.run(SYNTH_JOB)["result"]
+                events = [client.run(job) for job in
+                          (SYNTH_JOB, VERIFY_JOB, EXPLORE_JOB, EXPLORE_JOB)]
                 stats = client.stats()
         finally:
             proc.terminate()
@@ -119,38 +119,48 @@ def main() -> int:
         journal = read_journal(pathlib.Path(store) / "journal.ndjson")
 
         cli_synth, cli_verify = cli_path_results()
+        synth, verify, explore, warm = (event["result"] for event in events)
 
         failures = []
-        if design_summary(cold["summary"]) != design_summary(cli_synth):
+        if design_summary(synth["summary"]) != design_summary(cli_synth):
             failures.append(
                 f"streamed synth result != CLI path:\n  served: "
-                f"{design_summary(cold['summary'])}\n  cli:    "
+                f"{design_summary(synth['summary'])}\n  cli:    "
                 f"{design_summary(cli_synth)}")
-        if not cold.get("conformance_ok"):
+        if not synth.get("conformance_ok"):
             failures.append("served synth job failed conformance")
         if verdict(verify["report"]) != verdict(cli_verify):
             failures.append(
                 f"streamed verify report != CLI path:\n  served: "
                 f"{verdict(verify['report'])}\n  cli:    "
                 f"{verdict(cli_verify)}")
-        if design_summary(warm["summary"]) != design_summary(cold["summary"]):
-            failures.append("warm re-submission changed the design summary")
-        warm_hits = warm.get("store_stage", {}).get("incremental", 0)
-        if warm_hits <= 0:
+        warm_hits = warm["summary"]["warm_hits"]
+        if warm_hits != warm["summary"]["jobs"]:
             failures.append(
-                f"warm re-submission reported no store hits "
-                f"(store_stage={warm.get('store_stage')})")
+                f"warm explore re-submission warm-started {warm_hits} of "
+                f"{warm['summary']['jobs']} cells from the store")
+        if warm["frontier"] != explore["frontier"]:
+            failures.append("warm explore re-submission changed the frontier")
         if not any(rec.get("rec") == "draining" for rec in journal):
             failures.append("SIGTERM did not journal a draining record")
 
         if opts.faults:
-            # The chaos really happened AND was survived: the killed
-            # job retried, the pool rebuilt, nothing above mismatched.
-            if cold_event.get("attempts", 1) < 2:
-                failures.append(
-                    f"faulted cold synth was not retried "
-                    f"(attempts={cold_event.get('attempts')})")
-            if stats.get("worker_restarts", 0) < 1:
+            # The chaos really happened AND was survived: every job the
+            # plan faults retried, a killed worker was rebuilt, nothing
+            # above mismatched.
+            from repro.faults import FaultPlan
+            from repro.faults.plan import WORKER_KINDS
+
+            actions = FaultPlan.parse(opts.faults).actions
+            for event in events:
+                faulted = [a.spec() for a in actions
+                           if a.job == event["id"] and a.kind in WORKER_KINDS]
+                if faulted and event.get("attempts", 1) < 2:
+                    failures.append(
+                        f"job {event['id']} ({', '.join(faulted)}) was not "
+                        f"retried (attempts={event.get('attempts')})")
+            kills = any(a.kind in ("kill_worker", "hang") for a in actions)
+            if kills and stats.get("worker_restarts", 0) < 1:
                 failures.append(
                     f"pool reported no worker rebuilds under "
                     f"{opts.faults!r} (stats={stats})")
@@ -165,7 +175,8 @@ def main() -> int:
             return 1
         chaos = f" under faults {opts.faults!r}" if opts.faults else ""
         print(f"service_smoke: OK{chaos} — results match the CLI path, "
-              f"warm re-submission hit the store {warm_hits} times")
+              f"warm explore re-submission served {warm_hits} cells from "
+              f"the store")
         return 0
 
 

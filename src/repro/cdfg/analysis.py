@@ -65,6 +65,20 @@ def region_nodes(cdfg: CDFG, region_id: int, recursive: bool = True) -> list[int
     return out
 
 
+def loop_test_nodes(cdfg: CDFG, loop_id: int) -> frozenset[int]:
+    """Schedulable node ids in a loop's test block, memoized on the CDFG.
+
+    Safe to memoize because a CDFG is not mutated once synthesis starts.
+    """
+    memo = cdfg.__dict__.setdefault("_loop_test_nodes", {})
+    nodes = memo.get(loop_id)
+    if nodes is None:
+        loop = cdfg.region(loop_id)
+        nodes = frozenset(region_nodes(cdfg, loop.test_block, recursive=True))
+        memo[loop_id] = nodes
+    return nodes
+
+
 def region_subtree(cdfg: CDFG, region_id: int) -> set[int]:
     """All region ids in the subtree rooted at ``region_id`` (inclusive)."""
     out = {region_id}

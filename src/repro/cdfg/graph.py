@@ -92,14 +92,6 @@ class CDFG:
         self.regions[region.id] = region
         return region
 
-    def redirect_edge_source(self, edge: Edge, new_src: int) -> None:
-        """Re-point an edge at a different producer (used for loop patching)."""
-        if new_src not in self.nodes:
-            raise CDFGError(f"unknown node {new_src}")
-        self._out_edges[edge.src].remove(edge)
-        edge.src = new_src
-        self._out_edges.setdefault(new_src, []).append(edge)
-
     # -- accessors -----------------------------------------------------------
 
     def node(self, node_id: int) -> Node:
@@ -156,36 +148,11 @@ class CDFG:
                        if n.kind in (OpKind.LOAD, OpKind.STORE)),
                       key=lambda n: n.id)
 
-    def condition_consumers(self, cond_node: int) -> list[Node]:
-        return [self.nodes[e.dst] for e in self._out_edges.get(cond_node, []) if e.is_control]
-
     def block(self, region_id: int) -> BlockRegion:
         region = self.region(region_id)
         if not isinstance(region, BlockRegion):
             raise CDFGError(f"region {region_id} is not a block")
         return region
-
-    def enclosing_loops(self, node_id: int) -> list[LoopRegion]:
-        """Innermost-first list of loop regions containing a node."""
-        loops: list[LoopRegion] = []
-        region = self.region(self.node(node_id).region)
-        while True:
-            if isinstance(region, LoopRegion):
-                loops.append(region)
-            if region.parent is None:
-                return loops
-            region = self.region(region.parent)
-
-    def to_networkx(self, include_carried: bool = True) -> nx.MultiDiGraph:
-        """Flat-graph view for graph algorithms and export."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for node in self.nodes.values():
-            graph.add_node(node.id, kind=node.kind.value, name=node.name, width=node.width)
-        for edge in self.edges:
-            if edge.carried and not include_carried:
-                continue
-            graph.add_edge(edge.src, edge.dst, port=edge.dst_port, carried=edge.carried)
-        return graph
 
     # -- validation ----------------------------------------------------------
 

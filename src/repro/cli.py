@@ -81,6 +81,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -547,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-size", type=_positive_int, default=8,
                    help="pending-job bound before 429 rejection "
                         "(default %(default)s)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_nonnegative_int, default=2,
                    help="process-pool workers; 0 accepts jobs without "
                         "running them, for back-pressure testing "
                         "(default %(default)s)")
@@ -571,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deterministic fault-injection plan, e.g. "
                         "'seed=7;kill_worker@1;store_write@2:1' (default "
                         "$REPRO_FAULTS when set; see docs/service.md)")
-    p.add_argument("--drain-timeout", type=float, default=10.0,
+    p.add_argument("--drain-timeout", type=_nonnegative_float, default=10.0,
                    help="seconds a SIGTERM drain waits for queued jobs "
                         "before journaling the rest (default %(default)s)")
     _add_store(p)

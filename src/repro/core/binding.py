@@ -60,9 +60,6 @@ class MemInstance:
     def access_delay(self) -> float:
         return ram_access_delay(self.spec, self.width, self.depth)
 
-    def ports_used(self) -> set[int]:
-        return set(self.port_of.values())
-
 
 def op_width(cdfg: CDFG, node_id: int) -> int:
     """Width a functional unit must have to execute a node: max of ports."""
@@ -216,7 +213,7 @@ class Binding:
 
     def _mem_sig(self) -> tuple:
         """Array names are stable program identifiers, so one signature
-        form serves all three binding signatures."""
+        form serves both binding signatures."""
         return tuple(
             (mem.name, mem.spec.name, mem.width, mem.depth,
              tuple(sorted(mem.port_of.items())))
@@ -246,32 +243,6 @@ class Binding:
         )
         got = (fus, regs, self._mem_sig())
         self._sig_memo["merge"] = got
-        return got
-
-    def schedule_signature(self) -> tuple:
-        """Id-free signature of exactly what scheduling reads (hashable).
-
-        The engine consumes the binding only through its *partitions*: each
-        unit's (module, width, op set) fixes delays, occupancy conflicts
-        and the input-mux estimate, and each register's carrier set fixes
-        write conflicts — instance ids never influence the schedule (the
-        ``ScheduledOp.fu`` annotation is not read downstream; architecture
-        construction re-resolves units from its own binding).  Bindings
-        that differ only in id numbering therefore share one memoized STG.
-        """
-        got = self._sig_memo.get("schedule")
-        if got is not None:
-            return got
-        fus = tuple(sorted(
-            (fu.module.name, fu.width, tuple(sorted(fu.ops)))
-            for fu in self.fus.values()
-        ))
-        regs = tuple(sorted(
-            (reg.width, tuple(sorted(reg.carriers)))
-            for reg in self.regs.values()
-        ))
-        got = (fus, regs, self._mem_sig())
-        self._sig_memo["schedule"] = got
         return got
 
     def validate(self) -> None:

@@ -2,15 +2,15 @@
 
 The iterative-improvement search evaluates hundreds of candidate design
 points per run, and distinct candidates very often share intermediate
-artifacts: two moves that arrive at the same binding need the same
-schedule, two schedules with identical STGs replay identically, and any
+artifacts: two schedules with identical STGs replay identically, and any
 (binding, STG) pair merges the same unit traces.  A :class:`SynthesisCache`
-keys each stage on a content signature of exactly its inputs:
+holds one table per memoized stage; the keys — a content signature of
+exactly the stage's inputs — are built by
+:class:`~repro.core.design.DesignPoint`, the only caller:
 
-* **schedule** — (CDFG id, binding signature, schedule options);
-* **replay**   — (trace-store id, CDFG id, STG signature);
-* **traces**   — (trace-store id, CDFG id, binding signature, STG
-  signature, clock period);
+* **replay**   — (trace-store id, CDFG id, STG replay signature);
+* **traces**   — (trace-store id, CDFG id, binding merge signature, STG
+  signature);
 * **design**   — (CDFG id, trace-store id, options, binding signature,
   STG signature, mux tree policy) -> the whole derived
   :class:`~repro.core.design.DesignPoint`.  The search revisits
@@ -22,13 +22,18 @@ keys each stage on a content signature of exactly its inputs:
   function of (CDFG, binding, options), so the binding signature alone
   determines the point.
 
+Scheduling is not memoized: over the Figure 13 sweep, distinct bindings
+share a schedule on only about 3% of lookups, and a schedule costs about
+a millisecond, so a table would save under 1% of the sweep.
+
 All cached values are immutable once published (STG states, replay arrays
 and merged traces are never mutated after construction — per-architecture
 state durations live on :class:`~repro.rtl.architecture.Architecture`
 precisely so STGs can be shared), so returning a shared object is
 bit-identical to recomputing it.  A disabled cache recomputes every call
 but still counts it as a miss, which is what lets benches report "full
-computations avoided" by comparing hit/miss totals.
+computations avoided" by comparing hit/miss totals; it is the one way to
+turn caching off.
 
 Each lookup counts as one ``memo.<table>`` call of
 :data:`~repro.core.profile.PROFILER`, a hit marked incremental;
@@ -52,12 +57,12 @@ from repro.core.profile import PROFILER
 def cache_stats(window: dict[str, dict]) -> dict[str, dict[str, float]]:
     """Per-table and total hit/miss counters of a ``PROFILER.window``.
 
-    Returns ``{"schedule"|"replay"|"traces"|"design"|"total": {"hits",
+    Returns ``{"replay"|"traces"|"design"|"total": {"hits",
     "misses", "hit_rate"}}``; a table with no lookups in the window
     reports zeros.
     """
     counts = {}
-    for table in ("schedule", "replay", "traces", "design"):
+    for table in ("replay", "traces", "design"):
         stage = window.get(f"memo.{table}", {})
         hits = stage.get("incremental", 0)
         counts[table] = (hits, stage.get("calls", 0) - hits)
@@ -124,36 +129,24 @@ class MemoTable:
                 del self._table[oldest]
         return value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._table)
 
 
 class SynthesisCache:
-    """The four memo tables of the synthesis pipeline.
+    """The three memo tables of the synthesis pipeline.
 
     One instance is owned by a :class:`~repro.core.engine.SynthesisEngine`
-    (or created ad hoc by :func:`~repro.core.impact.synthesize`) and
-    threaded through every :class:`~repro.core.design.DesignPoint` it
-    derives, so laxity sweeps and multi-start searches share artifacts.
+    (or created by :meth:`~repro.core.design.DesignPoint.initial` when
+    none is given) and threaded through every
+    :class:`~repro.core.design.DesignPoint` derived from it, so laxity
+    sweeps and multi-start searches share artifacts.
     """
 
     def __init__(self, enabled: bool = True, max_entries: int | None = None):
         self.enabled = enabled
         self.max_entries = max_entries
-        self.schedule = MemoTable("schedule", enabled, max_entries)
         self.replay = MemoTable("replay", enabled, max_entries)
         self.traces = MemoTable("traces", enabled, max_entries)
         self.designs = MemoTable("design", enabled, max_entries)
-
-    @property
-    def tables(self) -> tuple[MemoTable, ...]:
-        return (self.schedule, self.replay, self.traces, self.designs)
-
-    def clear(self) -> None:
-        for table in self.tables:
-            table.clear()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.cdfg.graph import CDFG
 from repro.core.binding import Binding
+from repro.core.cache import SynthesisCache
 from repro.core.delta import DirtySet
 from repro.core.mux_restructure import huffman_tree
 from repro.library.library import ModuleLibrary
@@ -123,6 +124,18 @@ def energy_cost(design: "DesignPoint", enc_budget: float) -> float:
     return evaluation.power_5v * evaluation.enc * (vdd / 5.0) ** 2
 
 
+def _memo_replay(cache: SynthesisCache, stg: STG, cdfg: CDFG,
+                 store: TraceStore) -> ReplayResult:
+    """Replay, memoized on (store, CDFG, the STG's replay signature).
+
+    Replay never reads the binding, so points that re-bind without
+    re-scheduling, and distinct bindings whose schedules coincide up to
+    unit assignment, share one :class:`ReplayResult`.
+    """
+    key = (id(store), id(cdfg), stg.replay_signature())
+    return cache.replay.get_or_compute(key, lambda: replay(stg, cdfg, store))
+
+
 class DesignPoint:
     """One point in the design space; immutable once evaluated.
 
@@ -131,10 +144,13 @@ class DesignPoint:
     architecture, the merged unit traces and the evaluation bundle are
     cached properties built on first use, so candidates the search rejects
     early — an interfering register share, an illegal derivation — never
-    pay for RTL construction or trace merging.  When a
-    :class:`~repro.core.cache.SynthesisCache` is attached, the schedule,
-    replay and trace-merge stages are additionally memoized across design
-    points by content signature.
+    pay for RTL construction or trace merging.
+
+    Every point holds a :class:`~repro.core.cache.SynthesisCache`, shared
+    with the points derived from it, and owns its key policy: derived
+    points are memoized on (binding, STG, tree policy), replays on the
+    STG's replay signature, merged traces on the binding's merge
+    signature plus the STG signature.  Scheduling is not memoized.
 
     A point derived with a :class:`~repro.core.delta.DirtySet` (and
     ``incremental`` enabled) keeps a reference to its parent and builds
@@ -144,8 +160,9 @@ class DesignPoint:
 
     def __init__(self, cdfg: CDFG, library: ModuleLibrary, store: TraceStore,
                  options: ScheduleOptions, binding: Binding, stg: STG,
-                 rep: ReplayResult, tree_policy: frozenset = frozenset(),
-                 cache=None, parent: "DesignPoint | None" = None,
+                 rep: ReplayResult, cache: SynthesisCache,
+                 tree_policy: frozenset = frozenset(),
+                 parent: "DesignPoint | None" = None,
                  dirty: DirtySet | None = None, incremental: bool = True):
         self.cdfg = cdfg
         self.library = library
@@ -171,14 +188,20 @@ class DesignPoint:
     @classmethod
     def initial(cls, cdfg: CDFG, library: ModuleLibrary, store: TraceStore,
                 options: ScheduleOptions | None = None,
-                cache=None, incremental: bool = True) -> "DesignPoint":
-        """The paper's starting point: fully parallel, fastest modules."""
+                cache: SynthesisCache | None = None,
+                incremental: bool = True) -> "DesignPoint":
+        """The paper's starting point: fully parallel, fastest modules.
+
+        Without a ``cache`` the point and everything derived from it
+        share a fresh :class:`~repro.core.cache.SynthesisCache`.
+        """
         options = options or ScheduleOptions()
+        cache = cache or SynthesisCache()
         binding = Binding.initial_parallel(cdfg, library)
-        stg = schedule(cdfg, binding, options, cache=cache)
-        rep = replay(stg, cdfg, store, cache=cache)
-        return cls(cdfg, library, store, options, binding, stg, rep,
-                   cache=cache, incremental=incremental)
+        stg = schedule(cdfg, binding, options)
+        rep = _memo_replay(cache, stg, cdfg, store)
+        return cls(cdfg, library, store, options, binding, stg, rep, cache,
+                   incremental=incremental)
 
     def with_binding(self, binding: Binding, reschedule: bool,
                      dirty: DirtySet | None = None) -> "DesignPoint":
@@ -192,48 +215,44 @@ class DesignPoint:
         ``dirty`` is the applying move's declaration of what it touched;
         for non-rescheduling moves it enables the incremental evaluation
         path.  Rescheduling derivations always take the full path:
-        ``schedule()`` and ``replay()`` run from scratch, memoized on the
-        binding's schedule signature and the STG's replay signature.
-        Passing no dirty set falls back to full evaluation.
+        ``schedule()`` runs from scratch and ``replay()`` is memoized on
+        the STG's replay signature.  Passing no dirty set falls back to
+        full evaluation.
         """
-        memo = self.cache.designs if self.cache is not None else None
+        memo = self.cache.designs
         if reschedule:
             # The schedule is a function of (CDFG, binding, options), so
             # the binding signature alone keys the derived point — a hit
             # skips scheduling and replay entirely.  A disabled memo
             # still counts the derivation as a miss, keeping cached and
             # uncached miss counters comparable.
-            if memo is not None:
-                key = (id(self.cdfg), id(self.store), self.options,
-                       binding.signature(), self.tree_policy, True)
-                return memo.get_or_compute(
-                    key, lambda: self._derive_rescheduled(binding))
-            return self._derive_rescheduled(binding)
+            key = (id(self.cdfg), id(self.store), self.options,
+                   binding.signature(), self.tree_policy, True)
+            return memo.get_or_compute(
+                key, lambda: self._derive_rescheduled(binding))
         # A non-rescheduling derivation keeps this point's STG, which is
         # a product of its move history, not of ``binding`` — the key
         # needs the STG signature too.
-        if memo is not None:
-            key = (id(self.cdfg), id(self.store), self.options,
-                   binding.signature(), self.tree_policy, False,
-                   self.stg.signature())
-            return memo.get_or_compute(
-                key, lambda: self._derive_rebound(binding, dirty))
-        return self._derive_rebound(binding, dirty)
+        key = (id(self.cdfg), id(self.store), self.options,
+               binding.signature(), self.tree_policy, False,
+               self.stg.signature())
+        return memo.get_or_compute(
+            key, lambda: self._derive_rebound(binding, dirty))
 
     def _derive_rescheduled(self, binding: Binding) -> "DesignPoint":
-        stg = schedule(self.cdfg, binding, self.options, cache=self.cache)
-        rep = replay(stg, self.cdfg, self.store, cache=self.cache)
+        stg = schedule(self.cdfg, binding, self.options)
+        rep = _memo_replay(self.cache, stg, self.cdfg, self.store)
         derived = DesignPoint(self.cdfg, self.library, self.store, self.options,
-                              binding, stg, rep, self.tree_policy,
-                              cache=self.cache, incremental=self.incremental)
+                              binding, stg, rep, self.cache, self.tree_policy,
+                              incremental=self.incremental)
         derived.check_register_sharing()
         return derived
 
     def _derive_rebound(self, binding: Binding,
                         dirty: DirtySet | None) -> "DesignPoint":
         derived = DesignPoint(self.cdfg, self.library, self.store, self.options,
-                              binding, self.stg, self.rep, self.tree_policy,
-                              cache=self.cache, parent=self, dirty=dirty,
+                              binding, self.stg, self.rep, self.cache,
+                              self.tree_policy, parent=self, dirty=dirty,
                               incremental=self.incremental)
         # Liveness depends only on (CDFG, STG), both shared.
         derived._liveness = self._liveness
@@ -260,22 +279,19 @@ class DesignPoint:
     def with_tree_policy(self, port_key: tuple) -> "DesignPoint":
         """Derive a new point with one more Huffman-restructured mux tree."""
         policy = self.tree_policy | {port_key}
-        memo = self.cache.designs if self.cache is not None else None
-        if memo is not None:
-            # Same key space as the non-rescheduling binding derivation:
-            # (binding, STG, policy) determine the point either way.
-            key = (id(self.cdfg), id(self.store), self.options,
-                   self.binding.signature(), policy, False,
-                   self.stg.signature())
-            return memo.get_or_compute(
-                key, lambda: self._derive_policy(policy, port_key))
-        return self._derive_policy(policy, port_key)
+        # Same key space as the non-rescheduling binding derivation:
+        # (binding, STG, policy) determine the point either way.
+        key = (id(self.cdfg), id(self.store), self.options,
+               self.binding.signature(), policy, False,
+               self.stg.signature())
+        return self.cache.designs.get_or_compute(
+            key, lambda: self._derive_policy(policy, port_key))
 
     def _derive_policy(self, policy: frozenset,
                        port_key: tuple) -> "DesignPoint":
         derived = DesignPoint(self.cdfg, self.library, self.store, self.options,
-                              self.binding, self.stg, self.rep, policy,
-                              cache=self.cache, parent=self,
+                              self.binding, self.stg, self.rep, self.cache,
+                              policy, parent=self,
                               dirty=DirtySet.for_ports(port_key),
                               incremental=self.incremental)
         derived._liveness = self._liveness
@@ -321,13 +337,22 @@ class DesignPoint:
         return self._traces
 
     def _merge_traces(self, arch: Architecture) -> UnitTraces:
+        """Merged traces, memoized on everything the merge reads.
+
+        The merge signature ignores module assignments (the merge never
+        reads them), so module-substitution candidates share the parent's
+        traces outright.  Merged traces are immutable apart from internal
+        statistic memos, so the shared object is safe across points.
+        """
+        key = (id(self.store), id(arch.cdfg), arch.binding.merge_signature(),
+               arch.stg.signature())
         parent = self._parent
+        delta = {}
         if parent is not None and self._rebuilt_ports is not None:
-            return merge_unit_traces(arch, self.store, self.rep,
-                                     cache=self.cache, parent=parent.traces,
-                                     dirty=self._dirty,
-                                     dirty_ports=self._rebuilt_ports)
-        return merge_unit_traces(arch, self.store, self.rep, cache=self.cache)
+            delta = dict(parent=parent.traces, dirty=self._dirty,
+                         dirty_ports=self._rebuilt_ports)
+        return self.cache.traces.get_or_compute(
+            key, lambda: merge_unit_traces(arch, self.store, self.rep, **delta))
 
     def liveness(self) -> dict[int, set[str]]:
         """Carrier liveness over this point's STG, computed once.

@@ -5,13 +5,14 @@ synthesis runs of one behavioral description — the module library, the
 profiled trace store, the minimum-ENC initial design point, and the
 content-addressed memo tables of :mod:`repro.core.cache` — so laxity
 sweeps, multi-start searches and repeated experiments stop recomputing
-identical schedules, replays and merged traces.
+identical design points, replays and merged traces.
 
 :meth:`SynthesisEngine.run` executes one IMPACT flow (Figure 7) and is the
 single entry point behind :func:`repro.core.impact.synthesize`; it searches
 from each start in turn; repeated runs on one engine share its state.
-Results are bit-identical with caching toggled off: every cached artifact
-is immutable and content-addressed.  The memo tables live as long as the
+Results are bit-identical with caching off
+(``cache=SynthesisCache(enabled=False)``): every cached artifact is
+immutable and content-addressed.  The memo tables live as long as the
 engine and are never written to disk; the artifact store keeps only
 explore checkpoints (:mod:`repro.explore.steal`).
 """
@@ -51,8 +52,8 @@ class SynthesisResult:
     enc_budget: float
     history: SearchHistory
     store: TraceStore
-    #: Memo-table counters over the run window: {"schedule"|"replay"|
-    #: "traces"|"design"|"total": {"hits", "misses", "hit_rate"}} (see
+    #: Memo-table counters over the run window: {"replay"|"traces"|
+    #: "design"|"total": {"hits", "misses", "hit_rate"}} (see
     #: :func:`repro.core.cache.cache_stats`).  Like every ``PROFILER``
     #: window they cover all memo lookups made in the process during the
     #: run, not only this engine's cache.
@@ -89,10 +90,6 @@ class SynthesisEngine:
         The behavioral description and the profiling stimulus.
     library, options:
         Module library and schedule options shared by every run.
-    caching:
-        The config flag for the memo tables.  ``False`` recomputes every
-        pipeline stage (results are bit-identical either way) while still
-        counting computations, so speedups stay measurable.
     incremental:
         The config flag for delta-based candidate evaluation: moves with
         a dirty set derive architecture, traces and power estimate by
@@ -101,9 +98,11 @@ class SynthesisEngine:
         (the equivalence suite enforces it).
     cache:
         An optional pre-built :class:`~repro.core.cache.SynthesisCache`,
-        e.g. one bounded with ``max_entries``.  ``None`` builds one from
-        ``caching``; when a cache is given its own ``enabled`` flag
-        governs and ``caching`` is ignored.
+        e.g. one bounded with ``max_entries``, or
+        ``SynthesisCache(enabled=False)``, which recomputes every memoized
+        stage (results are bit-identical either way) while still counting
+        computations, so speedups stay measurable.  ``None`` builds a
+        default cache.
     store, initial:
         Optional pre-computed trace store / initial design point (e.g.
         from an earlier engine); both are lazily built when omitted.
@@ -112,7 +111,6 @@ class SynthesisEngine:
     def __init__(self, cdfg: CDFG, stimulus: list[dict[str, int]], *,
                  library: ModuleLibrary | None = None,
                  options: ScheduleOptions | None = None,
-                 caching: bool = True,
                  incremental: bool = True,
                  cache: SynthesisCache | None = None,
                  store: TraceStore | None = None,
@@ -121,7 +119,7 @@ class SynthesisEngine:
         self.stimulus = stimulus
         self.library = library or default_library()
         self.options = options or ScheduleOptions()
-        self.cache = cache if cache is not None else SynthesisCache(enabled=caching)
+        self.cache = cache or SynthesisCache()
         self.incremental = incremental
         self._store = store
         self._initial = self._adopt(initial)

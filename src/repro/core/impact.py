@@ -47,7 +47,6 @@ def synthesize(
     initial: DesignPoint | None = None,
     starts: list[DesignPoint] | None = None,
     area_cap: float | None = None,
-    caching: bool = True,
 ) -> SynthesisResult:
     """Run the full IMPACT flow on a CDFG.
 
@@ -58,11 +57,8 @@ def synthesize(
     the search runs from each and the best final design wins.  ``initial``
     always defines ``enc_min`` (the minimum-ENC parallel design) and is
     always included as a starting point.
-
-    ``caching`` toggles the content-addressed pipeline memo tables
-    (bit-identical results either way).
     """
     engine = SynthesisEngine(cdfg, stimulus, library=library, options=options,
-                             caching=caching, store=store, initial=initial)
+                             store=store, initial=initial)
     return engine.run(mode=mode, laxity=laxity, search=search, starts=starts,
                       area_cap=area_cap)

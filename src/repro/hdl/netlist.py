@@ -219,9 +219,6 @@ class Netlist:
     #: Rendered into the emitted Verilog header (and useful for reports).
     meta: dict = field(default_factory=dict)
 
-    def wire_names(self) -> set[str]:
-        return {w.name for w in self.wires}
-
     def signal_kinds(self) -> dict[str, str]:
         """name -> 'wire' | 'reg' | 'input' for diagnostics."""
         kinds = {w.name: "wire" for w in self.wires}

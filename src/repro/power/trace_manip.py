@@ -145,20 +145,9 @@ class UnitTraces:
 
 
 def merge_unit_traces(arch: Architecture, store: TraceStore,
-                      rep: ReplayResult, cache=None,
-                      parent: UnitTraces | None = None,
+                      rep: ReplayResult, parent: UnitTraces | None = None,
                       dirty=None, dirty_ports: frozenset = frozenset()) -> UnitTraces:
     """Merge per-op traces into per-unit traces for one design point.
-
-    ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`;
-    when given, the result is memoized on (store id, CDFG id, merge
-    signature of the binding, STG signature) — everything the merge
-    reads.  The signature deliberately ignores module assignments (the
-    merge never reads them), so module-substitution candidates share the
-    parent's traces outright.  The merged traces are immutable apart from
-    internal statistic memos, so the shared object is safe across design
-    points (mux-tree restructuring changes the architecture, never the
-    merged streams).
 
     ``parent``/``dirty``/``dirty_ports`` enable the incremental path: the
     parent's streams and port statistics are shared for every unit/port
@@ -167,19 +156,12 @@ def merge_unit_traces(arch: Architecture, store: TraceStore,
     (operation set, width, occurrence arrays, replay timing) are the
     parent's exactly.
     """
-    def compute() -> UnitTraces:
-        incremental = parent is not None and dirty is not None
-        with PROFILER.stage("trace_merge", incremental=incremental):
-            if incremental:
-                return _Merger(arch, store, rep, parent=parent, dirty=dirty,
-                               dirty_ports=dirty_ports).run()
-            return _Merger(arch, store, rep).run()
-
-    if cache is None:
-        return compute()
-    key = (id(store), id(arch.cdfg), arch.binding.merge_signature(),
-           arch.stg.signature())
-    return cache.traces.get_or_compute(key, compute)
+    incremental = parent is not None and dirty is not None
+    with PROFILER.stage("trace_merge", incremental=incremental):
+        if incremental:
+            return _Merger(arch, store, rep, parent=parent, dirty=dirty,
+                           dirty_ports=dirty_ports).run()
+        return _Merger(arch, store, rep).run()
 
 
 class _Merger:

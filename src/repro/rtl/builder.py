@@ -21,7 +21,7 @@ same sequence the full build would have produced.
 from __future__ import annotations
 
 from repro.errors import ArchitectureError
-from repro.cdfg.analysis import condition_nodes
+from repro.cdfg.analysis import condition_nodes, loop_test_nodes
 from repro.cdfg.edge import Edge
 from repro.cdfg.graph import CDFG
 from repro.cdfg.node import OpKind
@@ -79,13 +79,13 @@ def edge_source(arch: Architecture, edge: Edge, state_id: int) -> SourceKey:
     if src.kind is OpKind.CONST:
         return ("const", src.value)
     if edge.carried:
-        if (edge.dst in _loop_test_nodes(arch, edge.loop)
-                and edge.src in _state_nodes(arch, state_id)):
+        if (edge.dst in loop_test_nodes(cdfg, edge.loop)
+                and edge.src in arch.stg.state_nodes(state_id)):
             return producer_signal(arch, edge.src, state_id)
         return ("reg", arch.binding.reg_of(src.carrier).id)
     if src.kind in (OpKind.SELECT, OpKind.ENDLOOP, OpKind.INPUT):
         return ("reg", arch.binding.reg_of(src.carrier).id)
-    if edge.src in _state_nodes(arch, state_id):
+    if edge.src in arch.stg.state_nodes(state_id):
         return producer_signal(arch, edge.src, state_id)
     if src.carrier is not None:
         return ("reg", arch.binding.reg_of(src.carrier).id)
@@ -93,38 +93,6 @@ def edge_source(arch: Architecture, edge: Edge, state_id: int) -> SourceKey:
         raise ArchitectureError(
             f"temporary {src.name} crosses states but has no register")
     return ("tmp", edge.src)
-
-
-def _state_nodes(arch: Architecture, state_id: int) -> set[int]:
-    """Set of node ids scheduled in a state, memoized per architecture.
-
-    Keyed on the architecture (not the STG) so derived points sharing an
-    STG also share the sets via :class:`_ArchBuilder`'s cache hand-off.
-    """
-    cache = getattr(arch, "_state_node_cache", None)
-    if cache is None:
-        cache = {}
-        arch._state_node_cache = cache
-    nodes = cache.get(state_id)
-    if nodes is None:
-        nodes = set(arch.stg.states[state_id].node_ids())
-        cache[state_id] = nodes
-    return nodes
-
-
-def _loop_test_nodes(arch: Architecture, loop_id: int) -> set[int]:
-    cache = getattr(arch, "_test_node_cache", None)
-    if cache is None:
-        cache = {}
-        arch._test_node_cache = cache
-    nodes = cache.get(loop_id)
-    if nodes is None:
-        from repro.cdfg.analysis import region_nodes
-
-        loop = arch.cdfg.region(loop_id)
-        nodes = set(region_nodes(arch.cdfg, loop.test_block, recursive=True))
-        cache[loop_id] = nodes
-    return nodes
 
 
 def copy_is_transparent(src_width: int, src_signed: bool,
@@ -207,13 +175,6 @@ class _ArchBuilder:
         else:
             # Temporaries depend only on (CDFG, STG), both shared.
             self.datapath.tmp_regs = dict(self.parent.datapath.tmp_regs)
-            cached_tests = getattr(self.parent, "_test_node_cache", None)
-            if cached_tests is not None:
-                self.arch._test_node_cache = cached_tests
-            # Same STG object: the per-state node sets transfer verbatim.
-            cached_nodes = getattr(self.parent, "_state_node_cache", None)
-            if cached_nodes is not None:
-                self.arch._state_node_cache = cached_nodes
         self._wire_fu_inputs()
         self._wire_memory_inputs()
         self._wire_register_inputs()

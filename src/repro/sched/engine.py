@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
 from repro.cdfg.analysis import (
+    loop_test_nodes,
     mutually_exclusive,
     producers_outside,
     region_nodes,
@@ -104,7 +105,7 @@ class _SchedAnalysis:
         self._node_region_owner: dict[int, int] = {}
         self._region_deps: dict[int, list[tuple[str, int]]] = {}
         self._writers_by_carrier: dict[str, list[int]] = {}
-        self._test_nodes: dict[int, set[int]] = {}
+        self._test_nodes: dict[int, frozenset[int]] = {}
         #: Structure-only region digests, shared across every engine run on
         #: this CDFG: task pools per block, schedulable-node sets per
         #: region subtree, loop read/write carrier sets.
@@ -159,8 +160,7 @@ class _SchedAnalysis:
             elif isinstance(region, LoopRegion):
                 for elp in region.elp_nodes:
                     self._node_region_owner[elp] = region.id
-                self._test_nodes[region.id] = set(
-                    region_nodes(cdfg, region.test_block, recursive=True))
+                self._test_nodes[region.id] = loop_test_nodes(cdfg, region.id)
 
         for node in cdfg.nodes.values():
             if node.carrier is not None and (node.is_schedulable or node.kind is OpKind.INPUT):
@@ -928,29 +928,14 @@ class _Engine:
         return exit_cursor
 
 
-def schedule(cdfg: CDFG, binding: Binding, options: ScheduleOptions | None = None,
-             cache=None) -> STG:
-    """Schedule a CDFG under a binding; returns a validated STG.
-
-    ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`;
-    when given, the result is memoized on (CDFG id, resource-constraint
-    signature, options) — the engine is deterministic in those inputs, and
-    the STG is immutable once returned, so a cached STG is shared between
-    the design points that would have scheduled identically (see
-    :meth:`~repro.core.binding.Binding.schedule_signature`).
-    """
+def schedule(cdfg: CDFG, binding: Binding,
+             options: ScheduleOptions | None = None) -> STG:
+    """Schedule a CDFG under a binding; returns a validated STG."""
     from repro.core.profile import PROFILER
 
     options = options or ScheduleOptions()
-
-    def compute() -> STG:
-        with PROFILER.stage("schedule") as token:
-            # Incremental: the CDFG's binding-independent analysis came
-            # from an earlier run; only the binding-dependent packing runs.
-            token.incremental = "_sched_analysis" in cdfg.__dict__
-            return _Engine(cdfg, binding, options).run()
-
-    if cache is None:
-        return compute()
-    key = (id(cdfg), binding.schedule_signature(), options)
-    return cache.schedule.get_or_compute(key, compute)
+    with PROFILER.stage("schedule") as token:
+        # Incremental: the CDFG's binding-independent analysis came
+        # from an earlier run; only the binding-dependent packing runs.
+        token.incremental = "_sched_analysis" in cdfg.__dict__
+        return _Engine(cdfg, binding, options).run()

@@ -98,25 +98,8 @@ class ReplayResult:
                         dtype=np.int64)
 
 
-def replay(stg: STG, cdfg: CDFG, store: TraceStore,
-           cache=None) -> ReplayResult:
-    """Execute the STG over every profiled pass (see module docstring).
-
-    ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`;
-    when given, the result is memoized on (store id, CDFG id, replay
-    signature of the STG) — replay depends only on those, not on the
-    binding, so design points that re-bind without re-scheduling, and
-    distinct bindings whose schedules coincide up to unit assignment,
-    share one :class:`ReplayResult`.
-    """
-    if cache is None:
-        return _replay(stg, cdfg, store)
-    key = (id(store), id(cdfg), stg.replay_signature())
-    return cache.replay.get_or_compute(
-        key, lambda: _replay(stg, cdfg, store))
-
-
-def _replay(stg: STG, cdfg: CDFG, store: TraceStore) -> ReplayResult:
+def replay(stg: STG, cdfg: CDFG, store: TraceStore) -> ReplayResult:
+    """Execute the STG over every profiled pass (see module docstring)."""
     from repro.core.profile import PROFILER
 
     with PROFILER.stage("replay") as token:
@@ -161,10 +144,7 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore,
         (sid, tuple(sorted(state_conds[sid])),
          tuple((t.conds, t.dst) for t in stg.out_transitions(sid)))
         for sid in states)))
-    walk_cache = getattr(store, "_walk_cache", None)
-    if walk_cache is None:
-        walk_cache = {}
-        store._walk_cache = walk_cache
+    walk_cache = store.__dict__.setdefault("_walk_cache", {})
     cached_walk = walk_cache.get(sig)
     token.incremental = cached_walk is not None
 

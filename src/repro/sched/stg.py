@@ -81,6 +81,7 @@ class STG:
         self.start: int = -1
         self.done: int = -1
         self._next_id = 0
+        self._state_nodes: dict[int, frozenset[int]] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -129,6 +130,17 @@ class STG:
 
     def ops_in_state(self, state_id: int) -> list[ScheduledOp]:
         return self.states[state_id].ops
+
+    def state_nodes(self, state_id: int) -> frozenset[int]:
+        """Set of node ids scheduled in a state, memoized.
+
+        Safe to memoize for the same reason as :meth:`signature`.
+        """
+        nodes = self._state_nodes.get(state_id)
+        if nodes is None:
+            nodes = frozenset(self.states[state_id].node_ids())
+            self._state_nodes[state_id] = nodes
+        return nodes
 
     def signature(self) -> tuple:
         """Content signature of the whole STG (hashable, memoized).

@@ -118,21 +118,12 @@ class TraceStore:
         array = self.occurrences.get(node_id)
         return 0 if array is None else len(array)
 
-    def executed_nodes(self) -> list[int]:
-        return sorted(self.occurrences)
-
     def branch_probability(self, cond_node: int) -> float:
         """Fraction of a condition node's evaluations that were true."""
         array = self.occurrences.get(cond_node)
         if array is None or len(array) == 0:
             return 0.0
         return float(np.count_nonzero(array.out)) / float(len(array))
-
-    def mean_loop_trips(self, region_id: int) -> float:
-        trips = self.loop_trips.get(region_id)
-        if trips is None or trips.size == 0:
-            return 0.0
-        return float(trips.mean())
 
     def total_occurrences(self) -> int:
         return sum(len(a) for a in self.occurrences.values())

@@ -125,6 +125,11 @@ class TestRejectedArguments:
         ["bench", "-b", "gcd", "--laxities", ","],
         ["serve", "--timeout", "0"],
         ["serve", "--timeout", "-1"],
+        # -1 workers would silently mean "accept but never run", and a
+        # negative drain timeout would journal every queued job at once.
+        ["serve", "--workers", "-1"],
+        ["serve", "--drain-timeout", "-1"],
+        ["serve", "--drain-timeout", "nan"],
         # A search with zero effort would report 0 moves as a result.
         ["synth", "-b", "gcd", "--depth", "0"],
         ["synth", "-b", "gcd", "--candidates", "0"],

@@ -5,7 +5,7 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.core.binding import Binding
 from repro.core.cache import MemoTable, SynthesisCache, cache_stats
-from repro.core.impact import synthesize
+from repro.core.engine import SynthesisEngine
 from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.library import default_library
@@ -51,40 +51,23 @@ class TestMemoTable:
 class TestSynthesisCacheStats:
     def test_window_delta(self):
         cache = SynthesisCache()
-        cache.schedule.get_or_compute("x", lambda: 1)
+        cache.traces.get_or_compute("x", lambda: 1)
         window = PROFILER.snapshot()
-        cache.schedule.get_or_compute("x", lambda: 1)
+        cache.traces.get_or_compute("x", lambda: 1)
         cache.replay.get_or_compute("y", lambda: 2)
         stats = cache_stats(PROFILER.window(window))
-        assert stats["schedule"]["hits"] == 1
+        assert stats["traces"]["hits"] == 1
         assert stats["replay"]["misses"] == 1
         assert stats["total"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
 
     def test_lifetime_stats_shape(self):
         # Every table reports, lookups or not.
         stats = cache_stats({})
-        assert set(stats) == {"schedule", "replay", "traces", "design",
-                              "total"}
+        assert set(stats) == {"replay", "traces", "design", "total"}
         assert stats["design"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
 
 
 class TestSignatures:
-    def test_schedule_signature_ignores_instance_ids(self, gcd_cdfg):
-        """Merging a/b vs b/a yields different ids, one schedule key."""
-        library = default_library()
-        base = Binding.initial_parallel(gcd_cdfg, library)
-        from repro.cdfg.node import OpKind
-
-        subs = [f.id for f in base.fus.values()
-                if f.kinds(gcd_cdfg) == {OpKind.SUB}]
-        module = base.fus[subs[0]].module
-        forward = base.clone()
-        forward.merge_fus(subs[0], subs[1], module)
-        backward = base.clone()
-        backward.merge_fus(subs[1], subs[0], module)
-        assert forward.signature() != backward.signature()
-        assert forward.schedule_signature() == backward.schedule_signature()
-
     def test_full_signature_distinguishes_partitions(self, gcd_cdfg):
         library = default_library()
         base = Binding.initial_parallel(gcd_cdfg, library)
@@ -92,7 +75,6 @@ class TestSignatures:
         merged = base.clone()
         merged.merge_regs(regs[0], regs[1])
         assert merged.signature() != base.signature()
-        assert merged.schedule_signature() != base.schedule_signature()
 
     def test_stg_signatures_stable_and_memoized(self, gcd_cdfg):
         from repro.sched import wavesched
@@ -116,8 +98,9 @@ def test_caching_is_bit_identical_on_registry_benchmarks(name):
     evaluations = {}
     histories = {}
     for caching in (True, False):
-        result = synthesize(cdfg, stimulus, mode="power", laxity=2.0,
-                            options=options, search=FAST, caching=caching)
+        engine = SynthesisEngine(cdfg, stimulus, options=options,
+                                 cache=SynthesisCache(enabled=caching))
+        result = engine.run(mode="power", laxity=2.0, search=FAST)
         ev = result.design.evaluate()
         evaluations[caching] = (ev.enc, ev.legal, ev.area, ev.slack_ratio,
                                 ev.vdd, ev.power_5v, ev.power_scaled)

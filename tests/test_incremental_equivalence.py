@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.benchmarks import get_benchmark
+from repro.core.cache import SynthesisCache
 from repro.core.engine import SynthesisEngine
 from repro.core.moves import generate_moves
 from repro.core.search import SearchConfig, design_cost
@@ -41,9 +42,11 @@ def get_pair(name: str, caching: bool):
         stimulus = bench.stimulus(N_PASSES, seed=3)
         options = ScheduleOptions(clock_ns=bench.clock_ns)
         inc_engine = SynthesisEngine(cdfg, stimulus, options=options,
-                                     caching=caching, incremental=True)
+                                     cache=SynthesisCache(enabled=caching),
+                                     incremental=True)
         full_engine = SynthesisEngine(cdfg, stimulus, options=options,
-                                      caching=caching, incremental=False,
+                                      cache=SynthesisCache(enabled=caching),
+                                      incremental=False,
                                       store=inc_engine.store)
         _PAIRS[key] = (inc_engine.initial, full_engine.initial)
     return _PAIRS[key]

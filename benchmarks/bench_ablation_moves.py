@@ -1,9 +1,10 @@
 """Ablation: contribution of each move class to the power result.
 
-DESIGN.md calls out the interleaving of scheduling, module selection,
-resource sharing and mux restructuring as the paper's core claim; this
-bench disables one move class at a time and reports the power-mode result
-on GCD and Dealer at laxity 2.0.
+The paper's core claim is the interleaving of scheduling, module
+selection, resource sharing and mux restructuring; this bench disables one
+move class at a time and reports the power-mode result on GCD and Dealer at
+laxity 2.0.  ROADMAP.md tracks the gatesim-scored version over the Figure-13
+set.
 """
 
 from conftest import publish, run_once

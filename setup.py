@@ -18,11 +18,10 @@ setup(
     python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=[
-        "numpy>=1.24",
-        "networkx>=3.0",
-        "scipy>=1.10",
-    ],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy>=1.24"],
+    # scipy and networkx are oracles: tests compare the in-tree Brent
+    # root-find and skeleton order against them.
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis",
+                             "networkx>=3.0", "scipy>=1.10"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.errors import CDFGError
 from repro.cdfg.graph import CDFG
 from repro.cdfg.node import Node, OpKind
 from repro.cdfg.regions import BlockRegion, IfRegion, LoopRegion, OpsItem, Region, SubRegionItem
@@ -79,6 +80,69 @@ def loop_test_nodes(cdfg: CDFG, loop_id: int) -> frozenset[int]:
     return nodes
 
 
+def skeleton_order(cdfg: CDFG) -> tuple[list[int], dict[int, list[int]]]:
+    """Topological order of the acyclic skeleton, with its successor lists.
+
+    The skeleton is the CDFG without its loop-carried edges.  The order is
+    Kahn's algorithm by generations — sources in node order, then each
+    node's successors in first-edge order — which is the order
+    ``networkx.topological_sort`` gives for the same graph.  The
+    successor lists hold each node's distinct skeleton successors.
+
+    Memoized on the CDFG (:meth:`CDFG.add_node` and :meth:`CDFG.add_edge`
+    drop the memo); callers must not mutate the result.  Raises
+    :class:`CDFGError` naming a cycle if the skeleton has one.
+    """
+    memo = cdfg.__dict__.get("_skeleton_order")
+    if memo is not None:
+        return memo
+    targets: dict[int, dict[int, None]] = {n: {} for n in cdfg.nodes}
+    for edge in cdfg.edges:
+        if not edge.carried:
+            targets[edge.src][edge.dst] = None
+    successors = {n: list(t) for n, t in targets.items()}
+    indegree = dict.fromkeys(cdfg.nodes, 0)
+    for succs in successors.values():
+        for succ in succs:
+            indegree[succ] += 1
+    order = [n for n, d in indegree.items() if d == 0]
+    # A FIFO queue visits every generation before the next one starts.
+    i = 0
+    while i < len(order):
+        for succ in successors[order[i]]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                order.append(succ)
+        i += 1
+    if len(order) < len(cdfg.nodes):
+        cycle = _skeleton_cycle(cdfg, successors, {n for n, d in indegree.items() if d})
+        names = " -> ".join(cdfg.nodes[n].name for n in cycle + cycle[:1])
+        raise CDFGError(f"acyclic skeleton contains a cycle: {names}")
+    memo = cdfg._skeleton_order = (order, successors)
+    return memo
+
+
+def _skeleton_cycle(cdfg: CDFG, successors: dict[int, list[int]],
+                    stuck: set[int]) -> list[int]:
+    """One cycle among the nodes Kahn's algorithm could not order.
+
+    Every stuck node has a stuck predecessor, so walking predecessors from
+    any of them must repeat a node.  The cycle is returned in edge
+    direction, starting at its earliest node in node order.
+    """
+    preds: dict[int, list[int]] = {n: [] for n in stuck}
+    for node_id in stuck:
+        for succ in successors[node_id]:
+            if succ in stuck:
+                preds[succ].append(node_id)
+    walk = [next(n for n in cdfg.nodes if n in stuck)]
+    while (pred := preds[walk[-1]][0]) not in walk:
+        walk.append(pred)
+    cycle = walk[walk.index(pred):][::-1]
+    start = cycle.index(next(n for n in cdfg.nodes if n in cycle))
+    return cycle[start:] + cycle[:start]
+
+
 def region_subtree(cdfg: CDFG, region_id: int) -> set[int]:
     """All region ids in the subtree rooted at ``region_id`` (inclusive)."""
     out = {region_id}
@@ -136,15 +200,13 @@ def node_heights(cdfg: CDFG, delays: dict[int, float]) -> dict[int, float]:
     ``delays`` maps node id -> execution delay (ns); missing nodes count as
     zero.  Used as the list-scheduling priority (critical-path first).
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(cdfg.nodes)
-    for edge in cdfg.edges:
-        if not edge.carried:
-            graph.add_edge(edge.src, edge.dst)
+    order, successors = skeleton_order(cdfg)
     heights: dict[int, float] = {}
-    for node_id in reversed(list(nx.topological_sort(graph))):
-        succ_max = max((heights[s] for s in graph.successors(node_id)), default=0.0)
-        heights[node_id] = delays.get(node_id, 0.0) + succ_max
+    for node_id in reversed(order):
+        best = 0.0
+        for succ in successors[node_id]:
+            h = heights[succ]
+            if h > best:
+                best = h
+        heights[node_id] = delays.get(node_id, 0.0) + best
     return heights

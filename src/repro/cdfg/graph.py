@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import CDFGError
 from repro.cdfg.edge import CONTROL_PORT, Edge
 from repro.cdfg.node import Node, OpKind, Polarity
@@ -65,6 +63,7 @@ class CDFG:
         if node.id in self.nodes:
             raise CDFGError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
+        self.__dict__.pop("_skeleton_order", None)
         self._in_edges.setdefault(node.id, {})
         self._out_edges.setdefault(node.id, [])
         if node.kind is OpKind.INPUT:
@@ -84,6 +83,7 @@ class CDFG:
         self._out_edges.setdefault(edge.src, []).append(edge)
         self.edges.append(edge)
         self._data_in.pop(edge.dst, None)
+        self.__dict__.pop("_skeleton_order", None)
         return edge
 
     def add_region(self, region: Region) -> Region:
@@ -172,18 +172,9 @@ class CDFG:
         """
         for node in self.nodes.values():
             self._validate_node(node)
-        skeleton = nx.DiGraph()
-        skeleton.add_nodes_from(self.nodes)
-        for edge in self.edges:
-            if not edge.carried:
-                skeleton.add_edge(edge.src, edge.dst)
-        try:
-            cycle = nx.find_cycle(skeleton)
-        except nx.NetworkXNoCycle:
-            cycle = None
-        if cycle:
-            names = " -> ".join(self.nodes[a].name for a, b in cycle)
-            raise CDFGError(f"acyclic skeleton contains a cycle: {names}")
+        from repro.cdfg.analysis import skeleton_order  # imports this module
+
+        skeleton_order(self)
         self._validate_regions()
         for edge in self.edges:
             src = self.nodes[edge.src]

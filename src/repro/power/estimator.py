@@ -12,7 +12,8 @@ Converts merged unit traces into a power number:
 
 Power is reported in mW (pJ per ns); the estimate drives the IMPACT search
 and is validated against the bit-level measurement proxy in
-:mod:`repro.gatesim` (see EXPERIMENTS.md for the fidelity numbers).
+:mod:`repro.gatesim` (``benchmarks/bench_estimator_fidelity.py`` measures
+the estimate/measurement ratios).
 
 The estimate is a sum of independent per-component energy terms, so a
 design point derived from a parent by a move with a known dirty set can

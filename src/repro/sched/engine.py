@@ -43,6 +43,7 @@ from repro.errors import ScheduleError
 from repro.cdfg.analysis import (
     loop_test_nodes,
     mutually_exclusive,
+    node_heights,
     producers_outside,
     region_nodes,
     region_subtree,
@@ -88,10 +89,10 @@ class _Cursor:
 class _SchedAnalysis:
     """The binding-independent half of the engine's setup, shared per CDFG.
 
-    Strong/weak dependencies, write-after-write order, region entry
-    dependencies and the topological skeleton depend only on the CDFG —
-    not on the binding — so one instance is computed per CDFG (cached on
-    the graph object) and shared read-only by every engine run.  The
+    Strong/weak dependencies, write-after-write order and region entry
+    dependencies depend only on the CDFG — not on the binding — so one
+    instance is computed per CDFG (cached on the graph object) and shared
+    read-only by every engine run.  The
     iterative-improvement search schedules the same CDFG hundreds of
     times under different bindings; sharing this analysis removes the
     dominant constant cost from each of those runs.
@@ -113,7 +114,6 @@ class _SchedAnalysis:
         self.region_task_nodes: dict[int, frozenset] = {}
         self.loop_rw: dict[int, tuple[frozenset, frozenset]] = {}
         self._analyze()
-        self._build_topo()
 
     @classmethod
     def of(cls, cdfg: CDFG) -> "_SchedAnalysis":
@@ -122,34 +122,6 @@ class _SchedAnalysis:
             analysis = cls(cdfg)
             cdfg._sched_analysis = analysis
         return analysis
-
-    def _build_topo(self) -> None:
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.cdfg.nodes)
-        for edge in self.cdfg.edges:
-            if not edge.carried:
-                graph.add_edge(edge.src, edge.dst)
-        self._topo_reversed = list(reversed(list(nx.topological_sort(graph))))
-        self._successors = {n: list(graph.successors(n)) for n in graph.nodes}
-
-    def heights_for(self, delays: dict[int, float]) -> dict[int, float]:
-        """Longest-path-to-sink heights under ``delays``.
-
-        Identical numbers to :func:`~repro.cdfg.analysis.node_heights`
-        (same traversal over a cached topological order), without
-        rebuilding the graph per scheduling run.
-        """
-        heights: dict[int, float] = {}
-        for node_id in self._topo_reversed:
-            best = 0.0
-            for succ in self._successors[node_id]:
-                h = heights[succ]
-                if h > best:
-                    best = h
-            heights[node_id] = delays.get(node_id, 0.0) + best
-        return heights
 
     def _analyze(self) -> None:
         cdfg = self.cdfg
@@ -342,7 +314,7 @@ class _Engine:
         self.done_regions: set[int] = set()
         self.delays = binding.delays()
         self.analysis = _SchedAnalysis.of(cdfg)
-        self.heights = self.analysis.heights_for(self.delays)
+        self.heights = node_heights(cdfg, self.delays)
         # Read-only views of the shared per-CDFG analysis.
         self._strong = self.analysis._strong
         self._weak_readers = self.analysis._weak_readers

@@ -6,8 +6,9 @@ unconditional).  ENC — the expected number of cycles per pass, the paper's
 performance metric [9] — is computed two ways:
 
 * *analytically*: the STG plus profiled branch probabilities form an
-  absorbing Markov chain; ENC is the expected absorption time (solved with
-  scipy); exact when condition outcomes are independent across states;
+  absorbing Markov chain; ENC is the expected absorption time (a linear
+  solve with numpy); exact when condition outcomes are independent across
+  states;
 * *empirically*: by replaying the STG against recorded condition traces
   (:mod:`repro.sched.replay`), which is exact for the profiled stimulus and
   is what drives synthesis.
@@ -253,21 +254,6 @@ class STG:
         except np.linalg.LinAlgError as exc:
             raise ScheduleError(f"ENC system is singular (never-exiting loop?): {exc}")
         return float(t[index[self.start]])
-
-    def min_cycles(self) -> int:
-        """Shortest possible pass, in cycles (duration-weighted shortest path)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.states)
-        for transition in self.transitions:
-            graph.add_edge(transition.src, transition.dst,
-                           weight=self.states[transition.src].duration)
-        try:
-            return int(nx.shortest_path_length(graph, self.start, self.done,
-                                               weight="weight"))
-        except nx.NetworkXNoPath:
-            raise ScheduleError("done state unreachable from start")
 
     def worst_state_delay(self) -> float:
         """Longest combinational path over all states (ns, at 5 V)."""

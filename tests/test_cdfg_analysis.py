@@ -1,7 +1,10 @@
 """CDFG analysis tests: regions, heights, live-in producers, fusability."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.benchmarks import BENCHMARKS, get_benchmark
+from repro.errors import CDFGError
 from repro.lang import parse
 from repro.cdfg.analysis import (
     condition_nodes,
@@ -10,9 +13,15 @@ from repro.cdfg.analysis import (
     producers_outside,
     region_nodes,
     region_subtree,
+    skeleton_order,
 )
-from repro.cdfg.node import OpKind
-from repro.cdfg.regions import LoopRegion
+from repro.cdfg.builder import build_cdfg
+from repro.cdfg.edge import Edge
+from repro.cdfg.graph import CDFG
+from repro.cdfg.node import Node, OpKind
+from repro.cdfg.regions import BlockRegion, LoopRegion, RegionKind
+from repro.genprog import GenConfig, generate_program
+from repro.lang.frontend import parse_process
 
 
 class TestRegionQueries:
@@ -68,6 +77,59 @@ class TestHeights:
         add = next(n for n in simple_cdfg.nodes.values() if n.kind is OpKind.ADD)
         heights = node_heights(simple_cdfg, {add.id: 7.5})
         assert heights[add.id] == pytest.approx(7.5)
+
+
+def _networkx_order(cdfg):
+    """``nx.topological_sort`` of the acyclic skeleton, and its successors."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(cdfg.nodes)
+    for edge in cdfg.edges:
+        if not edge.carried:
+            graph.add_edge(edge.src, edge.dst)
+    return (list(nx.topological_sort(graph)),
+            {n: list(graph.successors(n)) for n in graph.nodes})
+
+
+def _two_node_cycle() -> CDFG:
+    """``p = a + q; q = p + a`` with no carried edge: a skeleton cycle."""
+    cdfg = CDFG()
+    block = cdfg.add_region(BlockRegion(0, RegionKind.BLOCK))
+    for node_id, kind, name in ((0, OpKind.INPUT, "a"), (1, OpKind.ADD, "p"),
+                                (2, OpKind.ADD, "q")):
+        cdfg.add_node(Node(node_id, kind, name, 8, region=block.id))
+        block.append_node(node_id)
+    for src, dst, port in ((0, 1, 0), (2, 1, 1), (1, 2, 0), (0, 2, 1)):
+        cdfg.add_edge(Edge(src, dst, port, 8))
+    return cdfg
+
+
+class TestSkeletonOrder:
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_matches_networkx_on_registry(self, name):
+        cdfg = get_benchmark(name).cdfg()
+        assert skeleton_order(cdfg) == _networkx_order(cdfg)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.5)))
+    def test_matches_networkx_on_generated_programs(self, seed, arrays):
+        program = generate_program(GenConfig(seed=seed, array_density=arrays),
+                                   check=False)
+        cdfg = build_cdfg(parse_process(program.source))
+        assert skeleton_order(cdfg) == _networkx_order(cdfg)
+
+    def test_memoized_until_the_graph_grows(self, simple_cdfg):
+        first = skeleton_order(simple_cdfg)
+        assert skeleton_order(simple_cdfg) is first
+        node = simple_cdfg.add_node(Node(simple_cdfg.new_node_id(), OpKind.CONST,
+                                         "k", 8, value=1))
+        order, successors = skeleton_order(simple_cdfg)
+        assert sorted(order) == sorted(simple_cdfg.nodes)
+        assert successors[node.id] == []
+
+    def test_validate_names_a_non_carried_cycle(self):
+        with pytest.raises(CDFGError, match="cycle: p -> q -> p$"):
+            _two_node_cycle().validate()
 
 
 class TestConditionNodes:

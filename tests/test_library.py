@@ -1,5 +1,7 @@
 """Module library tests: characterization, queries, voltage scaling."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,10 +119,20 @@ class TestVoltage:
 
     @given(st.floats(1.0, 8.0), st.floats(0.0, 2.0))
     def test_monotonicity(self, ratio, extra):
-        # Monotone up to the brentq root tolerance (xtol=1e-6): an
-        # epsilon-sized ratio perturbation may move the solved root by
+        # Monotone up to the root-find tolerance (Brent's method, xtol=1e-6):
+        # an epsilon-sized ratio perturbation may move the solved root by
         # solver tolerance in either direction.
         assert max_vdd_scaling(ratio + extra) <= max_vdd_scaling(ratio) + 1e-5
+
+    def test_root_find_matches_scipy_brentq_bit_for_bit(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        top = delay_scale(MIN_VDD)
+        ratios = [1.0 + (top - 1.0) * i / 10_001 for i in range(1, 10_001)]
+        ratios += [1.0 + 1e-12, math.nextafter(top, 0.0), top - 1e-9]
+        for ratio in ratios:
+            expected = brentq(lambda v: delay_scale(v) - ratio, MIN_VDD,
+                              NOMINAL_VDD, xtol=1e-6)
+            assert max_vdd_scaling(ratio) == float(expected), ratio
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -119,17 +119,6 @@ class TestAnalyticEnc:
 
 
 class TestGraphMetrics:
-    def test_min_cycles_linear(self):
-        assert _linear_stg(5).min_cycles() == 5
-
-    def test_min_cycles_skips_loop(self):
-        assert _loop_stg().min_cycles() == 1
-
-    def test_min_cycles_weighted_by_duration(self):
-        stg = _linear_stg(2)
-        stg.states[stg.start].duration = 4
-        assert stg.min_cycles() == 5
-
     def test_states_of_node(self):
         stg = _linear_stg(2)
         stg.states[stg.start].ops.append(ScheduledOp(7, None, 0.0, 1.0))

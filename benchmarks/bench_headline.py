@@ -53,8 +53,7 @@ BENCH_LOG = pathlib.Path(__file__).resolve().parent.parent / "BENCH_headline.jso
 #: Every pipeline stage with an incremental fast path.  Emitted explicitly
 #: (zeros included) in ``incremental_hits`` so trend tooling sees a stage
 #: losing its incremental coverage as a 0, not as a missing key.
-PIPELINE_STAGES = ("arch_build", "power_estimate", "replay", "schedule",
-                   "trace_merge")
+PIPELINE_STAGES = ("arch_build", "replay", "schedule", "trace_merge")
 
 #: The checked-in trajectory keeps only this many most-recent records.
 MAX_RECORDS = 50

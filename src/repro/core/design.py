@@ -6,11 +6,11 @@ class makes each point cheap to derive from its predecessor:
 * moves that change only the binding or the multiplexer shapes reuse the
   STG *and* the replay (replay depends only on the schedule, not the
   binding), and — when they declare a :class:`~repro.core.delta.DirtySet`
-  — derive the architecture, the merged unit traces and the power
-  estimate *incrementally*: clean ports, streams and per-component
-  energy terms are shared with the parent point, and only the dirty
-  subset is recomputed (Section 2.3's trace manipulation applied to the
-  whole evaluation pipeline);
+  — derive the architecture and the merged unit traces *incrementally*:
+  clean ports and streams are shared with the parent point, and only the
+  dirty subset is rebuilt (Section 2.3's trace manipulation applied to
+  the architecture and the traces); the power estimate is always
+  computed in full from them;
 * moves that change the resource constraints re-schedule first and take
   the full path.
 
@@ -154,8 +154,8 @@ class DesignPoint:
 
     A point derived with a :class:`~repro.core.delta.DirtySet` (and
     ``incremental`` enabled) keeps a reference to its parent and builds
-    its architecture, traces and power estimate by patching the parent's,
-    recomputing only the dirty units/ports.
+    its architecture and traces by patching the parent's, rebuilding only
+    the dirty units/ports; its power estimate is computed in full.
     """
 
     def __init__(self, cdfg: CDFG, library: ModuleLibrary, store: TraceStore,
@@ -399,20 +399,8 @@ class DesignPoint:
         return self._evaluation
 
     def _estimate_5v(self) -> PowerEstimate:
-        """The 5 V power estimate, patched from the parent's when possible."""
-        parent = self._parent
-        if (parent is not None and self._rebuilt_ports is not None
-                and parent.rep is self.rep
-                and parent._evaluation is not None
-                and parent._evaluation.power_materialized):
-            estimate = estimate_power(
-                self.arch, self.traces, vdd=5.0,
-                reuse=parent._evaluation.estimate,
-                dirty_fus=self._dirty.fu_ids,
-                dirty_regs=self._dirty.reg_ids,
-                dirty_ports=self._rebuilt_ports)
-        else:
-            estimate = estimate_power(self.arch, self.traces, vdd=5.0)
+        """The 5 V power estimate, always computed in full."""
+        estimate = estimate_power(self.arch, self.traces, vdd=5.0)
         # Every parent-derived artifact is now materialized (the estimate
         # forced arch and traces): release the parent so a committed
         # chain does not pin every ancestor's architecture and streams.

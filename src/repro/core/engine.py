@@ -92,8 +92,9 @@ class SynthesisEngine:
         Module library and schedule options shared by every run.
     incremental:
         The config flag for delta-based candidate evaluation: moves with
-        a dirty set derive architecture, traces and power estimate by
-        patching the parent design point's.  ``False`` forces the full
+        a dirty set derive architecture and traces by patching the
+        parent design point's (the power estimate is always computed in
+        full).  ``False`` forces the full
         path for every candidate; results are bit-identical either way
         (the equivalence suite enforces it).
     cache:

@@ -1,10 +1,11 @@
 """Incremental == full evaluation, bit for bit.
 
-The delta-based evaluation layer (dirty sets -> shared ports/streams ->
-patched power estimates) is only admissible because it is *exactly*
-equivalent to recomputing everything: these tests apply random legal move
-sequences to two registry benchmarks — once through a design-point chain
-with incremental derivation enabled, once with it disabled — and assert
+The delta-based evaluation layer (dirty sets -> shared ports/streams;
+the power estimate is always recomputed in full) is only admissible
+because it is *exactly* equivalent to recomputing everything: these
+tests apply random legal move sequences to two registry benchmarks —
+once through a design-point chain with incremental derivation enabled,
+once with it disabled — and assert
 the full :class:`~repro.core.design.Evaluation` bundle (including the
 per-component power breakdown) is identical at every step, with the
 pipeline cache both on and off, and that whole searches in both

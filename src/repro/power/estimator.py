@@ -5,7 +5,8 @@ Converts merged unit traces into a power number:
 * functional units: executions x effective switched capacitance x Vdd^2,
   with the activity factor from the measured port statistics and a glitch
   multiplier from the chained-execution fraction;
-* registers: write-data toggles plus clock load every cycle;
+* registers: write-data toggles plus clock load on every cycle for every
+  register and temporary bit, written or not;
 * multiplexer trees: the Section 3.2.1 activity equations over the
   measured per-source (activity, probability) statistics;
 * controller: the structural FSM model per cycle.
@@ -151,6 +152,13 @@ def _estimate(arch: Architecture, traces: UnitTraces,
         alpha = traces.reg_activity(stream.key)
         reg_energy += stream.writes * stream.width * REGISTER_CAP_PER_BIT * v2 * alpha
         reg_energy += traces.total_cycles * stream.width * REGISTER_CLOCK_CAP_PER_BIT * v2
+    # Registers and temporaries no stimulus pass writes (so without a
+    # merged stream) still load the clock every cycle, as in gatesim.
+    idle_bits = sum(reg.width for reg in arch.binding.regs.values()
+                    if ("reg", reg.id) not in traces.reg_streams)
+    idle_bits += sum(width for node_id, width in arch.datapath.tmp_regs.items()
+                     if ("tmp", node_id) not in traces.reg_streams)
+    reg_energy += traces.total_cycles * idle_bits * REGISTER_CLOCK_CAP_PER_BIT * v2
     estimate.registers = reg_energy / time_ns
 
     # Multiplexer trees: Equation (7) over measured (a_i, p_i).

@@ -3,11 +3,12 @@
 The paper's trace-manipulation premise (Section 2.3) is that a synthesis
 step edits a *small* part of the design, so the analyses — merged unit
 traces and the RT structure itself — should be patched, not recomputed
-(the power estimate is a cheap sum over them and is always recomputed).  A :class:`DirtySet` is a move's declaration of exactly
-what it touched: the functional units whose operation sets or modules
-changed, the registers whose carrier sets changed, and any multiplexer
-ports it edited directly (tree restructuring).  Everything else in the
-derived point is structurally shared with its parent.
+(the power estimate is a cheap sum over them and is always recomputed).
+A :class:`DirtySet` is a move's declaration of exactly what it touched:
+the functional units whose operation sets or modules changed, the
+registers whose carrier sets changed, and any multiplexer ports it
+edited directly (tree restructuring).  Everything else in the derived
+point is structurally shared with its parent.
 
 The unit-level sets are closed over the datapath by
 :func:`affected_ports`: a port is dirty when its key names a dirty unit

@@ -94,9 +94,9 @@ class SynthesisEngine:
         The config flag for delta-based candidate evaluation: moves with
         a dirty set derive architecture and traces by patching the
         parent design point's (the power estimate is always computed in
-        full).  ``False`` forces the full
-        path for every candidate; results are bit-identical either way
-        (the equivalence suite enforces it).
+        full).  ``False`` forces the full path for every candidate;
+        results are bit-identical either way (the equivalence suite
+        enforces it).
     cache:
         An optional pre-built :class:`~repro.core.cache.SynthesisCache`,
         e.g. one bounded with ``max_entries``, or

@@ -8,8 +8,9 @@ Each move also declares its **dirty set** — :meth:`Move.affected` returns
 the :class:`~repro.core.delta.DirtySet` of functional units, registers and
 multiplexer ports the move invalidates — and passes it into the
 derivation, which is what lets the evaluation pipeline patch the parent's
-architecture and merged traces instead of recomputing them.  Rescheduling moves declare a full dirty set and take the full
-evaluation path.
+architecture and merged traces instead of recomputing them.
+Rescheduling moves declare a full dirty set and take the full evaluation
+path.
 
 ========================= ============================ =============
 move                      paper section                re-schedule?

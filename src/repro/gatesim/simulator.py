@@ -29,6 +29,8 @@ from repro.cdfg.node import OpKind
 from repro.library.memory import ram_access_cap
 from repro.library.module import scale_capacitance
 from repro.library.modules_data import (
+    FU_INTERNAL_WEIGHT,
+    MEM_STATIC_WEIGHT,
     MUX_CAP_PER_BIT,
     REGISTER_CAP_PER_BIT,
     REGISTER_CLOCK_CAP_PER_BIT,
@@ -40,15 +42,6 @@ from repro.rtl.builder import edge_source
 from repro.rtl.controller import CAP_PER_OUTPUT, CAP_PER_STATE_BIT
 from repro.rtl.mux import MuxSource
 from repro.utils.bitwidth import to_unsigned
-
-#: Weight of port-level vs internal toggles in FU energy.
-FU_PORT_WEIGHT = 1.0
-FU_INTERNAL_WEIGHT = 0.8
-
-#: Fixed fraction of a RAM access's switched capacitance (word-line
-#: select and bit-line precharge fire regardless of the data) — the same
-#: split the RT-level estimator applies.
-MEM_STATIC_WEIGHT = 0.6
 
 #: Safety cap on cycles per pass.
 MAX_CYCLES_PER_PASS = 1_000_000
@@ -415,7 +408,7 @@ class _GateSim:
                         + (ins[1] & mask).bit_count()) / (2.0 * width)
 
         port_activity = (toggles_in + 2.0 * toggles_out) / (4.0 * width)
-        activity = FU_PORT_WEIGHT * port_activity + FU_INTERNAL_WEIGHT * internal
+        activity = port_activity + FU_INTERNAL_WEIGHT * internal
         glitch = skew_glitch_factor(max(0.0, sched_op.start))
         cap = scale_capacitance(fu.module, width)
         self.energy.fus += cap * activity * glitch
@@ -475,7 +468,6 @@ class _GateSim:
                 chain_values: dict = {}
                 self._execute_state(state_id, chain_values, pins)
                 self._account_controller(state_id)
-                self.energy.controller += 0.0
                 self.energy.registers += self._clock_cap_per_cycle * duration
 
                 next_state = self._next_state(state_id, chain_values)

@@ -51,6 +51,15 @@ REGISTER_CLOCK_CAP_PER_BIT = 0.004  # clock-load capacitance, pF/bit/cycle
 MUX_AREA_PER_BIT = 3.0
 MUX_CAP_PER_BIT = 0.055
 
+#: Weight of internal (carry / partial-product) toggles against port
+#: toggles in functional-unit energy.
+FU_INTERNAL_WEIGHT = 0.8
+
+#: Fixed fraction of a RAM access's switched capacitance: word-line
+#: select and bit-line precharge fire every access regardless of data;
+#: the rest scales with measured address/data toggle activity.
+MEM_STATIC_WEIGHT = 0.6
+
 _COMPARE = frozenset({OpKind.LT, OpKind.GT, OpKind.LE, OpKind.GE, OpKind.EQ, OpKind.NE})
 _EQUALITY = frozenset({OpKind.EQ, OpKind.NE})
 _LOGIC = frozenset({OpKind.LAND, OpKind.LOR, OpKind.LNOT,

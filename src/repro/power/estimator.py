@@ -13,8 +13,10 @@ Converts merged unit traces into a power number:
 
 Power is reported in mW (pJ per ns); the estimate drives the IMPACT search
 and is validated against the bit-level measurement proxy in
-:mod:`repro.gatesim` (``benchmarks/bench_estimator_fidelity.py`` measures
-the estimate/measurement ratios).
+:mod:`repro.gatesim`: ``tests/test_power_estimator.py::TestFidelity``
+checks it on every registry benchmark's initial and power-searched
+designs, and ``benchmarks/bench_estimator_fidelity.py`` reports the
+estimate/measurement ratios.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.library.module import scale_capacitance
 from repro.utils.bitwidth import to_unsigned_array
 from repro.utils.hamming import popcount, toggle_series
 from repro.library.modules_data import (
+    FU_INTERNAL_WEIGHT,
+    MEM_STATIC_WEIGHT,
     MUX_CAP_PER_BIT,
     REGISTER_CAP_PER_BIT,
     REGISTER_CLOCK_CAP_PER_BIT,
@@ -68,16 +72,6 @@ class PowerEstimate:
             "controller": self.controller,
             "total": self.total,
         }
-
-
-#: Weight of internal (carry / partial-product) toggles in FU energy; the
-#: same constant the bit-level measurement uses.
-INTERNAL_WEIGHT = 0.8
-
-#: Split of a RAM access's energy into a fixed part (word-line select and
-#: bit-line precharge fire every access regardless of data) and a part
-#: scaled by measured address/data toggle activity.
-MEM_STATIC_WEIGHT = 0.6
 
 
 def _internal_activity(arch: Architecture, fu, stream) -> float:
@@ -138,7 +132,7 @@ def _estimate(arch: Architecture, traces: UnitTraces,
         out_act = activities[-1]
         port_alpha = (sum(in_acts) + 2.0 * out_act) / (len(in_acts) + 2.0)
         internal = _internal_activity(arch, fu, stream)
-        alpha = port_alpha + INTERNAL_WEIGHT * internal
+        alpha = port_alpha + FU_INTERNAL_WEIGHT * internal
         glitch = chain_glitch_factor(stream.chained_fraction)
         cap = scale_capacitance(fu.module, fu.width)
         energy = stream.executions * cap * v2 * alpha * glitch

@@ -89,7 +89,8 @@ class TestFidelity:
     def test_estimate_tracks_gatesim_on_searched_designs(self, bench_name):
         """On the initial design and the power-searched designs at laxity 1
         and 2, the estimate stays within [0.70, 1.35] of the measurement,
-        and a cut the estimate claims is never measured as an increase."""
+        and no estimated cut of more than 1% is measured as an increase of
+        more than 1%."""
         engine = engine_for_benchmark(bench_name, n_passes=15)
         initial = engine.initial
         designs = [initial] + [engine.run("power", laxity).design

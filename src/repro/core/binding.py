@@ -83,10 +83,10 @@ class Binding:
         self.mems: dict[str, MemInstance] = {}
         self._next_fu = 0
         self._next_reg = 0
-        # Lazily computed content signatures; every mutating method clears
-        # this (all edits flow through them), so a signature is computed at
-        # most once per binding state.
-        self._sig_memo: dict[str, tuple] = {}
+        # Lazily computed content signatures and the delay table; every
+        # mutating method clears this (all edits flow through them), so
+        # each is computed at most once per binding state.
+        self._sig_memo: dict[str, object] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -167,7 +167,22 @@ class Binding:
             raise BindingError(f"no register holds carrier {carrier!r}") from None
 
     def op_delay(self, node_id: int) -> float:
-        """Combinational delay (ns) of one node at 5 V under this binding."""
+        """Combinational delay (ns) of one node at 5 V under this binding.
+
+        Memoized per node in the binding's delay table, which every edit
+        clears with the signatures: critical-path timing asks for the
+        same nodes again and again, and each miss re-scales a module
+        delay.
+        """
+        table = self._sig_memo.get("delays")
+        if table is None:
+            table = self._sig_memo["delays"] = {}
+        got = table.get(node_id)
+        if got is None:
+            got = table[node_id] = self._scaled_delay(node_id)
+        return got
+
+    def _scaled_delay(self, node_id: int) -> float:
         node = self.cdfg.node(node_id)
         if node.kind in MEMORY_KINDS:
             mem = self.mems.get(node.mem)

@@ -15,8 +15,9 @@ class makes each point cheap to derive from its predecessor:
   the full path.
 
 The evaluation bundle (ENC, legality, area, Vdd-scaled power) is computed
-once per point and cached; its power half is *lazy*, so area-mode
-searches never pay for a power estimate.  Incremental and full
+once per point and cached; its power half and its Vdd are *lazy*, so
+area-mode searches never pay for a power estimate and no search pays
+for a Vdd root-find it does not read.  Incremental and full
 evaluation are bit-identical — the randomized equivalence suite
 (``tests/test_incremental_equivalence.py``) enforces it.
 """
@@ -29,6 +30,7 @@ from repro.core.cache import SynthesisCache
 from repro.core.delta import DirtySet
 from repro.core.mux_restructure import huffman_tree
 from repro.library.library import ModuleLibrary
+from repro.library.voltage import max_vdd_scaling
 from repro.power.estimator import PowerEstimate, estimate_power
 from repro.power.trace_manip import UnitTraces, merge_unit_traces
 from repro.rtl.architecture import Architecture
@@ -49,24 +51,38 @@ class Evaluation:
     whose ENC is under the laxity budget may scale Vdd further at equal
     throughput (see :func:`equal_throughput_vdd`).
 
-    The power half of the bundle is lazy: ``estimate`` (and with it
+    Two parts of the bundle are lazy.  ``estimate`` (and with it
     ``power_5v``/``power_scaled``) is materialized on first access, so
     area-only consumers never trigger trace merging or power estimation.
+    ``vdd``, a root-find over ``slack_ratio``, is computed on first read
+    too: the search never reads it, only ``power_scaled``, reports and
+    observers do.
     """
 
-    __slots__ = ("enc", "legal", "area", "slack_ratio", "vdd",
+    __slots__ = ("enc", "legal", "area", "slack_ratio", "_vdd",
                  "_power_fn", "_estimate")
 
     def __init__(self, enc: float, legal: bool, area: float,
-                 slack_ratio: float, vdd: float, power_fn=None,
+                 slack_ratio: float, power_fn=None,
                  estimate: PowerEstimate | None = None):
         self.enc = enc
         self.legal = legal
         self.area = area
         self.slack_ratio = slack_ratio
-        self.vdd = vdd
+        self._vdd: float | None = None
         self._power_fn = power_fn
         self._estimate = estimate
+
+    @property
+    def vdd(self) -> float:
+        """Lowest legal Vdd after consuming the in-cycle slack.
+
+        Equal to ``Architecture.scaled_vdd()`` for a legal design; an
+        illegal one has ``slack_ratio`` 1.0 and so stays at 5 V.
+        """
+        if self._vdd is None:
+            self._vdd = max_vdd_scaling(self.slack_ratio)
+        return self._vdd
 
     @property
     def estimate(self) -> PowerEstimate:
@@ -104,8 +120,6 @@ def equal_throughput_vdd(evaluation: Evaluation, enc_budget: float) -> float:
     fewer cycles may slow down by ``enc_budget / enc`` on top of its
     in-cycle slack.
     """
-    from repro.library.voltage import max_vdd_scaling
-
     if evaluation.enc <= 0:
         return 5.0
     total = evaluation.slack_ratio * max(1.0, enc_budget / evaluation.enc)
@@ -341,8 +355,9 @@ class DesignPoint:
 
         The merge signature ignores module assignments (the merge never
         reads them), so module-substitution candidates share the parent's
-        traces outright.  Merged traces are immutable apart from internal
-        statistic memos, so the shared object is safe across points.
+        traces outright.  Merged traces are immutable (their statistics
+        live in the trace store's table), so the shared object is safe
+        across points.
         """
         key = (id(self.store), id(arch.cdfg), arch.binding.merge_signature(),
                arch.stg.signature())
@@ -387,13 +402,11 @@ class DesignPoint:
             slack = self.arch.worst_slack_ratio() if legal else 1.0
             if slack == float("inf"):
                 slack = 5.0
-            vdd = self.arch.scaled_vdd() if legal else 5.0
             self._evaluation = Evaluation(
                 enc=self.enc,
                 legal=legal,
                 area=self.arch.area(),
                 slack_ratio=slack,
-                vdd=vdd,
                 power_fn=self._estimate_5v,
             )
         return self._evaluation

@@ -74,18 +74,17 @@ class PowerEstimate:
         }
 
 
-def _internal_activity(arch: Architecture, fu, stream) -> float:
+def _internal_activity(arch: Architecture, fu, traces: UnitTraces,
+                       stream) -> float:
     """Mean unit-internal activity per execution, matching gatesim's model.
 
-    Memoized on the stream: a pure function of the merged input columns
-    and the unit's kind set, both of which are fixed for a stream object
-    (clean units share streams across design points, so the memo rides
-    along).
+    Served from the trace store's statistics table: a pure function of
+    the merged input columns and the unit's kind set, both fixed by the
+    stream's ``stat_key`` (its op set determines the kinds).
     """
-    if stream._internal is None:
-        stream._internal = _compute_internal_activity(
-            fu.kinds(arch.cdfg), fu.width, stream)
-    return stream._internal
+    return traces.stat(("internal", stream.stat_key),
+                       lambda: _compute_internal_activity(
+                           fu.kinds(arch.cdfg), fu.width, stream))
 
 
 def _compute_internal_activity(kinds, width: int, stream) -> float:
@@ -131,7 +130,7 @@ def _estimate(arch: Architecture, traces: UnitTraces,
         in_acts = activities[:-1]
         out_act = activities[-1]
         port_alpha = (sum(in_acts) + 2.0 * out_act) / (len(in_acts) + 2.0)
-        internal = _internal_activity(arch, fu, stream)
+        internal = _internal_activity(arch, fu, traces, stream)
         alpha = port_alpha + FU_INTERNAL_WEIGHT * internal
         glitch = chain_glitch_factor(stream.chained_fraction)
         cap = scale_capacitance(fu.module, fu.width)
@@ -179,7 +178,8 @@ def _estimate(arch: Architecture, traces: UnitTraces,
         if stream is None or stream.executions == 0:
             continue
         cap = ram_access_cap(mem.spec, mem.width, mem.depth)
-        alpha = 0.5 * (stream.addr_activity() + stream.data_activity())
+        addr_activity, data_activity = traces.mem_activity(name)
+        alpha = 0.5 * (addr_activity + data_activity)
         scale = MEM_STATIC_WEIGHT + (1.0 - MEM_STATIC_WEIGHT) * alpha
         mem_energy += stream.executions * cap * v2 * scale
     estimate.memories = mem_energy / time_ns

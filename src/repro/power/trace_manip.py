@@ -11,10 +11,28 @@ the paper's scheme for avoiding re-simulation at every synthesis step.
 The same scheme extends across design points: a move's dirty set names
 the few units it touched, so :func:`merge_unit_traces` can derive a
 candidate's traces from its parent's by re-merging only the dirty
-units/ports and sharing every other stream *object*.  Shared streams
-carry their activity statistics as lazy memos, so the expensive toggle
-counting happens once per distinct stream, not once per design point
-that looks at it.
+units/ports and sharing every other stream *object*.
+
+The statistics computed from the streams (bit toggles, carry activity)
+follow the same rule one level down: they live in one table per
+:class:`~repro.sim.traces.TraceStore` (``TraceStore._stat_table``), so
+each is computed once per distinct stream *content* and served from the
+table to every later design point, whichever stream object it holds.
+Each stream carries its ``stat_key``, the content's identity:
+
+* a stream that *is* one of the store's own arrays — a single-op unit's
+  columns, a single-writer register, a temporary, a wire or input pin —
+  is keyed ``(node, port, width)``, ``port`` being the operand index or
+  ``-1`` for the result;
+* a re-merged stream (a multi-op unit, a multi-writer register, a RAM's
+  accesses) is keyed by a kind tag, its member nodes, its width and a
+  fixed-size digest of the merge permutation (:func:`_order_key`).
+
+Entries are pure functions of the store's arrays, so a served value is
+bit-identical to a recomputation.  The table is not bounded by the
+synthesis cache's ``max_entries`` (nor the job server's
+``cache_entries``); it lives and dies with the store, at a few hundred
+bytes per distinct stream (key and value).
 """
 
 from __future__ import annotations
@@ -22,6 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:
+    # hashlib's own blake2b: importing hashlib would also load OpenSSL,
+    # about 4 MB of resident memory in every process that merges.
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the module
+    from hashlib import blake2b
 
 from repro.errors import PowerModelError
 from repro.cdfg.node import OpKind
@@ -32,13 +57,36 @@ from repro.sim.statistics import stream_activity
 from repro.sim.traces import TraceStore
 
 
+def _order_key(order: np.ndarray) -> tuple[bytes, int]:
+    """Fixed-size identity of a merge permutation.
+
+    A 16-byte digest plus the length: a key never holds the permutation
+    itself (8 bytes per execution).
+    """
+    return blake2b(order.tobytes(), digest_size=16).digest(), int(order.size)
+
+
+def _chained_fraction(starts: np.ndarray) -> float:
+    """Share of executions that start chained behind another op.
+
+    A count over the size: the same double as ``(starts > 0).mean()``
+    without its float reduction, and independent of the merge order.
+    """
+    if not starts.size:
+        return 0.0
+    return np.count_nonzero(starts > 0.0) / starts.size
+
+
 @dataclass
 class FUStream:
     """Merged trace of one functional unit (the paper's TR(Du)).
 
-    The ``_port_activity``/``_internal`` fields are lazy memos of derived
-    statistics; both are pure functions of the (immutable) stream arrays,
-    so sharing a stream object between design points shares the memo.
+    ``stat_key`` identifies the content in the store's statistics table:
+    ``("fu", ops, width, order)`` over the unit's full op set (which also
+    fixes its kind set), with ``order`` the merge permutation's
+    :func:`_order_key`, or ``None`` when at most one op executed.  Then
+    ``source`` names that op: its occurrence arrays *are* the stream, and
+    the port statistics come from the store-owned column entries.
     """
 
     fu_id: int
@@ -46,24 +94,12 @@ class FUStream:
     ins: tuple[np.ndarray, ...]
     out: np.ndarray
     chained_fraction: float
-    _port_activity: tuple[float, ...] | None = field(default=None, repr=False)
-    _internal: float | None = field(default=None, repr=False)
+    stat_key: tuple
+    source: int | None = None
 
     @property
     def executions(self) -> int:
         return int(self.out.shape[0])
-
-    def port_activity(self) -> tuple[float, ...]:
-        """Mean toggle activity of each port (inputs..., output), memoized."""
-        if self._port_activity is None:
-            stats = [stream_activity(col, self.width) for col in self.ins]
-            stats.append(stream_activity(self.out, self.width))
-            self._port_activity = tuple(stats)
-        return self._port_activity
-
-    def out_activity(self) -> float:
-        """Mean toggle activity of the output port alone."""
-        return self.port_activity()[-1]
 
 
 @dataclass
@@ -73,17 +109,11 @@ class RegStream:
     key: object              # ("reg", id) or ("tmp", node)
     width: int
     values: np.ndarray
-    _activity: float | None = field(default=None, repr=False)
+    stat_key: tuple
 
     @property
     def writes(self) -> int:
         return int(self.values.shape[0])
-
-    def activity(self) -> float:
-        """Mean toggle activity of the write stream, memoized."""
-        if self._activity is None:
-            self._activity = stream_activity(self.values, self.width)
-        return self._activity
 
 
 @dataclass
@@ -91,9 +121,7 @@ class MemStream:
     """Merged access trace of one RAM instance (loads and stores).
 
     ``addrs``/``values`` are the address and data word of every access in
-    execution order; activity memos ride on the stream object like the
-    other stream types, so design points sharing the stream share the
-    toggle counting.
+    execution order.
     """
 
     name: str
@@ -101,29 +129,20 @@ class MemStream:
     addr_bits: int
     addrs: np.ndarray
     values: np.ndarray
-    _addr_activity: float | None = field(default=None, repr=False)
-    _data_activity: float | None = field(default=None, repr=False)
+    stat_key: tuple
 
     @property
     def executions(self) -> int:
         return int(self.values.shape[0])
 
-    def addr_activity(self) -> float:
-        if self._addr_activity is None:
-            self._addr_activity = stream_activity(self.addrs, self.addr_bits) \
-                if self.executions >= 2 else 0.0
-        return self._addr_activity
-
-    def data_activity(self) -> float:
-        if self._data_activity is None:
-            self._data_activity = stream_activity(self.values, self.width) \
-                if self.executions >= 2 else 0.0
-        return self._data_activity
-
 
 @dataclass
 class UnitTraces:
-    """Every RT unit's merged trace plus derived statistics."""
+    """Every RT unit's merged trace plus derived statistics.
+
+    ``stats`` is the trace store's statistics table (a private one for a
+    hand-built instance); every activity below is served from it.
+    """
 
     total_cycles: int
     fu_streams: dict[int, FUStream] = field(default_factory=dict)
@@ -131,17 +150,54 @@ class UnitTraces:
     mem_streams: dict[str, MemStream] = field(default_factory=dict)
     port_stats: dict[tuple, list[tuple[object, float, float]]] = field(default_factory=dict)
     port_samples: dict[tuple, int] = field(default_factory=dict)
-    _activity_cache: dict[object, float] = field(default_factory=dict)
+    stats: dict = field(default_factory=dict, repr=False)
+
+    def stat(self, key, compute):
+        """The table entry for ``key``; ``compute()`` fills it on a miss."""
+        got = self.stats.get(key)
+        if got is None:
+            got = compute()
+            self.stats[key] = got
+        return got
+
+    def column_activity(self, node_id: int, port: int, values: np.ndarray,
+                        width: int) -> float:
+        """Activity of one of the store's own arrays (``port`` -1: result)."""
+        return self.stat((node_id, port, width),
+                         lambda: stream_activity(values, width))
 
     def fu_activity(self, fu_id: int) -> tuple[float, ...]:
         """Mean toggle activity of each port (inputs..., output)."""
-        return self.fu_streams[fu_id].port_activity()
+        stream = self.fu_streams[fu_id]
+        return self.stat(stream.stat_key, lambda: _port_activity(self, stream))
 
     def reg_activity(self, key: object) -> float:
         stream = self.reg_streams.get(key)
         if stream is None or stream.writes < 2:
             return 0.0
-        return stream.activity()
+        return self.stat(stream.stat_key,
+                         lambda: stream_activity(stream.values, stream.width))
+
+    def mem_activity(self, name: str) -> tuple[float, float]:
+        """(address, data) toggle activity of one RAM's access stream."""
+        stream = self.mem_streams[name]
+        if stream.executions < 2:
+            return 0.0, 0.0
+        return self.stat(stream.stat_key, lambda: (
+            stream_activity(stream.addrs, stream.addr_bits),
+            stream_activity(stream.values, stream.width)))
+
+
+def _port_activity(traces: UnitTraces, stream: FUStream) -> tuple[float, ...]:
+    width = stream.width
+    if stream.source is None:
+        return tuple(stream_activity(col, width)
+                     for col in (*stream.ins, stream.out))
+    node = stream.source
+    stats = [traces.column_activity(node, k, col, width)
+             for k, col in enumerate(stream.ins)]
+    stats.append(traces.column_activity(node, -1, stream.out, width))
+    return tuple(stats)
 
 
 def merge_unit_traces(arch: Architecture, store: TraceStore,
@@ -174,16 +230,8 @@ class _Merger:
         self.parent = parent
         self.dirty = dirty
         self.dirty_ports = dirty_ports
-        self.traces = UnitTraces(total_cycles=rep.total_cycles)
-        if parent is not None:
-            # Activities of signals no dirty unit feeds are unchanged;
-            # seed the memo so clean sources of dirty ports are free.
-            dirty_sources = dirty.dirty_sources()
-            self.traces._activity_cache = {
-                source: value
-                for source, value in parent._activity_cache.items()
-                if source not in dirty_sources
-            }
+        self.traces = UnitTraces(total_cycles=rep.total_cycles,
+                                 stats=store._stat_table)
 
     def run(self) -> UnitTraces:
         self._merge_fus()
@@ -224,8 +272,9 @@ class _Merger:
             self.traces.fu_streams[fu.id] = self._merge_one_fu(fu)
 
     def _merge_one_fu(self, fu) -> FUStream:
+        ops = tuple(sorted(fu.ops))
         parts = []
-        for op in sorted(fu.ops):
+        for op in ops:
             got = self._occ_arrays(op)
             if got is None:
                 continue
@@ -234,15 +283,16 @@ class _Merger:
         if not parts:
             return FUStream(
                 fu.id, fu.width, (np.zeros(0, np.int64), np.zeros(0, np.int64)),
-                np.zeros(0, np.int64), 0.0)
+                np.zeros(0, np.int64), 0.0, ("fu", ops, fu.width, None))
         if len(parts) == 1:
             # Single-op unit (the common case under the fully-parallel
-            # start): replay emits occurrences in strictly increasing
-            # cycle order, so the lexsort is the identity and every
-            # input column is fully valid — the stream is the trace.
-            _op, occ, _cycles, starts = parts[0]
-            chained = float((starts > 0.0).mean()) if starts.size else 0.0
-            return FUStream(fu.id, fu.width, tuple(occ.ins), occ.out, chained)
+            # start): replay emits occurrences in increasing cycle order,
+            # so the lexsort is the identity and every input column is
+            # fully valid — the stream is the trace.
+            op, occ, _cycles, starts = parts[0]
+            return FUStream(fu.id, fu.width, tuple(occ.ins), occ.out,
+                            _chained_fraction(starts),
+                            ("fu", ops, fu.width, None), op)
         cycles = np.concatenate([p[2] for p in parts])
         starts = np.concatenate([p[3] for p in parts])
         order = np.lexsort((starts, cycles))
@@ -250,6 +300,10 @@ class _Merger:
         max_arity = max(len(p[1].ins) for p in parts)
         ins = []
         for k in range(max_arity):
+            if all(k < len(p[1].ins) for p in parts):
+                # Every op drives the port: nothing to hold.
+                ins.append(np.concatenate([p[1].ins[k] for p in parts])[order])
+                continue
             col_parts = []
             valid_parts = []
             for _op, occ, _c, _s in parts:
@@ -262,8 +316,9 @@ class _Merger:
             col = np.concatenate(col_parts)[order]
             valid = np.concatenate(valid_parts)[order]
             ins.append(self._forward_fill(col, valid))
-        chained = float((starts[order] > 0.0).mean()) if starts.size else 0.0
-        return FUStream(fu.id, fu.width, tuple(ins), out, chained)
+        return FUStream(fu.id, fu.width, tuple(ins), out,
+                        _chained_fraction(starts),
+                        ("fu", ops, fu.width, _order_key(order)))
 
     def _merge_registers(self) -> None:
         cdfg = self.arch.cdfg
@@ -289,15 +344,23 @@ class _Merger:
                 if got is None:
                     continue
                 occ, cycles, starts = got
-                parts.append((occ.out, cycles, starts))
+                parts.append((writer, occ.out, cycles, starts))
             if not parts:
                 continue
-            cycles = np.concatenate([p[1] for p in parts])
-            starts = np.concatenate([p[2] for p in parts])
-            order = np.lexsort((starts, cycles))
-            values = np.concatenate([p[0] for p in parts])[order]
+            if len(parts) == 1:
+                # A single writer's stream is its result column as-is
+                # (replay order, as for a single-op unit).
+                writer, values, _cycles, _starts = parts[0]
+                stat_key = (writer, -1, reg.width)
+            else:
+                cycles = np.concatenate([p[2] for p in parts])
+                starts = np.concatenate([p[3] for p in parts])
+                order = np.lexsort((starts, cycles))
+                values = np.concatenate([p[1] for p in parts])[order]
+                stat_key = ("reg", tuple(p[0] for p in parts), reg.width,
+                            _order_key(order))
             self.traces.reg_streams[("reg", reg_id)] = RegStream(
-                ("reg", reg_id), reg.width, values)
+                ("reg", reg_id), reg.width, values, stat_key)
 
         for node_id, width in self.arch.datapath.tmp_regs.items():
             if self.parent is not None:
@@ -312,7 +375,7 @@ class _Merger:
                 continue
             occ, _cycles, _starts = got
             self.traces.reg_streams[("tmp", node_id)] = RegStream(
-                ("tmp", node_id), width, occ.out)
+                ("tmp", node_id), width, occ.out, (node_id, -1, width))
 
     def _merge_memories(self) -> None:
         cdfg = self.arch.cdfg
@@ -337,46 +400,43 @@ class _Merger:
                 if got is None:
                     continue
                 occ, cycles, starts = got
-                parts.append((occ, cycles, starts))
+                parts.append((node_id, occ, cycles, starts))
             if not parts:
                 continue
-            cycles = np.concatenate([p[1] for p in parts])
-            starts = np.concatenate([p[2] for p in parts])
+            cycles = np.concatenate([p[2] for p in parts])
+            starts = np.concatenate([p[3] for p in parts])
             order = np.lexsort((starts, cycles))
             mask = np.int64(depth - 1)
-            addrs = np.concatenate([p[0].ins[0] for p in parts])[order] & mask
+            addrs = np.concatenate([p[1].ins[0] for p in parts])[order] & mask
             # occ.out is the read word for loads and the written word for
             # stores: the data bus traffic either way.
-            values = np.concatenate([p[0].out for p in parts])[order]
+            values = np.concatenate([p[1].out for p in parts])[order]
+            stat_key = ("mem", tuple(p[0] for p in parts), width, depth,
+                        _order_key(order))
             self.traces.mem_streams[name] = MemStream(
-                name, width, addr_bits, addrs, values)
+                name, width, addr_bits, addrs, values, stat_key)
 
     # -- signal activities & mux statistics ----------------------------------------
 
     def signal_activity(self, source: tuple) -> float:
-        cache = self.traces._activity_cache
-        if source in cache:
-            return cache[source]
         kind = source[0]
-        value = 0.0
         if kind == "const":
-            value = 0.0
-        elif kind in ("reg", "tmp"):
-            value = self.traces.reg_activity(source)
-        elif kind == "fu":
+            return 0.0
+        if kind in ("reg", "tmp"):
+            return self.traces.reg_activity(source)
+        if kind == "fu":
             stream = self.traces.fu_streams.get(source[1])
-            if stream is not None and stream.executions >= 2:
-                value = stream.out_activity()
-        elif kind in ("wire", "pin"):
+            if stream is None or stream.executions < 2:
+                return 0.0
+            return self.traces.fu_activity(source[1])[-1]
+        if kind in ("wire", "pin"):
             node_id = self._node_of_signal(source)
             occ = self.store.occurrences.get(node_id)
-            if occ is not None and len(occ) >= 2:
-                node = self.arch.cdfg.node(node_id)
-                value = stream_activity(occ.out, node.width)
-        else:
-            raise PowerModelError(f"unknown source kind {source!r}")
-        cache[source] = value
-        return value
+            if occ is None or len(occ) < 2:
+                return 0.0
+            return self.traces.column_activity(
+                node_id, -1, occ.out, self.arch.cdfg.node(node_id).width)
+        raise PowerModelError(f"unknown source kind {source!r}")
 
     def _node_of_signal(self, source: tuple) -> int:
         if source[0] == "wire":

@@ -43,30 +43,40 @@ class ReplayResult:
     state_visits: dict[int, int] = field(default_factory=dict)
     #: Per-pass sequence of visited state ids (excluding the done state).
     state_seq: list[np.ndarray] = field(default_factory=list)
-    #: Lazy per-node {state id: occurrence count} memo (see
-    #: :meth:`op_state_counts`); keyed here so every design point sharing
-    #: this replay shares the counts.
-    _state_count_memo: dict[int, dict[int, int]] = field(
-        default_factory=dict, repr=False)
+    #: Every node's {state id: occurrence count}, built on the first
+    #: :meth:`op_state_counts` call.
+    _state_counts: dict[int, dict[int, int]] | None = field(
+        default=None, init=False, repr=False)
 
     def op_state_counts(self, node_id: int) -> dict[int, int]:
-        """How often a node executed in each state, memoized.
+        """How often a node executed in each state.
 
-        Replaces per-driver ``(op_state == state).sum()`` scans in the
-        multiplexer statistics with one vectorized ``np.unique`` per
-        node, shared across every port and every design point that
-        replays this schedule.
+        The first call counts every node at once, with one ``np.unique``
+        over all emitted (node, state) pairs of the replay; the table is
+        then shared by every port and every design point that replays
+        this schedule.  Replays nobody asks (conformance) never pay for
+        it.  A node that never executed, or is not in the store, gets an
+        empty dict.
         """
-        got = self._state_count_memo.get(node_id)
-        if got is None:
-            states = self.op_state.get(node_id)
-            if states is None:
-                got = {}
-            else:
-                ids, counts = np.unique(states, return_counts=True)
-                got = {int(i): int(c) for i, c in zip(ids, counts)}
-            self._state_count_memo[node_id] = got
-        return got
+        if self._state_counts is None:
+            self._state_counts = self._count_states()
+        return self._state_counts.get(node_id, {})
+
+    def _count_states(self) -> dict[int, dict[int, int]]:
+        columns = [a for a in self.op_state.values() if a.size]
+        if not columns:
+            return {}
+        nodes = np.array([n for n, a in self.op_state.items() if a.size],
+                         dtype=np.int64)
+        states = np.concatenate(columns).astype(np.int64)
+        span = int(states.max()) + 1
+        pairs = np.repeat(nodes, [a.size for a in columns]) * span + states
+        keys, counts = np.unique(pairs, return_counts=True)
+        table: dict[int, dict[int, int]] = {}
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            node, state = divmod(key, span)
+            table.setdefault(node, {})[state] = count
+        return table
 
     @property
     def enc(self) -> float:
@@ -144,7 +154,7 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore,
         (sid, tuple(sorted(state_conds[sid])),
          tuple((t.conds, t.dst) for t in stg.out_transitions(sid)))
         for sid in states)))
-    walk_cache = store.__dict__.setdefault("_walk_cache", {})
+    walk_cache = store._walk_cache
     cached_walk = walk_cache.get(sig)
     token.incremental = cached_walk is not None
 

@@ -7,9 +7,10 @@ value streams (numpy int64 arrays of *signed* values plus a bit width).
 
 The synthesis hot path consumes only the *mean* activity, so it calls
 :func:`stream_activity` — one vectorized toggle pass, no std/lag-1 work
-— and memoizes the result on the merged stream objects (see
-:mod:`repro.power.trace_manip`); :func:`activity_stats` returns the full
-bundle for the estimator-fidelity experiments.  The two agree exactly:
+— and keeps the result in the trace store's statistics table, once per
+distinct stream (see :mod:`repro.power.trace_manip`);
+:func:`activity_stats` returns the full bundle for the
+estimator-fidelity experiments.  The two agree exactly:
 ``activity_stats(v, w).mean == stream_activity(v, w)``.
 """
 

@@ -107,6 +107,15 @@ class TraceStore:
     #: the reference image the conformance harness holds every other
     #: backend's memory traffic against.
     mem_final: dict[str, list[int]] = field(default_factory=dict)
+    #: Replay's recorded state walks, keyed by the duration-free path
+    #: signature (see :func:`repro.sched.replay.replay`).
+    _walk_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+    #: Activity statistics of the streams derived from this store, one
+    #: entry per distinct stream content (see
+    #: :mod:`repro.power.trace_manip` for the keys).
+    _stat_table: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def occ(self, node_id: int) -> OccurrenceArray:
         try:

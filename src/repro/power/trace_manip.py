@@ -31,22 +31,17 @@ Each stream carries its ``stat_key``, the content's identity:
 Entries are pure functions of the store's arrays, so a served value is
 bit-identical to a recomputation.  The table is not bounded by the
 synthesis cache's ``max_entries`` (nor the job server's
-``cache_entries``); it lives and dies with the store, at a few hundred
-bytes per distinct stream (key and value).
+``cache_entries``); it lives and dies with the store, at about 120
+bytes per distinct stream (key and value) and a few hundred entries per
+benchmark over a whole laxity sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 
 import numpy as np
-
-try:
-    # hashlib's own blake2b: importing hashlib would also load OpenSSL,
-    # about 4 MB of resident memory in every process that merges.
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without the module
-    from hashlib import blake2b
 
 from repro.errors import PowerModelError
 from repro.cdfg.node import OpKind
@@ -256,8 +251,6 @@ class _Merger:
     @staticmethod
     def _forward_fill(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
         """Hold-last-value for ports an operation does not drive."""
-        if valid.all():
-            return values
         idx = np.where(valid, np.arange(values.size), -1)
         idx = np.maximum.accumulate(idx)
         filled = values[np.maximum(idx, 0)]
@@ -459,7 +452,7 @@ class _Merger:
             counts: dict[object, int] = {s: 0 for s in port.sources}
             total = 0
             for (consumer, state_id), source in port.drivers.items():
-                n = self.rep.op_state_counts(consumer).get(state_id, 0)
+                n = self.rep.op_state_count(consumer, state_id)
                 counts[source] += n
                 total += n
             stats = []

@@ -43,40 +43,40 @@ class ReplayResult:
     state_visits: dict[int, int] = field(default_factory=dict)
     #: Per-pass sequence of visited state ids (excluding the done state).
     state_seq: list[np.ndarray] = field(default_factory=list)
-    #: Every node's {state id: occurrence count}, built on the first
-    #: :meth:`op_state_counts` call.
-    _state_counts: dict[int, dict[int, int]] | None = field(
+    #: Every node's per-state occurrence counts, built on the first
+    #: :meth:`op_state_count` call: ``(span, {node * span + state:
+    #: count})``, ``span`` being one past the highest executing state.
+    _state_counts: tuple[int, dict[int, int]] | None = field(
         default=None, init=False, repr=False)
 
-    def op_state_counts(self, node_id: int) -> dict[int, int]:
-        """How often a node executed in each state.
+    def op_state_count(self, node_id: int, state_id: int) -> int:
+        """How often a node executed in a state.
 
         The first call counts every node at once, with one ``np.unique``
-        over all emitted (node, state) pairs of the replay; the table is
-        then shared by every port and every design point that replays
-        this schedule.  Replays nobody asks (conformance) never pay for
-        it.  A node that never executed, or is not in the store, gets an
-        empty dict.
+        over all emitted (node, state) pairs of the replay, into one flat
+        table; it is then shared by every port and every design point
+        that replays this schedule.  Replays nobody asks (conformance)
+        never pay for it.  A node that never executed, or is not in the
+        store, counts 0 in every state.
         """
         if self._state_counts is None:
             self._state_counts = self._count_states()
-        return self._state_counts.get(node_id, {})
+        span, table = self._state_counts
+        if not 0 <= state_id < span:
+            return 0
+        return table.get(node_id * span + state_id, 0)
 
-    def _count_states(self) -> dict[int, dict[int, int]]:
+    def _count_states(self) -> tuple[int, dict[int, int]]:
         columns = [a for a in self.op_state.values() if a.size]
         if not columns:
-            return {}
+            return 0, {}
         nodes = np.array([n for n, a in self.op_state.items() if a.size],
                          dtype=np.int64)
         states = np.concatenate(columns).astype(np.int64)
         span = int(states.max()) + 1
         pairs = np.repeat(nodes, [a.size for a in columns]) * span + states
         keys, counts = np.unique(pairs, return_counts=True)
-        table: dict[int, dict[int, int]] = {}
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            node, state = divmod(key, span)
-            table.setdefault(node, {})[state] = count
-        return table
+        return span, dict(zip(keys.tolist(), counts.tolist()))
 
     @property
     def enc(self) -> float:

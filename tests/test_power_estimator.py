@@ -10,9 +10,11 @@ from repro.core.binding import Binding
 from repro.gatesim import simulate_architecture
 from repro.library import default_library
 from repro.power import estimate_power, merge_unit_traces
+from repro.power.estimator import _compute_internal_activity, _internal_activity
 from repro.power.glitch import chain_glitch_factor, skew_glitch_factor
 from repro.rtl import build_architecture
 from repro.sched import replay, wavesched
+from repro.sim.statistics import stream_activity
 from repro.sim.stimulus import random_stimulus
 
 
@@ -81,6 +83,59 @@ class TestGlitchModel:
             skew_glitch_factor(-1.0)
 
 
+def _recomputed_signal(arch, traces, store, source) -> float:
+    kind = source[0]
+    if kind == "const":
+        return 0.0
+    if kind in ("reg", "tmp"):
+        stream = traces.reg_streams.get(source)
+        return 0.0 if stream is None else stream_activity(stream.values,
+                                                          stream.width)
+    if kind == "fu":
+        stream = traces.fu_streams.get(source[1])
+        if stream is None or stream.executions < 2:
+            return 0.0
+        return stream_activity(stream.out, stream.width)
+    if kind == "wire":
+        node_id = source[1]
+    else:
+        node_id = next(n for n in arch.cdfg.input_nodes
+                       if arch.cdfg.node(n).carrier == source[1])
+    occ = store.occurrences.get(node_id)
+    if occ is None:
+        return 0.0
+    return stream_activity(occ.out, arch.cdfg.node(node_id).width)
+
+
+def _assert_served_equals_recomputed(design):
+    """Every statistic served from the store's table equals
+    ``stream_activity`` / ``_compute_internal_activity`` recomputed on the
+    design's own arrays, exactly."""
+    arch, traces, store = design.arch, design.traces, design.store
+    design.evaluate().power_5v  # the estimate fills every entry it reads
+    assert traces.stats is store._stat_table
+    for fu in arch.binding.fus.values():
+        stream = traces.fu_streams[fu.id]
+        expected = tuple(stream_activity(col, fu.width)
+                         for col in (*stream.ins, stream.out))
+        assert traces.fu_activity(fu.id) == expected
+        assert stream.stat_key in store._stat_table
+        if stream.executions:
+            assert _internal_activity(arch, fu, traces, stream) == \
+                _compute_internal_activity(fu.kinds(arch.cdfg), fu.width,
+                                           stream)
+    for key, stream in traces.reg_streams.items():
+        assert traces.reg_activity(key) == stream_activity(stream.values,
+                                                           stream.width)
+    for name, stream in traces.mem_streams.items():
+        assert traces.mem_activity(name) == (
+            stream_activity(stream.addrs, stream.addr_bits),
+            stream_activity(stream.values, stream.width))
+    for stats in traces.port_stats.values():
+        for source, activity, _prob in stats:
+            assert activity == _recomputed_signal(arch, traces, store, source)
+
+
 class TestFidelity:
     """The estimator must track the bit-level measurement (Section 2.3's
     purpose: a cheap model accurate enough to drive synthesis)."""
@@ -89,8 +144,9 @@ class TestFidelity:
     def test_estimate_tracks_gatesim_on_searched_designs(self, bench_name):
         """On the initial design and the power-searched designs at laxity 1
         and 2, the estimate stays within [0.70, 1.35] of the measurement,
-        and no estimated cut of more than 1% is measured as an increase of
-        more than 1%."""
+        no estimated cut of more than 1% is measured as an increase of
+        more than 1%, and every statistic the estimate read from the
+        store's table equals a recomputation."""
         engine = engine_for_benchmark(bench_name, n_passes=15)
         initial = engine.initial
         designs = [initial] + [engine.run("power", laxity).design
@@ -103,6 +159,10 @@ class TestFidelity:
                     expected_outputs=engine.store.outputs, vdd=5.0)
                 assert meas.output_mismatches == 0
                 measured[id(design)] = meas.power_mw
+        for design in designs:
+            # After the searches have filled the table from many other
+            # candidates.
+            _assert_served_equals_recomputed(design)
         est0, meas0 = initial.evaluate().power_5v, measured[id(initial)]
         for design in designs:
             est, meas = design.evaluate().power_5v, measured[id(design)]

@@ -64,6 +64,7 @@ class CDFG:
             raise CDFGError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
         self.__dict__.pop("_skeleton_order", None)
+        self.__dict__.pop("_carrier_writers", None)
         self._in_edges.setdefault(node.id, {})
         self._out_edges.setdefault(node.id, [])
         if node.kind is OpKind.INPUT:
@@ -147,6 +148,26 @@ class CDFG:
         return sorted((n for n in self.nodes.values()
                        if n.kind in (OpKind.LOAD, OpKind.STORE)),
                       key=lambda n: n.id)
+
+    def carrier_writers(self) -> dict[str, list[int]]:
+        """The nodes that write each variable's register, ids ascending.
+
+        A writer is a schedulable node or an INPUT carrying the variable.
+        Variables appear in the order of their first writer in
+        :attr:`nodes`.  Built on the first call once the graph is
+        complete and shared by every caller, who must not mutate it.
+        """
+        memo = self.__dict__.get("_carrier_writers")
+        if memo is None:
+            memo = {}
+            for node in self.nodes.values():
+                if node.carrier is not None and (
+                        node.is_schedulable or node.kind is OpKind.INPUT):
+                    memo.setdefault(node.carrier, []).append(node.id)
+            for writers in memo.values():
+                writers.sort()
+            self._carrier_writers = memo
+        return memo
 
     def block(self, region_id: int) -> BlockRegion:
         region = self.region(region_id)

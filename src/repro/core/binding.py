@@ -6,6 +6,11 @@ splitting separates them, module substitution swaps a unit's library
 module.  The initial binding is the paper's starting point: a fully
 parallel architecture with each operation on its own fastest-module unit
 and each variable in its own register.
+
+A move edits one or two instances of a copy of its design point's
+binding, so :meth:`Binding.clone` is copy-on-write: the copy shares every
+unit, register and RAM instance with its source, and an edit copies the
+one instance it touches the first time either binding edits it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,22 @@ class FUInstance:
     module: ModuleSpec
     ops: set[int] = field(default_factory=set)
     width: int = 1
+    #: (signature part, merge-signature part), built on first use; a
+    #: binding resets it whenever it edits the instance.
+    _parts: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def kinds(self, cdfg: CDFG) -> frozenset[OpKind]:
         return frozenset(cdfg.node(op).kind for op in self.ops)
+
+    def sig_parts(self) -> tuple[tuple, tuple]:
+        """This unit's entries of :meth:`Binding.signature` and
+        :meth:`Binding.merge_signature`, sharing one sorted op tuple."""
+        if self._parts is None:
+            ops = tuple(sorted(self.ops))
+            self._parts = ((self.id, self.module.name, self.width, ops),
+                           (self.id, self.width, ops))
+        return self._parts
 
 
 @dataclass
@@ -40,6 +58,14 @@ class RegInstance:
     id: int
     width: int
     carriers: set[str] = field(default_factory=set)
+    _part: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
+
+    def sig_part(self) -> tuple:
+        """This register's entry of both binding signatures."""
+        if self._part is None:
+            self._part = (self.id, self.width, tuple(sorted(self.carriers)))
+        return self._part
 
 
 @dataclass
@@ -56,9 +82,18 @@ class MemInstance:
     width: int
     depth: int
     port_of: dict[int, int] = field(default_factory=dict)
+    _part: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def access_delay(self) -> float:
         return ram_access_delay(self.spec, self.width, self.depth)
+
+    def sig_part(self) -> tuple:
+        """This RAM's entry of both binding signatures."""
+        if self._part is None:
+            self._part = (self.name, self.spec.name, self.width, self.depth,
+                          tuple(sorted(self.port_of.items())))
+        return self._part
 
 
 def op_width(cdfg: CDFG, node_id: int) -> int:
@@ -83,6 +118,12 @@ class Binding:
         self.mems: dict[str, MemInstance] = {}
         self._next_fu = 0
         self._next_reg = 0
+        # Keys of the instances this binding may edit in place: those it
+        # created or copied since it last took part in a clone.  Any
+        # other instance may be shared with another binding.
+        self._owned_fus: set[int] = set()
+        self._owned_regs: set[int] = set()
+        self._owned_mems: set[str] = set()
         # Lazily computed content signatures and the delay table; every
         # mutating method clears this (all edits flow through them), so
         # each is computed at most once per binding state.
@@ -118,6 +159,7 @@ class Binding:
                 else:
                     mem.port_of[node.id] = 0
             binding.mems[name] = mem
+            binding._owned_mems.add(name)
         return binding
 
     def _add_fu(self, module: ModuleSpec, ops: set[int]) -> FUInstance:
@@ -126,6 +168,7 @@ class Binding:
         fu.width = max(op_width(self.cdfg, op) for op in ops)
         self._next_fu += 1
         self.fus[fu.id] = fu
+        self._owned_fus.add(fu.id)
         for op in ops:
             self.op_to_fu[op] = fu.id
         return fu
@@ -135,24 +178,66 @@ class Binding:
         reg = RegInstance(id=self._next_reg, width=width, carriers=set(carriers))
         self._next_reg += 1
         self.regs[reg.id] = reg
+        self._owned_regs.add(reg.id)
         for carrier in carriers:
             self.carrier_to_reg[carrier] = reg.id
         return reg
 
     def clone(self) -> "Binding":
+        """An independent copy that shares every instance with this one.
+
+        Only the four maps are copied.  Both bindings give up ownership
+        of every instance, so whichever of them edits an instance first
+        edits its own copy and the other never sees the change.
+        """
         other = Binding(self.cdfg, self.library)
         other._next_fu = self._next_fu
         other._next_reg = self._next_reg
-        for fu in self.fus.values():
-            other.fus[fu.id] = FUInstance(fu.id, fu.module, set(fu.ops), fu.width)
+        other.fus = dict(self.fus)
         other.op_to_fu = dict(self.op_to_fu)
-        for reg in self.regs.values():
-            other.regs[reg.id] = RegInstance(reg.id, reg.width, set(reg.carriers))
+        other.regs = dict(self.regs)
         other.carrier_to_reg = dict(self.carrier_to_reg)
-        for mem in self.mems.values():
-            other.mems[mem.name] = MemInstance(
-                mem.name, mem.spec, mem.width, mem.depth, dict(mem.port_of))
+        other.mems = dict(self.mems)
+        self._owned_fus = set()
+        self._owned_regs = set()
+        self._owned_mems = set()
         return other
+
+    def _own_fu(self, fu_id: int) -> FUInstance:
+        """Unit ``fu_id`` ready for an in-place edit: copied first if
+        another binding may share it, its signature parts reset."""
+        fu = self.fus[fu_id]
+        if fu_id in self._owned_fus:
+            fu._parts = None
+            return fu
+        fu = self.fus[fu_id] = FUInstance(fu.id, fu.module, set(fu.ops),
+                                          fu.width)
+        self._owned_fus.add(fu_id)
+        return fu
+
+    def _own_reg(self, reg_id: int) -> RegInstance:
+        """Register ``reg_id`` ready for an in-place edit (see
+        :meth:`_own_fu`)."""
+        reg = self.regs[reg_id]
+        if reg_id in self._owned_regs:
+            reg._part = None
+            return reg
+        reg = self.regs[reg_id] = RegInstance(reg.id, reg.width,
+                                              set(reg.carriers))
+        self._owned_regs.add(reg_id)
+        return reg
+
+    def _own_mem(self, array: str) -> MemInstance:
+        """RAM of ``array`` ready for an in-place edit (see
+        :meth:`_own_fu`)."""
+        mem = self.mems[array]
+        if array in self._owned_mems:
+            mem._part = None
+            return mem
+        mem = self.mems[array] = MemInstance(mem.name, mem.spec, mem.width,
+                                             mem.depth, dict(mem.port_of))
+        self._owned_mems.add(array)
+        return mem
 
     # -- queries -----------------------------------------------------------------
 
@@ -212,28 +297,31 @@ class Binding:
         in :mod:`repro.core.cache` key on it.
         """
         got = self._sig_memo.get("full")
-        if got is not None:
-            return got
-        fus = tuple(
-            (fu_id, fu.module.name, fu.width, tuple(sorted(fu.ops)))
-            for fu_id, fu in sorted(self.fus.items())
-        )
-        regs = tuple(
-            (reg_id, reg.width, tuple(sorted(reg.carriers)))
-            for reg_id, reg in sorted(self.regs.items())
-        )
-        got = (fus, regs, self._mem_sig())
-        self._sig_memo["full"] = got
+        if got is None:
+            fus = self.fus
+            got = self._sig_memo["full"] = (
+                tuple(fus[i].sig_parts()[0] for i in sorted(fus)),
+                self._reg_sig(), self._mem_sig())
+        return got
+
+    def _reg_sig(self) -> tuple:
+        """Registers enter both binding signatures in one form."""
+        got = self._sig_memo.get("regs")
+        if got is None:
+            regs = self.regs
+            got = self._sig_memo["regs"] = tuple(
+                regs[i].sig_part() for i in sorted(regs))
         return got
 
     def _mem_sig(self) -> tuple:
         """Array names are stable program identifiers, so one signature
         form serves both binding signatures."""
-        return tuple(
-            (mem.name, mem.spec.name, mem.width, mem.depth,
-             tuple(sorted(mem.port_of.items())))
-            for mem in sorted(self.mems.values(), key=lambda m: m.name)
-        )
+        got = self._sig_memo.get("mems")
+        if got is None:
+            mems = self.mems
+            got = self._sig_memo["mems"] = tuple(
+                mems[name].sig_part() for name in sorted(mems))
+        return got
 
     def merge_signature(self) -> tuple:
         """Content signature of exactly what trace merging reads (hashable).
@@ -246,18 +334,11 @@ class Binding:
         key streams and datapath ports.
         """
         got = self._sig_memo.get("merge")
-        if got is not None:
-            return got
-        fus = tuple(
-            (fu_id, fu.width, tuple(sorted(fu.ops)))
-            for fu_id, fu in sorted(self.fus.items())
-        )
-        regs = tuple(
-            (reg_id, reg.width, tuple(sorted(reg.carriers)))
-            for reg_id, reg in sorted(self.regs.items())
-        )
-        got = (fus, regs, self._mem_sig())
-        self._sig_memo["merge"] = got
+        if got is None:
+            fus = self.fus
+            got = self._sig_memo["merge"] = (
+                tuple(fus[i].sig_parts()[1] for i in sorted(fus)),
+                self._reg_sig(), self._mem_sig())
         return got
 
     def validate(self) -> None:
@@ -304,8 +385,9 @@ class Binding:
         if keep == absorb:
             raise BindingError("cannot merge an FU with itself")
         self._sig_memo.clear()
-        fu_keep = self.fus[keep]
+        fu_keep = self._own_fu(keep)
         fu_absorb = self.fus.pop(absorb)
+        self._owned_fus.discard(absorb)
         fu_keep.ops |= fu_absorb.ops
         for op in fu_absorb.ops:
             self.op_to_fu[op] = keep
@@ -326,6 +408,7 @@ class Binding:
         if not ops_out <= fu.ops:
             raise BindingError("split ops are not all on the source FU")
         self._sig_memo.clear()
+        fu = self._own_fu(fu_id)
         fu.ops -= ops_out
         fu.width = max(op_width(self.cdfg, op) for op in fu.ops)
         return self._add_fu(fu.module, ops_out)
@@ -338,15 +421,16 @@ class Binding:
             raise BindingError(
                 f"module {module.name} cannot implement {sorted(k.value for k in kinds)}")
         self._sig_memo.clear()
-        fu.module = module
+        self._own_fu(fu_id).module = module
 
     def merge_regs(self, keep: int, absorb: int) -> None:
         """Store ``absorb``'s variables in ``keep`` (register sharing)."""
         if keep == absorb:
             raise BindingError("cannot merge a register with itself")
         self._sig_memo.clear()
-        reg_keep = self.regs[keep]
+        reg_keep = self._own_reg(keep)
         reg_absorb = self.regs.pop(absorb)
+        self._owned_regs.discard(absorb)
         reg_keep.carriers |= reg_absorb.carriers
         reg_keep.width = max(reg_keep.width, reg_absorb.width)
         for carrier in reg_absorb.carriers:
@@ -360,6 +444,7 @@ class Binding:
         if not carriers_out <= reg.carriers:
             raise BindingError("split carriers are not all in the source register")
         self._sig_memo.clear()
+        reg = self._own_reg(reg_id)
         reg.carriers -= carriers_out
         reg.width = max(self.cdfg.var_types[c][0] for c in reg.carriers)
         width = max(self.cdfg.var_types[c][0] for c in carriers_out)
@@ -378,7 +463,7 @@ class Binding:
                 f"port {port} out of range for {mem.spec.name} "
                 f"({mem.spec.ports} port(s))")
         self._sig_memo.clear()
-        mem.port_of[node_id] = port
+        self._own_mem(array).port_of[node_id] = port
 
     def substitute_ram(self, array: str, spec: RamSpec) -> None:
         """Swap an array's RAM organization (RAM-level module selection).
@@ -391,6 +476,7 @@ class Binding:
         if mem is None:
             raise BindingError(f"array {array!r} has no RAM instance")
         self._sig_memo.clear()
+        mem = self._own_mem(array)
         mem.spec = spec
         for node_id, port in mem.port_of.items():
             if port >= spec.ports:

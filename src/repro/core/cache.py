@@ -42,8 +42,14 @@ counters.
 
 Tables are lock-guarded so threads sharing one cache stay safe; a racing
 miss at worst computes a value twice and publishes identical content.
-Every table is in-process only: the keys hold ``id()`` values, and a cache
-lives exactly as long as its engine.
+Every table is in-process only: the keys hold ``id()`` values.
+
+A cache has one strong owner: the
+:class:`~repro.core.engine.SynthesisEngine` it was given to, or the
+initial design point that built it.  Design points, which the tables
+hold, refer to their cache only weakly, so the tables and every point in
+them are freed by reference counting as soon as the owner is dropped; a
+point that outlives the owner computes its remaining stages uncached.
 """
 
 from __future__ import annotations

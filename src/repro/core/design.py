@@ -24,6 +24,8 @@ evaluation are bit-identical — the randomized equivalence suite
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cdfg.graph import CDFG
 from repro.core.binding import Binding
 from repro.core.cache import SynthesisCache
@@ -56,7 +58,8 @@ class Evaluation:
     area-only consumers never trigger trace merging or power estimation.
     ``vdd``, a root-find over ``slack_ratio``, is computed on first read
     too: the search never reads it, only ``power_scaled``, reports and
-    observers do.
+    observers do.  The lazy estimate calls the design point's merged-trace
+    stage, never the point itself, which holds this evaluation.
     """
 
     __slots__ = ("enc", "legal", "area", "slack_ratio", "_vdd",
@@ -138,6 +141,74 @@ def energy_cost(design: "DesignPoint", enc_budget: float) -> float:
     return evaluation.power_5v * evaluation.enc * (vdd / 5.0) ** 2
 
 
+#: The cache of a point whose engine is gone: it computes every lookup
+#: and counts it as a miss, like any disabled cache.
+_DETACHED = SynthesisCache(enabled=False)
+
+
+def _live(cache_ref: weakref.ref) -> SynthesisCache:
+    cache = cache_ref()
+    return _DETACHED if cache is None else cache
+
+
+class _LazyTraces:
+    """One design point's merged unit traces, built on first use.
+
+    It is kept apart from the point so that the point's lazy
+    :class:`Evaluation` can build the traces without referring back to
+    the point, which holds the evaluation: the search's object graph
+    stays acyclic, so reference counting frees every point it drops.
+
+    A point derived incrementally holds its parent's ``_LazyTraces``
+    until its own traces are merged, then lets it go, so a committed
+    chain does not pin every ancestor's streams.
+    """
+
+    __slots__ = ("arch", "store", "rep", "cache_ref", "parent", "dirty",
+                 "dirty_ports", "value")
+
+    def __init__(self, arch: Architecture, store: TraceStore,
+                 rep: ReplayResult, cache_ref: weakref.ref,
+                 parent: "_LazyTraces | None" = None,
+                 dirty: DirtySet | None = None,
+                 dirty_ports: frozenset | None = None):
+        self.arch = arch
+        self.store = store
+        self.rep = rep
+        self.cache_ref = cache_ref
+        self.parent = parent
+        self.dirty = dirty
+        self.dirty_ports = dirty_ports
+        self.value: UnitTraces | None = None
+
+    def get(self) -> UnitTraces:
+        """Merged traces, memoized on everything the merge reads.
+
+        The merge signature ignores module assignments (the merge never
+        reads them), so module-substitution candidates share the parent's
+        traces outright.  Merged traces are immutable (their statistics
+        live in the trace store's table), so the shared object is safe
+        across points.
+        """
+        if self.value is None:
+            arch = self.arch
+            key = (id(self.store), id(arch.cdfg),
+                   arch.binding.merge_signature(), arch.stg.signature())
+            delta = {}
+            if self.parent is not None:
+                delta = dict(parent=self.parent.get(), dirty=self.dirty,
+                             dirty_ports=self.dirty_ports)
+            self.value = _live(self.cache_ref).traces.get_or_compute(
+                key, lambda: merge_unit_traces(arch, self.store, self.rep,
+                                               **delta))
+            self.parent = self.dirty = self.dirty_ports = None
+        return self.value
+
+    def estimate_5v(self) -> PowerEstimate:
+        """The 5 V power estimate, always computed in full."""
+        return estimate_power(self.arch, self.get(), vdd=5.0)
+
+
 def _memo_replay(cache: SynthesisCache, stg: STG, cdfg: CDFG,
                  store: TraceStore) -> ReplayResult:
     """Replay, memoized on (store, CDFG, the STG's replay signature).
@@ -160,16 +231,22 @@ class DesignPoint:
     early — an interfering register share, an illegal derivation — never
     pay for RTL construction or trace merging.
 
-    Every point holds a :class:`~repro.core.cache.SynthesisCache`, shared
+    Every point uses a :class:`~repro.core.cache.SynthesisCache`, shared
     with the points derived from it, and owns its key policy: derived
     points are memoized on (binding, STG, tree policy), replays on the
     STG's replay signature, merged traces on the binding's merge
     signature plus the STG signature.  Scheduling is not memoized.
 
+    The cache's tables hold the derived points, so a point refers to its
+    cache only weakly; the cache's owner — the engine, or the point
+    :meth:`initial` made it for — keeps it alive.  Once the owner is
+    gone, the point still works, uncached.
+
     A point derived with a :class:`~repro.core.delta.DirtySet` (and
-    ``incremental`` enabled) keeps a reference to its parent and builds
-    its architecture and traces by patching the parent's, rebuilding only
-    the dirty units/ports; its power estimate is computed in full.
+    ``incremental`` enabled) keeps a reference to its parent until its
+    architecture is built, and builds its architecture and traces by
+    patching the parent's, rebuilding only the dirty units/ports; its
+    power estimate is computed in full.
     """
 
     def __init__(self, cdfg: CDFG, library: ModuleLibrary, store: TraceStore,
@@ -186,16 +263,29 @@ class DesignPoint:
         self.stg = stg
         self.rep = rep
         self.tree_policy = tree_policy  # port keys with Huffman-restructured trees
-        self.cache = cache
+        self._cache = weakref.ref(cache)
+        #: The cache, held strongly by the one point :meth:`initial`
+        #: made it for; every other point's cache has another owner.
+        self._owned_cache: SynthesisCache | None = None
         self.incremental = incremental
         self._parent = parent if (incremental and dirty is not None
                                   and not dirty.reschedule) else None
         self._dirty = dirty
-        self._rebuilt_ports: frozenset | None = None
         self._arch: Architecture | None = None
-        self._traces: UnitTraces | None = None
+        self._lazy_traces: _LazyTraces | None = None
         self._liveness: dict[int, set[str]] | None = None
         self._evaluation: Evaluation | None = None
+
+    @property
+    def cache(self) -> SynthesisCache:
+        """The memo tables, or a disabled cache once their owner is gone."""
+        return _live(self._cache)
+
+    @cache.setter
+    def cache(self, cache: SynthesisCache) -> None:
+        self._cache = weakref.ref(cache)
+        if self._lazy_traces is not None:
+            self._lazy_traces.cache_ref = self._cache
 
     # -- construction ---------------------------------------------------------------
 
@@ -207,15 +297,20 @@ class DesignPoint:
         """The paper's starting point: fully parallel, fastest modules.
 
         Without a ``cache`` the point and everything derived from it
-        share a fresh :class:`~repro.core.cache.SynthesisCache`.
+        share a fresh :class:`~repro.core.cache.SynthesisCache`, which
+        lives as long as this point.
         """
         options = options or ScheduleOptions()
-        cache = cache or SynthesisCache()
+        owned = None
+        if cache is None:
+            cache = owned = SynthesisCache()
         binding = Binding.initial_parallel(cdfg, library)
         stg = schedule(cdfg, binding, options)
         rep = _memo_replay(cache, stg, cdfg, store)
-        return cls(cdfg, library, store, options, binding, stg, rep, cache,
-                   incremental=incremental)
+        point = cls(cdfg, library, store, options, binding, stg, rep, cache,
+                    incremental=incremental)
+        point._owned_cache = owned
+        return point
 
     def with_binding(self, binding: Binding, reschedule: bool,
                      dirty: DirtySet | None = None) -> "DesignPoint":
@@ -321,53 +416,31 @@ class DesignPoint:
             if parent is not None:
                 arch, rebuilt = derive_architecture(parent.arch, self.binding,
                                                     self._dirty)
-                self._rebuilt_ports = rebuilt
+                lazy = _LazyTraces(arch, self.store, self.rep, self._cache,
+                                   parent._lazy_traces, self._dirty, rebuilt)
                 # Only re-wired ports can carry a stale balanced tree; a
                 # shared port inherited its (possibly restructured) tree
                 # — and the critical paths computed with it — wholesale.
                 pending = [k for k in self.tree_policy if k in rebuilt]
+                self._parent = None
             else:
                 arch = build_architecture(self.cdfg, self.binding, self.stg,
                                           clock_ns=self.options.clock_ns)
+                lazy = _LazyTraces(arch, self.store, self.rep, self._cache)
                 pending = list(self.tree_policy)
+            self._lazy_traces = lazy
             if pending:
                 # Restructuring needs the merged port statistics, and
                 # changes timing — invalidate the affected states after.
-                traces = self._merge_traces(arch)
-                self._apply_tree_policy(arch, traces, pending)
-                self._traces = traces
+                self._apply_tree_policy(arch, lazy.get(), pending)
             self._arch = arch
         return self._arch
 
     @property
     def traces(self) -> UnitTraces:
         """Merged per-unit traces, computed on first use."""
-        if self._traces is None:
-            # Building the architecture may already merge the traces as a
-            # side effect (tree-policy restructuring needs them).
-            arch = self.arch
-            if self._traces is None:
-                self._traces = self._merge_traces(arch)
-        return self._traces
-
-    def _merge_traces(self, arch: Architecture) -> UnitTraces:
-        """Merged traces, memoized on everything the merge reads.
-
-        The merge signature ignores module assignments (the merge never
-        reads them), so module-substitution candidates share the parent's
-        traces outright.  Merged traces are immutable (their statistics
-        live in the trace store's table), so the shared object is safe
-        across points.
-        """
-        key = (id(self.store), id(arch.cdfg), arch.binding.merge_signature(),
-               arch.stg.signature())
-        parent = self._parent
-        delta = {}
-        if parent is not None and self._rebuilt_ports is not None:
-            delta = dict(parent=parent.traces, dirty=self._dirty,
-                         dirty_ports=self._rebuilt_ports)
-        return self.cache.traces.get_or_compute(
-            key, lambda: merge_unit_traces(arch, self.store, self.rep, **delta))
+        self.arch  # building the architecture sets up _lazy_traces
+        return self._lazy_traces.get()
 
     def liveness(self) -> dict[int, set[str]]:
         """Carrier liveness over this point's STG, computed once.
@@ -407,18 +480,9 @@ class DesignPoint:
                 legal=legal,
                 area=self.arch.area(),
                 slack_ratio=slack,
-                power_fn=self._estimate_5v,
+                power_fn=self._lazy_traces.estimate_5v,
             )
         return self._evaluation
-
-    def _estimate_5v(self) -> PowerEstimate:
-        """The 5 V power estimate, always computed in full."""
-        estimate = estimate_power(self.arch, self.traces, vdd=5.0)
-        # Every parent-derived artifact is now materialized (the estimate
-        # forced arch and traces): release the parent so a committed
-        # chain does not pin every ancestor's architecture and streams.
-        self._parent = None
-        return estimate
 
     @property
     def enc(self) -> float:

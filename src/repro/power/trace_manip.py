@@ -44,7 +44,6 @@ from hashlib import blake2b
 import numpy as np
 
 from repro.errors import PowerModelError
-from repro.cdfg.node import OpKind
 from repro.core.profile import PROFILER
 from repro.rtl.architecture import Architecture
 from repro.sched.replay import ReplayResult
@@ -314,15 +313,14 @@ class _Merger:
                         ("fu", ops, fu.width, _order_key(order)))
 
     def _merge_registers(self) -> None:
-        cdfg = self.arch.cdfg
+        # Registers in the order of their first writer in CDFG node order
+        # (the estimator sums register energy in this order): carriers
+        # come in the order of their own first writers.
+        binding = self.arch.binding
         writers_by_reg: dict[int, list[int]] = {}
-        for node in cdfg.nodes.values():
-            if node.carrier is None:
-                continue
-            if not (node.is_schedulable or node.kind is OpKind.INPUT):
-                continue
-            reg = self.arch.binding.reg_of(node.carrier)
-            writers_by_reg.setdefault(reg.id, []).append(node.id)
+        for carrier, writers in self.arch.cdfg.carrier_writers().items():
+            reg_id = binding.reg_of(carrier).id
+            writers_by_reg.setdefault(reg_id, []).extend(writers)
 
         for reg_id, writers in writers_by_reg.items():
             if self.parent is not None and reg_id not in self.dirty.reg_ids:

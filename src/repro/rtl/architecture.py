@@ -112,38 +112,39 @@ class Architecture:
         cached = self._state_paths.get(state_id)
         if cached is not None:
             return cached
-        state = self.stg.states[state_id]
-        in_state = {op.node: op for op in state.ops}
+        in_state = self.stg.state_nodes(state_id)
         ends: dict[int, float] = {}
-
-        def real_end(node_id: int) -> float:
-            if node_id in ends:
-                return ends[node_id]
-            node = self.cdfg.node(node_id)
-            start = 0.0
-            for edge in self.cdfg.in_edges(node_id):
-                if edge.carried:
-                    continue
-                src = self.cdfg.node(edge.src)
-                if edge.src in in_state and src.is_schedulable:
-                    start = max(start, real_end(edge.src))
-            delay = self.binding.op_delay(node_id)
-            if delay > 0.0 and start > 0.0:
-                delay *= 1.0 + self.chain_overhead
-            end = start + delay + self._input_mux_delay(node_id, state_id)
-            ends[node_id] = end
-            return end
-
         critical = 0.0
-        worst_node = -1
-        for op in state.ops:
-            end = real_end(op.node)
+        for op in self.stg.states[state_id].ops:
+            end = self._real_end(op.node, state_id, in_state, ends)
             write_end = end + self._output_mux_delay(op.node, state_id)
             if write_end > critical:
                 critical = write_end
-                worst_node = op.node
         self._state_paths[state_id] = critical
         return critical
+
+    def _real_end(self, node_id: int, state_id: int, in_state: frozenset[int],
+                  ends: dict[int, float]) -> float:
+        """When ``node_id``'s result is ready in a state (ns), memoized in
+        ``ends``: after its chained producers in the same state, its
+        chaining-derated delay and its input multiplexers."""
+        end = ends.get(node_id)
+        if end is not None:
+            return end
+        cdfg = self.cdfg
+        start = 0.0
+        for edge in cdfg.in_edges(node_id):
+            if edge.carried:
+                continue
+            if edge.src in in_state and cdfg.node(edge.src).is_schedulable:
+                start = max(start,
+                            self._real_end(edge.src, state_id, in_state, ends))
+        delay = self.binding.op_delay(node_id)
+        if delay > 0.0 and start > 0.0:
+            delay *= 1.0 + self.chain_overhead
+        end = start + delay + self._input_mux_delay(node_id, state_id)
+        ends[node_id] = end
+        return end
 
     def _input_mux_delay(self, node_id: int, state_id: int) -> float:
         node = self.cdfg.node(node_id)

@@ -63,15 +63,7 @@ class MuxTree:
 
     def sources(self) -> list[MuxSource]:
         out: list[MuxSource] = []
-
-        def walk(shape: TreeShape) -> None:
-            if isinstance(shape, MuxSource):
-                out.append(shape)
-            else:
-                walk(shape[0])
-                walk(shape[1])
-
-        walk(self._shape)
+        _collect_sources(self._shape, out)
         return out
 
     def n_sources(self) -> int:
@@ -93,14 +85,7 @@ class MuxTree:
 
     def with_stats(self, stats: dict[object, tuple[float, float]]) -> "MuxTree":
         """Same shape, new (activity, probability) annotations per key."""
-
-        def rebuild(shape: TreeShape) -> TreeShape:
-            if isinstance(shape, MuxSource):
-                activity, prob = stats.get(shape.key, (0.0, 0.0))
-                return MuxSource(shape.key, activity, prob)
-            return (rebuild(shape[0]), rebuild(shape[1]))
-
-        return MuxTree(rebuild(self._shape))
+        return MuxTree(_annotate(self._shape, stats))
 
     # -- activity (Equations (1)-(7)) -----------------------------------------------
 
@@ -131,20 +116,42 @@ class MuxTree:
         — without allocating the annotated tree (the power estimator
         calls this once per port per design point).
         """
-
-        def walk(shape: TreeShape) -> tuple[float, float, float]:
-            if isinstance(shape, MuxSource):
-                activity, prob = stats.get(shape.key, (0.0, 0.0))
-                return 0.0, activity * prob, prob
-            left_sum, left_ap, left_p = walk(shape[0])
-            right_sum, right_ap, right_p = walk(shape[1])
-            ap = left_ap + right_ap
-            p = left_p + right_p
-            node_activity = ap / p if p > 0.0 else 0.0
-            return left_sum + right_sum + node_activity, ap, p
-
-        total, _ap, _p = walk(self._shape)
+        total, _ap, _p = _activity_with(self._shape, stats)
         return total
+
+
+# Recursions over a tree shape take everything they read as arguments: a
+# nested recursive function would form a reference cycle on every call.
+
+
+def _collect_sources(shape: TreeShape, out: list[MuxSource]) -> None:
+    if isinstance(shape, MuxSource):
+        out.append(shape)
+    else:
+        _collect_sources(shape[0], out)
+        _collect_sources(shape[1], out)
+
+
+def _annotate(shape: TreeShape,
+              stats: dict[object, tuple[float, float]]) -> TreeShape:
+    if isinstance(shape, MuxSource):
+        activity, prob = stats.get(shape.key, (0.0, 0.0))
+        return MuxSource(shape.key, activity, prob)
+    return (_annotate(shape[0], stats), _annotate(shape[1], stats))
+
+
+def _activity_with(shape: TreeShape, stats: dict[object, tuple[float, float]]
+                   ) -> tuple[float, float, float]:
+    """:meth:`MuxTree._activity` with (a_i, p_i) looked up in ``stats``."""
+    if isinstance(shape, MuxSource):
+        activity, prob = stats.get(shape.key, (0.0, 0.0))
+        return 0.0, activity * prob, prob
+    left_sum, left_ap, left_p = _activity_with(shape[0], stats)
+    right_sum, right_ap, right_p = _activity_with(shape[1], stats)
+    ap = left_ap + right_ap
+    p = left_p + right_p
+    node_activity = ap / p if p > 0.0 else 0.0
+    return left_sum + right_sum + node_activity, ap, p
 
 
 def balanced_tree(sources: list[MuxSource]) -> MuxTree:

@@ -105,7 +105,7 @@ class _SchedAnalysis:
         self._carried_in: dict[int, list] = {}
         self._node_region_owner: dict[int, int] = {}
         self._region_deps: dict[int, list[tuple[str, int]]] = {}
-        self._writers_by_carrier: dict[str, list[int]] = {}
+        self._writers_by_carrier = cdfg.carrier_writers()
         self._test_nodes: dict[int, frozenset[int]] = {}
         #: Structure-only region digests, shared across every engine run on
         #: this CDFG: task pools per block, schedulable-node sets per
@@ -133,12 +133,6 @@ class _SchedAnalysis:
                 for elp in region.elp_nodes:
                     self._node_region_owner[elp] = region.id
                 self._test_nodes[region.id] = loop_test_nodes(cdfg, region.id)
-
-        for node in cdfg.nodes.values():
-            if node.carrier is not None and (node.is_schedulable or node.kind is OpKind.INPUT):
-                self._writers_by_carrier.setdefault(node.carrier, []).append(node.id)
-        for writers in self._writers_by_carrier.values():
-            writers.sort()
 
         for node in cdfg.op_nodes():
             strong: list[tuple[str, int]] = []

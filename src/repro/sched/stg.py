@@ -83,6 +83,7 @@ class STG:
         self.done: int = -1
         self._next_id = 0
         self._state_nodes: dict[int, frozenset[int]] = {}
+        self._node_states: dict[int, list[int]] | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -189,7 +190,19 @@ class STG:
         return cached
 
     def states_of_node(self, node_id: int) -> list[int]:
-        return [s.id for s in self.states.values() if node_id in s.node_ids()]
+        """Ids of the states that execute a node, in state order.
+
+        Read from a node-to-states index built on the first call; safe
+        for the same reason as :meth:`signature`.  Callers must not
+        mutate the returned list.
+        """
+        index = self._node_states
+        if index is None:
+            index = self._node_states = {}
+            for sid, state in self.states.items():
+                for node in self.state_nodes(sid):
+                    index.setdefault(node, []).append(sid)
+        return index.get(node_id, [])
 
     # -- validation --------------------------------------------------------------
 

@@ -5,7 +5,8 @@ checkpoints of :mod:`repro.explore.steal`, so a repeated exploration
 warm-starts every cell it already ran.  The job server also keeps its
 journal in the store directory.  In-run reuse of schedules, replays and
 merged traces belongs to the in-process memo tables of
-:class:`~repro.core.cache.SynthesisCache`, which die with their engine.
+:class:`~repro.core.cache.SynthesisCache`, which are freed when their
+engine is dropped.
 See ``docs/service.md`` for the store layout, key vocabulary and GC
 policy.
 """

@@ -6,6 +6,7 @@ from repro.errors import BindingError
 from repro.cdfg.node import OpKind
 from repro.core.binding import Binding, op_width
 from repro.library import default_library
+from repro.library.memory import ram_spec
 
 
 @pytest.fixture
@@ -40,12 +41,113 @@ class TestInitialParallel:
             assert gcd_binding.reg_of(var).width == width
 
 
+_SHARING_SRC = """process p(a: int8, b: int8) -> (o: int10) {
+  var m: int6[8];
+  var x: int8 = a - b;
+  var y: int8 = b - a;
+  m[a] = x;
+  m[b] = m[a];
+  o = m[0] + y + m[1];
+}"""
+
+#: One call of every mutator, applicable to the binding
+#: :func:`_sharing_binding` returns (units 0/1 and registers 3/4 merged).
+_EDITS = {
+    "merge_fus": lambda b: b.merge_fus(2, 3),
+    "split_fu": lambda b: b.split_fu(0, {3}),
+    "substitute_module": lambda b: b.substitute_module(
+        0, default_library().get("sub_ripple")),
+    "merge_regs": lambda b: b.merge_regs(0, 1),
+    "split_reg": lambda b: b.split_reg(3, {"y"}),
+    "bind_mem_port": lambda b: b.bind_mem_port("m", 4, 1),
+    "substitute_ram": lambda b: b.substitute_ram("m", ram_spec("ram_1p")),
+}
+
+
+def _sharing_binding() -> Binding:
+    from repro.lang import parse
+
+    binding = Binding.initial_parallel(parse(_SHARING_SRC), default_library())
+    binding.merge_fus(0, 1)
+    binding.merge_regs(3, 4)
+    return binding
+
+
+def _content(binding: Binding) -> tuple:
+    """Everything a binding holds, read from the instances themselves."""
+    return (
+        {i: (fu.module.name, fu.width, sorted(fu.ops))
+         for i, fu in binding.fus.items()},
+        dict(binding.op_to_fu),
+        {i: (reg.width, sorted(reg.carriers))
+         for i, reg in binding.regs.items()},
+        dict(binding.carrier_to_reg),
+        {name: (mem.spec.name, mem.width, mem.depth, dict(mem.port_of))
+         for name, mem in binding.mems.items()},
+    )
+
+
+def _signatures(binding: Binding) -> tuple:
+    """Both signatures computed from scratch, without any cached part."""
+    mems = tuple(
+        (mem.name, mem.spec.name, mem.width, mem.depth,
+         tuple(sorted(mem.port_of.items())))
+        for mem in sorted(binding.mems.values(), key=lambda m: m.name))
+    regs = tuple((i, reg.width, tuple(sorted(reg.carriers)))
+                 for i, reg in sorted(binding.regs.items()))
+    full = tuple((i, fu.module.name, fu.width, tuple(sorted(fu.ops)))
+                 for i, fu in sorted(binding.fus.items()))
+    merge = tuple((i, fu.width, tuple(sorted(fu.ops)))
+                  for i, fu in sorted(binding.fus.items()))
+    return (full, regs, mems), (merge, regs, mems)
+
+
 class TestClone:
-    def test_clone_is_independent(self, gcd_binding):
-        other = gcd_binding.clone()
-        fu_id = next(iter(other.fus))
-        other.fus[fu_id].ops.add(9999)
-        assert 9999 not in gcd_binding.fus[fu_id].ops
+    def test_clone_is_independent(self):
+        # Every mutator, both ways: an edit of the clone must not reach
+        # its source, nor an edit of the source made after the clone.
+        for edit in _EDITS.values():
+            for edit_clone in (True, False):
+                source = _sharing_binding()
+                clone = source.clone()
+                edited, other = (clone, source) if edit_clone else (source, clone)
+                other.signature()
+                before = _content(other)
+                edit(edited)
+                edited.validate()
+                assert _content(edited) != before
+                assert _content(other) == before
+                assert (other.signature(), other.merge_signature()) \
+                    == _signatures(other)
+
+    def test_signatures_follow_every_edit(self):
+        # Cached per-instance parts must never outlive an edit, whether
+        # the edit copies a shared instance or changes an owned one.
+        for edit in _EDITS.values():
+            source = _sharing_binding()
+            clone = source.clone()
+            for binding in (source, clone, _sharing_binding()):
+                binding.signature()
+                binding.merge_signature()
+                edit(binding)
+                assert (binding.signature(), binding.merge_signature()) \
+                    == _signatures(binding)
+
+    def test_clone_shares_every_instance_until_an_edit(self):
+        source = _sharing_binding()
+        clone = source.clone()
+        assert all(clone.fus[i] is fu for i, fu in source.fus.items())
+        assert all(clone.regs[i] is reg for i, reg in source.regs.items())
+        assert all(clone.mems[n] is mem for n, mem in source.mems.items())
+        clone.substitute_module(0, default_library().get("sub_ripple"))
+        assert clone.fus[0] is not source.fus[0]
+        assert clone.fus[2] is source.fus[2]
+
+    def test_unshared_binding_edits_in_place(self):
+        binding = _sharing_binding()
+        fu = binding.fus[0]
+        binding.substitute_module(0, default_library().get("sub_ripple"))
+        assert binding.fus[0] is fu
 
     def test_clone_preserves_structure(self, gcd_binding):
         other = gcd_binding.clone()

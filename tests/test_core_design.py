@@ -87,7 +87,7 @@ class TestLazyPower:
         # The eager half of the bundle needs the architecture but not
         # the merged traces: forcing it must leave traces unbuilt.
         gcd_design.evaluate()
-        assert gcd_design._traces is None
+        assert gcd_design._lazy_traces.value is None
 
 
 class TestEncAccounting:

@@ -63,11 +63,12 @@ class TestLazyDesignPoint:
         binding = initial.binding.clone()
         derived = initial.with_binding(binding, reschedule=False)
         assert derived._arch is None
-        assert derived._traces is None
+        assert derived._lazy_traces is None
         arch = derived.arch
         assert derived._arch is arch
+        assert derived._lazy_traces.value is None
         derived.traces
-        assert derived._traces is not None
+        assert derived._lazy_traces.value is not None
 
     def test_rejected_share_never_builds_architecture(self, gcd_engine):
         """An interfering register share must fail before RTL construction."""

@@ -186,7 +186,7 @@ class Binding:
     def clone(self) -> "Binding":
         """An independent copy that shares every instance with this one.
 
-        Only the four maps are copied.  Both bindings give up ownership
+        Only the five maps are copied.  Both bindings give up ownership
         of every instance, so whichever of them edits an instance first
         edits its own copy and the other never sees the change.
         """

@@ -62,3 +62,15 @@ def test_timing_and_mux_activity_leave_no_cycles(collector_off):
     tree.with_stats(stats)
     tree.sources()
     assert gc.collect() == 0
+
+
+def test_point_outliving_its_engine_computes_uncached():
+    engine = engine_for_benchmark("gcd", n_passes=8)
+    orphan = engine.run("area", 2.0, search=SEARCH).design
+    del engine
+    assert not orphan.cache.enabled
+    evaluation = orphan.evaluate()
+    assert not evaluation.power_materialized  # an area search skips it
+    kept = engine_for_benchmark("gcd", n_passes=8)
+    reference = kept.run("area", 2.0, search=SEARCH).design.evaluate()
+    assert evaluation.power_5v == reference.power_5v

@@ -19,6 +19,7 @@ explore checkpoints (:mod:`repro.explore.steal`).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.errors import ConstraintError
@@ -190,7 +191,24 @@ class SynthesisEngine:
         hook (called for each feasible visited design).
 
         Returns a :class:`SynthesisResult`.
+
+        The cyclic garbage collector is paused for the length of the run
+        (a caller who had paused it already keeps it paused).  Nothing the
+        search builds sits in a reference cycle, so reference counting
+        frees every rejected candidate, and the collector's passes would
+        only re-walk the live memo tables (``tests/test_object_lifetime.py``
+        guards both).
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(mode, laxity, search, starts, area_cap, observer)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _run(self, mode, laxity, search, starts, area_cap,
+             observer) -> SynthesisResult:
         if laxity < 1.0:
             raise ConstraintError(f"laxity factor must be >= 1.0, got {laxity}")
         initial = self.initial

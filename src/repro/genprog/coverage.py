@@ -56,41 +56,39 @@ def region_bins(cdfg) -> frozenset[str]:
     ``depth:<n>`` records the deepest control nesting seen.
     """
     bins: set[str] = set()
-    max_depth = 0
-
-    def block_of(region_id: int):
-        region = cdfg.regions.get(region_id)
-        return region if isinstance(region, BlockRegion) else None
-
-    def walk_block(region_id: int, path: tuple[str, ...]) -> None:
-        nonlocal max_depth
-        block = block_of(region_id)
-        if block is None:
-            return
-        for item in block.items:
-            sub = getattr(item, "region", None)
-            if sub is None:
-                continue
-            region = cdfg.regions.get(sub)
-            if isinstance(region, IfRegion):
-                here = path + ("if",)
-            elif isinstance(region, LoopRegion):
-                here = path + (region.loop_kind,)
-            else:
-                walk_block(sub, path)
-                continue
-            bins.add("shape:" + "/".join(here))
-            max_depth = max(max_depth, len(here))
-            if isinstance(region, IfRegion):
-                walk_block(region.then_block, here)
-                walk_block(region.else_block, here)
-            else:
-                walk_block(region.test_block, here)
-                walk_block(region.body_block, here)
-
-    walk_block(cdfg.root_region, ())
+    max_depth = _walk_block(cdfg, cdfg.root_region, (), bins)
     bins.add(f"depth:{max_depth}")
     return frozenset(bins)
+
+
+def _walk_block(cdfg, region_id: int, path: tuple[str, ...],
+                bins: set[str]) -> int:
+    """Add the ``shape:`` bins under one block; the deepest nesting seen."""
+    block = cdfg.regions.get(region_id)
+    if not isinstance(block, BlockRegion):
+        return 0
+    max_depth = 0
+    for item in block.items:
+        sub = getattr(item, "region", None)
+        if sub is None:
+            continue
+        region = cdfg.regions.get(sub)
+        if isinstance(region, IfRegion):
+            here = path + ("if",)
+        elif isinstance(region, LoopRegion):
+            here = path + (region.loop_kind,)
+        else:
+            max_depth = max(max_depth, _walk_block(cdfg, sub, path, bins))
+            continue
+        bins.add("shape:" + "/".join(here))
+        max_depth = max(max_depth, len(here))
+        if isinstance(region, IfRegion):
+            inner = (region.then_block, region.else_block)
+        else:
+            inner = (region.test_block, region.body_block)
+        for child in inner:
+            max_depth = max(max_depth, _walk_block(cdfg, child, here, bins))
+    return max_depth
 
 
 def mem_bins(cdfg) -> frozenset[str]:

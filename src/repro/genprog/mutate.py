@@ -80,23 +80,23 @@ def _names_read(stmts) -> set[str]:
 
 def _array_refs(stmts) -> set[str]:
     """Array names accessed (read or written) anywhere under ``stmts``."""
-
-    def walk_expr(expr) -> set[str]:
-        if isinstance(expr, ast.IndexExpr):
-            return {expr.name} | walk_expr(expr.index)
-        if isinstance(expr, ast.UnaryOp):
-            return walk_expr(expr.operand)
-        if isinstance(expr, ast.BinaryOp):
-            return walk_expr(expr.left) | walk_expr(expr.right)
-        return set()
-
     out: set[str] = set()
     for stmt in ast.walk_statements(tuple(stmts)):
         if isinstance(stmt, ast.ArrayAssign):
             out.add(stmt.name)
         for expr in ast.exprs_of(stmt):
-            out |= walk_expr(expr)
+            out |= _expr_array_refs(expr)
     return out
+
+
+def _expr_array_refs(expr) -> set[str]:
+    if isinstance(expr, ast.IndexExpr):
+        return {expr.name} | _expr_array_refs(expr.index)
+    if isinstance(expr, ast.UnaryOp):
+        return _expr_array_refs(expr.operand)
+    if isinstance(expr, ast.BinaryOp):
+        return _expr_array_refs(expr.left) | _expr_array_refs(expr.right)
+    return set()
 
 
 class _Names:
@@ -137,29 +137,31 @@ class _Block:
 
 def _collect_blocks(process: ast.Process) -> list[_Block]:
     blocks: list[_Block] = []
-
-    def walk(stmts: tuple, path: tuple, readable: tuple, kind: str) -> None:
-        scopes = []
-        cur = list(readable)
-        for idx, stmt in enumerate(stmts):
-            scopes.append(tuple(cur))
-            if isinstance(stmt, ast.If):
-                walk(stmt.then_body, path + ((idx, "then_body"),),
-                     tuple(cur), "if")
-                walk(stmt.else_body, path + ((idx, "else_body"),),
-                     tuple(cur), "if")
-            elif isinstance(stmt, (ast.For, ast.While)):
-                walk(stmt.body, path + ((idx, "body"),), tuple(cur),
-                     "for" if isinstance(stmt, ast.For) else "while")
-            elif isinstance(stmt, ast.VarDecl):
-                cur.append((stmt.name, stmt.declared_type))
-        scopes.append(tuple(cur))
-        blocks.append(_Block(path, stmts, scopes, kind))
-
-    walk(process.body, (), tuple((p.name, p.type) for p in process.inputs),
-         "top")
+    _walk_blocks(process.body, (), tuple((p.name, p.type) for p in process.inputs),
+                 "top", blocks)
     blocks.sort(key=lambda b: b.path)
     return blocks
+
+
+def _walk_blocks(stmts: tuple, path: tuple, readable: tuple, kind: str,
+                 blocks: list[_Block]) -> None:
+    """Append the block ``stmts`` and every block nested in it to ``blocks``."""
+    scopes = []
+    cur = list(readable)
+    for idx, stmt in enumerate(stmts):
+        scopes.append(tuple(cur))
+        if isinstance(stmt, ast.If):
+            _walk_blocks(stmt.then_body, path + ((idx, "then_body"),),
+                         tuple(cur), "if", blocks)
+            _walk_blocks(stmt.else_body, path + ((idx, "else_body"),),
+                         tuple(cur), "if", blocks)
+        elif isinstance(stmt, (ast.For, ast.While)):
+            _walk_blocks(stmt.body, path + ((idx, "body"),), tuple(cur),
+                         "for" if isinstance(stmt, ast.For) else "while", blocks)
+        elif isinstance(stmt, ast.VarDecl):
+            cur.append((stmt.name, stmt.declared_type))
+    scopes.append(tuple(cur))
+    blocks.append(_Block(path, stmts, scopes, kind))
 
 
 def _set_block(body: tuple, path: tuple, new_block: tuple) -> tuple:

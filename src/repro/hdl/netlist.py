@@ -238,10 +238,11 @@ class Netlist:
         known = names | {"start", "rst", "clk"}
         mem_names = {m.name for m in self.mems}
         for wire in self.wires:
-            for ref in refs_of(wire.expr):
+            signals, mems = expr_refs(wire.expr)
+            for ref in signals:
                 if ref not in known:
                     raise HDLError(f"wire {wire.name} references unknown signal {ref!r}")
-            for mem in mem_refs_of(wire.expr):
+            for mem in mems:
                 if mem not in mem_names:
                     raise HDLError(f"wire {wire.name} reads unknown memory {mem!r}")
         for reg in self.regs:
@@ -265,55 +266,31 @@ class Netlist:
                 raise HDLError(f"output {out.name} has unknown source {out.source!r}")
 
 
-def refs_of(expr: Expr) -> set[str]:
-    """All signal names referenced by an expression."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, ERef):
-            out.add(e.name)
-        elif isinstance(e, EOp):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, EMux):
-            walk(e.cond)
-            walk(e.a)
-            walk(e.b)
-        elif isinstance(e, EWrap):
-            walk(e.expr)
-        elif isinstance(e, ECase):
-            walk(e.subject)
-            for _codes, arm in e.arms:
-                walk(arm)
-            walk(e.default)
-        elif isinstance(e, EMemRead):
-            walk(e.addr)
-
-    walk(expr)
-    return out
+def expr_refs(expr: Expr) -> tuple[set[str], set[str]]:
+    """The signal names and the memory names an expression reads."""
+    signals: set[str] = set()
+    mems: set[str] = set()
+    _collect_refs(expr, signals, mems)
+    return signals, mems
 
 
-def mem_refs_of(expr: Expr) -> set[str]:
-    """All memory names read by an expression."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, EMemRead):
-            out.add(e.mem)
-            walk(e.addr)
-        elif isinstance(e, EOp):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, EMux):
-            walk(e.cond)
-            walk(e.a)
-            walk(e.b)
-        elif isinstance(e, EWrap):
-            walk(e.expr)
-        elif isinstance(e, ECase):
-            for _codes, arm in e.arms:
-                walk(arm)
-            walk(e.default)
-
-    walk(expr)
-    return out
+def _collect_refs(e: Expr, signals: set[str], mems: set[str]) -> None:
+    if isinstance(e, ERef):
+        signals.add(e.name)
+    elif isinstance(e, EOp):
+        for a in e.args:
+            _collect_refs(a, signals, mems)
+    elif isinstance(e, EMux):
+        _collect_refs(e.cond, signals, mems)
+        _collect_refs(e.a, signals, mems)
+        _collect_refs(e.b, signals, mems)
+    elif isinstance(e, EWrap):
+        _collect_refs(e.expr, signals, mems)
+    elif isinstance(e, ECase):
+        _collect_refs(e.subject, signals, mems)
+        for _codes, arm in e.arms:
+            _collect_refs(arm, signals, mems)
+        _collect_refs(e.default, signals, mems)
+    elif isinstance(e, EMemRead):
+        mems.add(e.mem)
+        _collect_refs(e.addr, signals, mems)

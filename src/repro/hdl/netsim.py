@@ -41,7 +41,7 @@ from repro.hdl.netlist import (
     EWrap,
     Netlist,
     WORD,
-    refs_of,
+    expr_refs,
 )
 from repro.utils.bitwidth import to_unsigned
 
@@ -72,51 +72,50 @@ def _expr_source(expr, local: dict[str, str],
     Chains of ``lor``/``land`` and mux else-branches are emitted flat, so
     the long per-state chains lowering builds add no nesting depth.
     """
-    def emit(e) -> str:
-        if isinstance(e, EConst):
-            value = int(e.value)
-            return str(value) if value >= 0 else f"({value})"
-        if isinstance(e, ERef):
-            if e.name not in local:
-                raise HDLError(f"netsim cannot read signal {e.name!r}")
-            return local[e.name]
-        if isinstance(e, EWrap):
-            return _wrap_source(emit(e.expr), e.width, e.signed)
-        if isinstance(e, EMux):
-            parts = []
-            while isinstance(e, EMux):
-                parts.append(f"{emit(e.a)} if {emit(e.cond)} else ")
-                e = e.b
-            return f"({''.join(parts)}{emit(e)})"
-        if isinstance(e, ECase):
-            # First matching arm wins, as in a Verilog case statement.
-            subject = emit(e.subject)
-            parts = []
-            for codes, arm in e.arms:
-                test = (f"{subject} == {int(codes[0])}" if len(codes) == 1 else
-                        f"{subject} in {tuple(int(c) for c in codes)!r}")
-                parts.append(f"{emit(arm)} if {test} else ")
-            return f"({''.join(parts)}{emit(e.default)})"
-        if isinstance(e, EMemRead):
-            if e.mem not in mems:
-                raise HDLError(f"read of undeclared memory {e.mem!r}")
-            name, depth = mems[e.mem]
-            return f"{name}[{emit(e.addr)} & {depth - 1}]"
-        if isinstance(e, EOp) and e.op in ("land", "lor"):
-            # Associative: gather the whole chain's terms, in order.
-            terms, stack = [], [e]
-            while stack:
-                term = stack.pop()
-                if isinstance(term, EOp) and term.op == e.op:
-                    stack.extend(reversed(term.args))
-                else:
-                    terms.append(emit(term))
-            return _op_source(e.op, terms)
-        if isinstance(e, EOp):
-            return _op_source(e.op, [emit(a) for a in e.args])
-        raise HDLError(f"cannot compile expression {e!r}")
-
-    return emit(expr)
+    if isinstance(expr, EConst):
+        value = int(expr.value)
+        return str(value) if value >= 0 else f"({value})"
+    if isinstance(expr, ERef):
+        if expr.name not in local:
+            raise HDLError(f"netsim cannot read signal {expr.name!r}")
+        return local[expr.name]
+    if isinstance(expr, EWrap):
+        return _wrap_source(_expr_source(expr.expr, local, mems),
+                            expr.width, expr.signed)
+    if isinstance(expr, EMux):
+        parts = []
+        while isinstance(expr, EMux):
+            parts.append(f"{_expr_source(expr.a, local, mems)} if "
+                         f"{_expr_source(expr.cond, local, mems)} else ")
+            expr = expr.b
+        return f"({''.join(parts)}{_expr_source(expr, local, mems)})"
+    if isinstance(expr, ECase):
+        # First matching arm wins, as in a Verilog case statement.
+        subject = _expr_source(expr.subject, local, mems)
+        parts = []
+        for codes, arm in expr.arms:
+            test = (f"{subject} == {int(codes[0])}" if len(codes) == 1 else
+                    f"{subject} in {tuple(int(c) for c in codes)!r}")
+            parts.append(f"{_expr_source(arm, local, mems)} if {test} else ")
+        return f"({''.join(parts)}{_expr_source(expr.default, local, mems)})"
+    if isinstance(expr, EMemRead):
+        if expr.mem not in mems:
+            raise HDLError(f"read of undeclared memory {expr.mem!r}")
+        name, depth = mems[expr.mem]
+        return f"{name}[{_expr_source(expr.addr, local, mems)} & {depth - 1}]"
+    if isinstance(expr, EOp) and expr.op in ("land", "lor"):
+        # Associative: gather the whole chain's terms, in order.
+        terms, stack = [], [expr]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, EOp) and term.op == expr.op:
+                stack.extend(reversed(term.args))
+            else:
+                terms.append(_expr_source(term, local, mems))
+        return _op_source(expr.op, terms)
+    if isinstance(expr, EOp):
+        return _op_source(expr.op, [_expr_source(a, local, mems) for a in expr.args])
+    raise HDLError(f"cannot compile expression {expr!r}")
 
 
 def _op_source(op: str, args: list[str]) -> str:
@@ -146,29 +145,32 @@ def _levelize(netlist: Netlist) -> tuple[list, bool]:
     backwards (a combinational cycle; declared order breaks it)."""
     wires = netlist.wires
     by_name = {w.name: w for w in wires}
-    deps = {w.name: refs_of(w.expr) & by_name.keys() for w in wires}
+    deps = {w.name: expr_refs(w.expr)[0] & by_name.keys() for w in wires}
     order: list = []
     done: set[str] = set()
     visiting: set[str] = set()
     cyclic = False
-
-    def visit(wire) -> None:
-        nonlocal cyclic
-        if wire.name in done:
-            return
-        if wire.name in visiting:
-            cyclic = True
-            return
-        visiting.add(wire.name)
-        for dep in sorted(deps[wire.name]):
-            visit(by_name[dep])
-        visiting.discard(wire.name)
-        done.add(wire.name)
-        order.append(wire)
-
     for wire in wires:
-        visit(wire)
+        cyclic |= _visit(wire, by_name, deps, done, visiting, order)
     return order, cyclic
+
+
+def _visit(wire, by_name: dict, deps: dict[str, set[str]], done: set[str],
+           visiting: set[str], order: list) -> bool:
+    """Append ``wire`` after its dependencies to ``order``; True if a
+    dependency is still being visited (a back edge)."""
+    if wire.name in done:
+        return False
+    if wire.name in visiting:
+        return True
+    visiting.add(wire.name)
+    cyclic = False
+    for dep in sorted(deps[wire.name]):
+        cyclic |= _visit(by_name[dep], by_name, deps, done, visiting, order)
+    visiting.discard(wire.name)
+    done.add(wire.name)
+    order.append(wire)
+    return cyclic
 
 
 class NetlistProgram:

@@ -96,10 +96,13 @@ class _SchedAnalysis:
     iterative-improvement search schedules the same CDFG hundreds of
     times under different bindings; sharing this analysis removes the
     dominant constant cost from each of those runs.
+
+    The graph holds the analysis, so the analysis does not hold the
+    graph: its methods take the CDFG as an argument, and a dropped CDFG
+    is freed by reference counting.
     """
 
     def __init__(self, cdfg: CDFG):
-        self.cdfg = cdfg
         self._strong: dict[int, list[tuple[str, int]]] = {}
         self._weak_readers: dict[int, set[int]] = {}
         self._carried_in: dict[int, list] = {}
@@ -113,7 +116,7 @@ class _SchedAnalysis:
         self.block_tasks: dict[int, list[tuple[str, int]]] = {}
         self.region_task_nodes: dict[int, frozenset] = {}
         self.loop_rw: dict[int, tuple[frozenset, frozenset]] = {}
-        self._analyze()
+        self._analyze(cdfg)
 
     @classmethod
     def of(cls, cdfg: CDFG) -> "_SchedAnalysis":
@@ -123,8 +126,7 @@ class _SchedAnalysis:
             cdfg._sched_analysis = analysis
         return analysis
 
-    def _analyze(self) -> None:
-        cdfg = self.cdfg
+    def _analyze(self, cdfg: CDFG) -> None:
         for region in cdfg.regions.values():
             if isinstance(region, IfRegion):
                 for sel in region.sel_nodes:
@@ -140,17 +142,17 @@ class _SchedAnalysis:
                 if edge.carried:
                     self._carried_in.setdefault(node.id, []).append(edge)
                     continue
-                strong.extend(self._dep_of_producer(edge.src))
+                strong.extend(self._dep_of_producer(cdfg, edge.src))
             self._strong[node.id] = strong
 
-        self._build_waw_constraints()
-        self._build_memory_constraints()
-        self._build_weak_constraints()
+        self._build_waw_constraints(cdfg)
+        self._build_memory_constraints(cdfg)
+        self._build_weak_constraints(cdfg)
         for region in cdfg.regions.values():
             if isinstance(region, (IfRegion, LoopRegion)):
-                self._region_deps[region.id] = self._build_region_deps(region)
+                self._region_deps[region.id] = self._build_region_deps(cdfg, region)
 
-    def _build_waw_constraints(self) -> None:
+    def _build_waw_constraints(self, cdfg: CDFG) -> None:
         """Write-after-write: a register's writers commit in program order.
 
         Every (non-mutually-exclusive) earlier writer of the same variable
@@ -158,7 +160,6 @@ class _SchedAnalysis:
         must land in an earlier state, or the register would end up holding
         the stale value (found by the random-program property test).
         """
-        cdfg = self.cdfg
         for writers in self._writers_by_carrier.values():
             schedulable = [w for w in writers if cdfg.node(w).is_schedulable]
             for i, later in enumerate(schedulable):
@@ -167,7 +168,7 @@ class _SchedAnalysis:
                         continue
                     self._strong.setdefault(later, []).append(("node", earlier))
 
-    def _build_memory_constraints(self) -> None:
+    def _build_memory_constraints(self, cdfg: CDFG) -> None:
         """Memory dependence: same-array accesses commit in program order
         whenever either side is a store (loads commute freely).
 
@@ -175,7 +176,6 @@ class _SchedAnalysis:
         access, not just the nearest — mutually-exclusive pairs are
         skipped, and exclusivity breaks transitive chains.
         """
-        cdfg = self.cdfg
         by_array: dict[str, list[int]] = {}
         for node in cdfg.mem_nodes():
             by_array.setdefault(node.mem, []).append(node.id)
@@ -190,17 +190,16 @@ class _SchedAnalysis:
                         continue
                     self._strong.setdefault(later, []).append(("node", earlier))
 
-    def _dep_of_producer(self, src: int) -> list[tuple[str, int]]:
-        node = self.cdfg.node(src)
+    def _dep_of_producer(self, cdfg: CDFG, src: int) -> list[tuple[str, int]]:
+        node = cdfg.node(src)
         if node.kind in (OpKind.INPUT, OpKind.CONST):
             return []
         if node.kind in (OpKind.SELECT, OpKind.ENDLOOP):
             return [("region", self._node_region_owner[src])]
         return [("node", src)]
 
-    def _build_weak_constraints(self) -> None:
+    def _build_weak_constraints(self, cdfg: CDFG) -> None:
         """Write-after-read: reader <= next writer of the same variable."""
-        cdfg = self.cdfg
         for edge in cdfg.edges:
             if edge.is_control:
                 continue
@@ -233,19 +232,7 @@ class _SchedAnalysis:
                 self._weak_readers.setdefault(writer, set()).add(reader)
                 break
 
-    def _ancestor_loop_conds(self, region) -> set[int]:
-        """Condition nodes of every loop region enclosing ``region``."""
-        conds: set[int] = set()
-        current = region.parent
-        while current is not None:
-            parent = self.cdfg.region(current)
-            if isinstance(parent, LoopRegion):
-                conds.add(parent.cond_node)
-            current = parent.parent
-        return conds
-
-    def _build_region_deps(self, region) -> list[tuple[str, int]]:
-        cdfg = self.cdfg
+    def _build_region_deps(self, cdfg: CDFG, region) -> list[tuple[str, int]]:
         deps: list[tuple[str, int]] = []
         # A region's ops are control-guarded by every enclosing loop's
         # condition, but that guard is never an *entry* dependency: the
@@ -256,18 +243,18 @@ class _SchedAnalysis:
         # read ordering of reads inside this region (found by the fuzz
         # generator: a while loop nested in a for, body reading the
         # iterator).
-        vacuous = self._ancestor_loop_conds(region)
+        vacuous = _ancestor_loop_conds(cdfg, region)
         for producer in producers_outside(cdfg, region.id):
             if producer in vacuous:
                 continue
-            deps.extend(self._dep_of_producer(producer))
+            deps.extend(self._dep_of_producer(cdfg, producer))
         subtree = region_subtree(cdfg, region.id)
         inside = {n.id for n in cdfg.nodes.values() if n.region in subtree}
         if isinstance(region, IfRegion):
             for sel in region.sel_nodes:
                 for edge in cdfg.in_edges(sel):
                     if not edge.carried and edge.src not in inside:
-                        deps.extend(self._dep_of_producer(edge.src))
+                        deps.extend(self._dep_of_producer(cdfg, edge.src))
         # Outside readers that must run before an inside writer overwrites
         # their value (lest the arm/kernel deadlock on the weak constraint).
         for writer, readers in self._weak_readers.items():
@@ -282,6 +269,18 @@ class _SchedAnalysis:
                 if kind == "node" and target not in inside:
                     deps.append((kind, target))
         return deps
+
+
+def _ancestor_loop_conds(cdfg: CDFG, region) -> set[int]:
+    """Condition nodes of every loop region enclosing ``region``."""
+    conds: set[int] = set()
+    current = region.parent
+    while current is not None:
+        parent = cdfg.region(current)
+        if isinstance(parent, LoopRegion):
+            conds.add(parent.cond_node)
+        current = parent.parent
+    return conds
 
 
 def _collect_block_tasks(cdfg: CDFG, block: BlockRegion) -> list[tuple[str, int]]:
@@ -328,10 +327,7 @@ class _Engine:
         self._out_mux_memo: dict[int, float] = {}
 
     def _dep_of_producer(self, src: int) -> list[tuple[str, int]]:
-        return self.analysis._dep_of_producer(src)
-
-    def _ancestor_loop_conds(self, region) -> set[int]:
-        return self.analysis._ancestor_loop_conds(region)
+        return self.analysis._dep_of_producer(self.cdfg, src)
 
     # ------------------------------------------------------------- readiness
 

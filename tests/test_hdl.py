@@ -56,7 +56,7 @@ from repro.hdl.netlist import (
     PortDecl,
     Wire,
     Register,
-    refs_of,
+    expr_refs,
 )
 from repro.hdl.netsim import NetlistProgram, NetlistSimulator, _expr_source
 from repro.library import default_library
@@ -238,7 +238,7 @@ class TestExpressionSemantics:
     def test_refs_of_walks_every_form(self):
         expr = ECase(ERef("s"), (((1,), EMux(ERef("c"), ERef("a"), EConst(0))),),
                      EWrap(EOp("add", (ERef("x"), ERef("y"))), 8, True), 2)
-        assert refs_of(expr) == {"s", "c", "a", "x", "y"}
+        assert expr_refs(expr) == ({"s", "c", "a", "x", "y"}, set())
 
 
 class TestNetlistValidation:
@@ -257,6 +257,19 @@ class TestNetlistValidation:
         nl = Netlist(name="bad", regs=[Register("r0", 8, d="missing")])
         with pytest.raises(HDLError):
             nl.validate()
+
+    @pytest.mark.parametrize("position", ["subject", "arm", "default"])
+    def test_memory_read_anywhere_in_a_case_must_be_declared(self, position):
+        read = EMemRead("nope", ERef("a"))
+        parts = {"subject": EConst(0), "arm": EConst(1), "default": EConst(2)}
+        parts[position] = read
+        case = ECase(parts["subject"], (((0,), parts["arm"]),),
+                     parts["default"], 2)
+        nl = Netlist(name="bad", inputs=[PortDecl("a", 4, False)],
+                     wires=[Wire("w0", case)])
+        with pytest.raises(HDLError, match="unknown memory 'nope'"):
+            nl.validate()
+        assert expr_refs(case) == ({"a"}, {"nope"})
 
 
 class TestLowering:

@@ -4,17 +4,26 @@ Design points sit in their engine's memo tables, and every candidate the
 search builds is one.  If any of them sat in a reference cycle, a finished
 engine and every rejected candidate could only be freed by a full pass of
 the garbage collector.  These tests run with the collector off and check
-that dropping the last reference frees everything at once.
+that dropping the last reference frees everything at once, for the search
+and for the conformance and fuzzing flows around it.
+
+``SynthesisEngine.run`` pauses the cyclic collector, which is safe only
+while the above holds; the last tests check the pause and that the run
+gives the collector back in the state it found it.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro.core.search import SearchConfig
+from repro.experiments.laxity import run_laxity_sweep
 from repro.explore import engine_for_benchmark
+from repro.genprog.fuzz import fuzz_run
 from repro.rtl.mux import MuxSource, balanced_tree
+from repro.verify.conformance import verify_benchmark
 
 SEARCH = SearchConfig(max_depth=4, max_candidates=10, max_iterations=5, seed=0)
 
@@ -74,3 +83,91 @@ def test_point_outliving_its_engine_computes_uncached():
     kept = engine_for_benchmark("gcd", n_passes=8)
     reference = kept.run("area", 2.0, search=SEARCH).design.evaluate()
     assert evaluation.power_5v == reference.power_5v
+
+
+def assert_no_cycle_garbage() -> None:
+    """Nothing is left that only a collection frees; on failure, tally it
+    by type."""
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        found = gc.collect()
+        tally = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == 0, f"{found} objects in cycles: {tally.most_common(12)}"
+
+
+@pytest.mark.parametrize("flow", [
+    pytest.param(lambda _tmp: run_laxity_sweep("gcd", laxities=(1.0, 2.0),
+                                               n_passes=8), id="sweep"),
+    pytest.param(lambda _tmp: verify_benchmark("gcd", n_passes=10,
+                                               use_iverilog="off"),
+                 id="verify-gcd"),
+    pytest.param(lambda _tmp: verify_benchmark("histogram", n_passes=10,
+                                               use_iverilog="off"),
+                 id="verify-histogram"),
+    pytest.param(lambda tmp: fuzz_run(1, 0, results_dir=tmp), id="fuzz"),
+])
+def test_flow_leaves_nothing_in_cycles(flow, tmp_path, collector_off):
+    flow(tmp_path)
+    assert_no_cycle_garbage()
+
+
+@pytest.fixture
+def collector_on():
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        if not enabled:
+            gc.disable()
+
+
+def test_run_triggers_no_collection(collector_on):
+    engine = engine_for_benchmark("gcd", n_passes=8)
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        engine.run("power", 2.0, search=SEARCH)
+    finally:
+        gc.callbacks.remove(count)
+    assert generations == []
+    assert gc.isenabled()
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_run_restores_the_collector_state(enabled, raises):
+    engine = engine_for_benchmark("gcd", n_passes=8)
+    during = []
+
+    def observer(_design, _evaluation):
+        during.append(gc.isenabled())
+        if raises:
+            raise Stop
+
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(Stop):
+                engine.run("power", 2.0, search=SEARCH, observer=observer)
+        else:
+            engine.run("power", 2.0, search=SEARCH, observer=observer)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during and not any(during)
+    assert after is enabled

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ArchitectureError
-from repro.cdfg.interpreter import Interpreter, _wrap
+from repro.cdfg.interpreter import evaluator
 from repro.cdfg.node import OpKind
 from repro.library.memory import ram_access_cap
 from repro.library.module import scale_capacitance
@@ -41,7 +41,7 @@ from repro.rtl.architecture import Architecture
 from repro.rtl.builder import edge_source
 from repro.rtl.controller import CAP_PER_OUTPUT, CAP_PER_STATE_BIT
 from repro.rtl.mux import MuxSource
-from repro.utils.bitwidth import to_unsigned
+from repro.utils.bitwidth import to_unsigned, wrap
 
 #: Safety cap on cycles per pass.
 MAX_CYCLES_PER_PASS = 1_000_000
@@ -289,8 +289,12 @@ class _GateSim:
                     reg_driver = (tree, port.drivers[(node.id, state_id)])
             else:
                 is_tmp = node.id in arch.datapath.tmp_regs
-            plan.append((sched_op, node, fu, mem, srcs, reg, reg_driver,
-                         is_tmp))
+            # A store writes its data input wrapped as a copy would be.
+            evaluate = (None if node.kind is OpKind.LOAD else
+                        evaluator(OpKind.COPY if node.kind is OpKind.STORE
+                                  else node.kind, node.width, node.signed))
+            plan.append((sched_op, node, fu, mem, evaluate, srcs, reg,
+                         reg_driver, is_tmp))
         return plan
 
     def _execute_state(self, state_id: int, chain_values: dict,
@@ -304,7 +308,8 @@ class _GateSim:
             self._state_plan[state_id] = plan
 
         source_value = self._source_value
-        for sched_op, node, fu, mem, srcs, reg, reg_driver, is_tmp in plan:
+        for (sched_op, node, fu, mem, evaluate, srcs, reg, reg_driver,
+             is_tmp) in plan:
             ins = []
             sample_ports = []
             for source, width, ftree in srcs:
@@ -320,14 +325,13 @@ class _GateSim:
                 contents = self.mems[array]
                 addr = ins[0] & (len(contents) - 1)
                 if is_store:
-                    out = _wrap(ins[1], node.width, node.signed)
+                    out = evaluate(ins[1])
                     pending_mem.append((contents, addr, out))
                 else:
                     out = contents[addr]
                 self._account_mem(array, addr, out)
             else:
-                out = _wrap(Interpreter._compute(node, tuple(ins)),
-                            node.width, node.signed)
+                out = evaluate(*ins)
             chain_values[node.id] = out
             if fu is not None:
                 chain_values[("fu_chain", fu.id)] = out
@@ -442,7 +446,7 @@ class _GateSim:
             pins: dict[str, int] = {}
             for node_id in cdfg.input_nodes:
                 node = cdfg.node(node_id)
-                value = _wrap(inputs[node.carrier], node.width, node.signed)
+                value = wrap(inputs[node.carrier], node.width, node.signed)
                 pins[node.carrier] = value
                 reg = arch.binding.reg_of(node.carrier)
                 old = self.regs[reg.id]
@@ -488,7 +492,7 @@ class _GateSim:
                     value = self.regs[arch.binding.reg_of(src.carrier).id]
                 else:
                     value = self.tmps[edge.src]
-                value = _wrap(value, node.width, node.signed)
+                value = wrap(value, node.width, node.signed)
                 name = node.name.removeprefix("out:")
                 outputs[name].append(value)
                 if expected_outputs is not None:

@@ -43,7 +43,7 @@ from repro.hdl.netlist import (
     WORD,
     expr_refs,
 )
-from repro.utils.bitwidth import to_unsigned
+from repro.utils.bitwidth import to_unsigned, wrap_source
 
 #: Safety cap on clock cycles per start/done pass.
 MAX_CYCLES_PER_PASS = 1_000_000
@@ -51,15 +51,6 @@ MAX_CYCLES_PER_PASS = 1_000_000
 _ARITH = {"add": "+", "sub": "-", "mul": "*"}
 _COMPARE = {"lt": "<", "gt": ">", "le": "<=", "ge": ">=", "eq": "==", "ne": "!="}
 _BITWISE = {"band": "&", "bor": "|", "bxor": "^"}
-
-
-def _wrap_source(src: str, width: int, signed: bool) -> str:
-    """Source truncating ``src`` to ``width`` bits, then re-extending."""
-    mask = (1 << width) - 1
-    if not signed:
-        return f"({src} & {mask})"
-    half = 1 << (width - 1)
-    return f"((({src} + {half}) & {mask}) - {half})"
 
 
 def _expr_source(expr, local: dict[str, str],
@@ -80,8 +71,8 @@ def _expr_source(expr, local: dict[str, str],
             raise HDLError(f"netsim cannot read signal {expr.name!r}")
         return local[expr.name]
     if isinstance(expr, EWrap):
-        return _wrap_source(_expr_source(expr.expr, local, mems),
-                            expr.width, expr.signed)
+        return wrap_source(_expr_source(expr.expr, local, mems),
+                           expr.width, expr.signed)
     if isinstance(expr, EMux):
         parts = []
         while isinstance(expr, EMux):
@@ -122,9 +113,9 @@ def _op_source(op: str, args: list[str]) -> str:
     a = args[0]
     b = args[1] if len(args) > 1 else None
     if op in _ARITH:
-        return _wrap_source(f"({a} {_ARITH[op]} {b})", WORD, True)
+        return wrap_source(f"({a} {_ARITH[op]} {b})", WORD, True)
     if op == "shl":
-        return _wrap_source(f"({a} << ({b} & 63))", WORD, True)
+        return wrap_source(f"({a} << ({b} & 63))", WORD, True)
     if op == "shr":
         return f"({a} >> ({b} & 63))"
     if op in _COMPARE:
@@ -224,7 +215,7 @@ class NetlistProgram:
                     "    raise HDLError('combinational nets did not settle "
                     "(true logic cycle)')"]
         commit = _commit_source(netlist, sig)
-        outputs = "".join(f"{_wrap_source(sig(p.source), p.width, p.signed)}, "
+        outputs = "".join(f"{wrap_source(sig(p.source), p.width, p.signed)}, "
                           for p in ports.values())
 
         def unpack(names: list[str], value: str) -> list[str]:

@@ -38,6 +38,22 @@ def wrap_to_width(value: int, width: int) -> int:
     return value
 
 
+def wrap(value: int, width: int, signed: bool) -> int:
+    """``value`` wrapped to a ``width``-bit signed or unsigned word."""
+    return wrap_to_width(value, width) if signed else to_unsigned(value, width)
+
+
+def wrap_source(src: str, width: int, signed: bool) -> str:
+    """Python source of :func:`wrap` applied to the expression ``src``,
+    which must bind at least as tightly as ``+``.  The generated
+    simulators inline it."""
+    mask = (1 << width) - 1
+    if not signed:
+        return f"({src} & {mask})"
+    half = 1 << (width - 1)
+    return f"(({src} + {half} & {mask}) - {half})"
+
+
 def to_unsigned(value: int, width: int) -> int:
     """Bit pattern of a signed ``value`` in ``width`` bits, as a non-negative int."""
     return value & mask_for_width(width)

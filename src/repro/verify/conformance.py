@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConformanceError, HDLError, ReproError
 from repro.cdfg.graph import CDFG
-from repro.cdfg.interpreter import simulate
+from repro.cdfg.interpreter import Interpreter, simulate
 from repro.gatesim import simulate_architecture
 from repro.hdl import (
     NetlistProgram,
@@ -90,7 +90,8 @@ class ConformanceReport:
     iverilog_ran: bool
     wall_s: float
     #: Seconds each execution model took, keyed by backend name.  The
-    #: interpreter reads 0 when the caller supplied its trace store.
+    #: interpreter reads 0 when the trace store was simulated before the
+    #: check began.
     model_s: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -269,9 +270,10 @@ def minimize_stimulus(cdfg: CDFG, arch: Architecture, inputs: dict[str, int],
     single-pass conformance chain still diverges; trials whose *behavior*
     cannot even be interpreted (e.g. a non-terminating loop) are rejected,
     so minimization cannot trade the original bug for a crash.  The
-    netlist (lowered from ``arch`` when not given) is compiled once for
-    every trial.
+    behavior and the netlist (lowered from ``arch`` when not given) are
+    each compiled once for every trial.
     """
+    behavior = Interpreter(cdfg)
     netlist = _compiled(lower_architecture(arch) if netlist is None
                         else netlist)
     trials = 0
@@ -282,7 +284,7 @@ def minimize_stimulus(cdfg: CDFG, arch: Architecture, inputs: dict[str, int],
             return False
         trials += 1
         try:
-            store = simulate(cdfg, [candidate])
+            store = behavior.run([candidate])
         except ReproError:
             return False  # behaviorally invalid candidate
         try:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConformanceError
 from repro.benchmarks import BENCHMARKS, get_benchmark
-from repro.cdfg.interpreter import simulate
+from repro.cdfg.interpreter import Interpreter, simulate
 from repro.core.design import DesignPoint
 from repro.core.engine import SynthesisEngine
 from repro.hdl import lower_architecture
@@ -115,6 +115,16 @@ class TestEngineVerify:
         report = engine.verify(use_iverilog="off", name="gcd")
         assert report.ok
         assert report.n_passes == 15
+
+    def test_engine_verify_counts_the_profile_it_simulates(self):
+        bench = get_benchmark("gcd")
+        engine = SynthesisEngine(bench.cdfg(), bench.stimulus(15, seed=SEED),
+                                 options=ScheduleOptions(clock_ns=bench.clock_ns))
+        first = engine.verify(use_iverilog="off", minimize=False)
+        again = engine.verify(use_iverilog="off", minimize=False)
+        assert first.model_s["interpreter"] > 0
+        assert again.model_s["interpreter"] == 0  # the profile is cached
+        assert first.wall_s >= sum(first.model_s.values())
 
     def test_engine_verify_searched_design(self):
         bench = get_benchmark("gcd")
@@ -229,6 +239,28 @@ class TestDivergenceDetection:
         monkeypatch.setattr(conf, "simulate_netlist", counting_run)
         cdfg, arch, stim = self._broken_gcd()
         report = verify_architecture(cdfg, arch, stim, use_iverilog="off")
+        assert report.divergences[0].minimized is not None
+        assert runs.count(1) > 1  # the minimization trials
+        assert len(compiles) == 1
+
+    def test_minimization_compiles_the_behavior_once(self, monkeypatch):
+        cdfg, arch, stim = self._broken_gcd()
+        store = simulate(cdfg, stim)
+        compiles, runs = [], []
+        real_init, real_run = Interpreter.__init__, Interpreter.run
+
+        def counting_init(self, *args, **kwargs):
+            compiles.append(1)
+            real_init(self, *args, **kwargs)
+
+        def counting_run(self, passes):
+            runs.append(len(passes))
+            return real_run(self, passes)
+
+        monkeypatch.setattr(Interpreter, "__init__", counting_init)
+        monkeypatch.setattr(Interpreter, "run", counting_run)
+        report = verify_architecture(cdfg, arch, stim, store=store,
+                                     use_iverilog="off")
         assert report.divergences[0].minimized is not None
         assert runs.count(1) > 1  # the minimization trials
         assert len(compiles) == 1

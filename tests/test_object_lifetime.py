@@ -18,12 +18,13 @@ from collections import Counter
 
 import pytest
 
+from repro.cdfg.interpreter import simulate
 from repro.core.search import SearchConfig
 from repro.experiments.laxity import run_laxity_sweep
 from repro.explore import engine_for_benchmark
 from repro.genprog.fuzz import fuzz_run
 from repro.rtl.mux import MuxSource, balanced_tree
-from repro.verify.conformance import verify_benchmark
+from repro.verify.conformance import minimize_stimulus, verify_benchmark
 
 SEARCH = SearchConfig(max_depth=4, max_candidates=10, max_iterations=5, seed=0)
 
@@ -99,6 +100,25 @@ def assert_no_cycle_garbage() -> None:
     assert found == 0, f"{found} objects in cycles: {tally.most_common(12)}"
 
 
+def _simulate_histogram():
+    engine = engine_for_benchmark("histogram", n_passes=4)
+    assert simulate(engine.cdfg, engine.stimulus).mem_final
+
+
+def _minimize_broken_gcd():
+    """Minimize a divergence: gcd's result register loads input ``a``."""
+    engine = engine_for_benchmark("gcd", n_passes=4)
+    arch = engine.initial.arch
+    binding = arch.binding
+    port = arch.datapath.ports[("reg_in", binding.reg_of("g").id)]
+    wrong = ("reg", binding.reg_of("a").id)
+    port.drivers[next(iter(port.drivers))] = wrong
+    port.sources.append(wrong)
+    port.build_default_tree()
+    minimized = minimize_stimulus(engine.cdfg, arch, {"a": 12, "b": 18})
+    assert minimized != {"a": 12, "b": 18}
+
+
 @pytest.mark.parametrize("flow", [
     pytest.param(lambda _tmp: run_laxity_sweep("gcd", laxities=(1.0, 2.0),
                                                n_passes=8), id="sweep"),
@@ -109,6 +129,8 @@ def assert_no_cycle_garbage() -> None:
                                                use_iverilog="off"),
                  id="verify-histogram"),
     pytest.param(lambda tmp: fuzz_run(1, 0, results_dir=tmp), id="fuzz"),
+    pytest.param(lambda _tmp: _simulate_histogram(), id="simulate"),
+    pytest.param(lambda _tmp: _minimize_broken_gcd(), id="minimize"),
 ])
 def test_flow_leaves_nothing_in_cycles(flow, tmp_path, collector_off):
     flow(tmp_path)

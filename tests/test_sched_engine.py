@@ -1,5 +1,6 @@
 """Scheduling engine tests: structure, constraints, Wavesched features."""
 
+import numpy as np
 import pytest
 
 from repro.lang import parse
@@ -180,7 +181,7 @@ class TestReplayConsistency:
         store = simulate(branch_cdfg, passes)
         stg = wavesched(branch_cdfg, binding)
         rep = replay(stg, branch_cdfg, store)
-        probs = {c: store.branch_probability(c) for c in stg_conditions(stg)}
+        probs = {c: branch_probability(store, c) for c in stg_conditions(stg)}
         assert stg.enc_analytic(probs) == pytest.approx(rep.enc, rel=0.01)
 
     def test_state_timestamps_align_with_occurrences(self, gcd_cdfg):
@@ -194,3 +195,11 @@ class TestReplayConsistency:
 
 def stg_conditions(stg):
     return {c for t in stg.transitions for c, _v in t.conds}
+
+
+def branch_probability(store, cond_node: int) -> float:
+    """Fraction of a condition node's evaluations that were true."""
+    array = store.occurrences.get(cond_node)
+    if array is None or len(array) == 0:
+        return 0.0
+    return float(np.count_nonzero(array.out)) / float(len(array))

@@ -110,10 +110,11 @@ class _PassSource:
     """Generates the pass function of one CDFG, line by line.
 
     Besides ``lines`` it lays out the int64 columns: ``nodes`` has one
-    ``(node id, first column, arity)`` per recorded node, whose columns
-    are its position (pass and step as ``pass << 32 | step``), every
-    input and the output; ``outputs`` one ``(port, column)`` per output;
-    and ``trips`` the first of the loop-exit columns (loop id, pass,
+    ``(node id, position column, inputs, output column)`` per recorded
+    node, where a position is ``pass << 32 | step`` and each input is
+    ``(column, None)``, or ``(None, value)`` for a constant, which needs
+    no column; ``outputs`` has one ``(port, column)`` per output; and
+    ``trips`` is the first of the loop-exit columns (loop id, pass,
     iterations) when there are loops.
     """
 
@@ -122,7 +123,7 @@ class _PassSource:
         self.max_iterations = max_iterations
         self.lines: list[str] = []
         self.columns: list[str] = []
-        self.nodes: list[tuple[int, int, int]] = []
+        self.nodes: list[tuple] = []
         self.outputs: list[tuple[str, int]] = []
         self.trips: int | None = None
         #: Generated local name -> (what it holds, display name).
@@ -146,13 +147,22 @@ class _PassSource:
         self.columns.append(name)
         return name
 
-    def node_columns(self, node: Node, arity: int) -> list[str]:
-        """Position, input and output columns of ``node``."""
-        self.nodes.append((node.id, len(self.columns), arity))
+    def node_columns(self, node: Node, constants: list) -> tuple:
+        """Add the columns of ``node``, whose inputs always carry
+        ``constants`` (``None`` where they vary): its position, each
+        varying input and its output.  Returns their names, ``None``
+        for a constant input."""
         k = node.id
-        return [self.column(f"s{k}"),
-                *(self.column(f"i{k}_{j}") for j in range(arity)),
-                self.column(f"o{k}")]
+        position = len(self.columns)
+        step_col = self.column(f"s{k}")
+        ins, in_cols = [], []
+        for j, value in enumerate(constants):
+            ins.append((None, value) if value is not None else
+                       (len(self.columns), None))
+            in_cols.append(None if value is not None else
+                           self.column(f"i{k}_{j}"))
+        self.nodes.append((node.id, position, tuple(ins), len(self.columns)))
+        return step_col, in_cols, self.column(f"o{k}")
 
     def var(self, carrier: str | None, node: Node) -> str:
         if carrier is None:
@@ -168,6 +178,11 @@ class _PassSource:
         name = f"n{node.id}"
         self.locals[name] = ("node", node.name)
         return name
+
+    def constant(self, edge: Edge) -> int | None:
+        """The value an input edge always carries, if it is constant."""
+        src = self.cdfg.node(edge.src)
+        return None if edge.carried or src.kind is not OpKind.CONST else src.value
 
     def operand(self, edge: Edge) -> str:
         src = self.cdfg.node(edge.src)
@@ -196,7 +211,7 @@ class _PassSource:
         self.emit(1, "st = pass_idx << 32")
         for node_id in cdfg.input_nodes:
             node = cdfg.node(node_id)
-            step_col, out_col = self.node_columns(node, 0)
+            step_col, _, out_col = self.node_columns(node, [])
             targets = [self.var(node.carrier, node)]
             if node.id in self._read:
                 targets.append(self.value(node))
@@ -274,10 +289,12 @@ class _PassSource:
 
     def op(self, node: Node, offset: int, depth: int) -> None:
         """One node's execution and its record, on one line."""
-        args = [self.operand(edge) for edge in self.cdfg.in_edges(node.id)]
-        step_col, *in_cols, out_col = self.node_columns(node, len(args))
+        edges = self.cdfg.in_edges(node.id)
+        args = [self.operand(edge) for edge in edges]
+        constants = [self.constant(edge) for edge in edges]
+        step_col, in_cols, out_col = self.node_columns(node, constants)
         parts = [f"{step_col}(st + {offset})" if offset else f"{step_col}(st)"]
-        parts += [f"{col}({arg})" for col, arg in zip(in_cols, args)]
+        parts += [f"{col}({arg})" for col, arg in zip(in_cols, args) if col]
         targets = []
         if node.kind in (OpKind.LOAD, OpKind.STORE):
             mem, size = self.arrays[node.mem]
@@ -378,20 +395,21 @@ class Interpreter:
         def view(k: int) -> np.ndarray:
             return np.array(columns[k], np.int64)
 
-        def stream(first: int, arity: int) -> OccurrenceArray:
-            position = view(first)
+        def stream(position: int, ins: tuple, out: int) -> OccurrenceArray:
+            where = view(position)
             return OccurrenceArray(
-                pass_idx=(position >> 32).astype(np.int32),
-                step=(position & 0xFFFFFFFF).astype(np.int32),
-                out=view(first + 1 + arity),
-                ins=tuple(view(first + 1 + k) for k in range(arity)))
+                pass_idx=(where >> 32).astype(np.int32),
+                step=(where & 0xFFFFFFFF).astype(np.int32),
+                out=view(out),
+                ins=tuple(np.full(len(where), value, np.int64) if k is None
+                          else view(k) for k, value in ins))
 
         executed = [entry for entry in self._nodes if columns[entry[1]]]
         # By the position of the first occurrence; the stable sort keeps
         # the inputs, all at step 0 of pass 0, first and in order.
         executed.sort(key=lambda e: columns[e[1]][0])
-        occurrences = {node_id: stream(first, arity)
-                       for node_id, first, arity in executed}
+        occurrences = {node_id: stream(*layout)
+                       for node_id, *layout in executed}
         outputs = {name: view(k) for name, k in self._outputs if columns[k]}
         loop_trips = {}
         if self._trips is not None and columns[self._trips]:

@@ -157,10 +157,12 @@ class _PassSource:
         step_col = self.column(f"s{k}")
         ins, in_cols = [], []
         for j, value in enumerate(constants):
-            ins.append((None, value) if value is not None else
-                       (len(self.columns), None))
-            in_cols.append(None if value is not None else
-                           self.column(f"i{k}_{j}"))
+            if value is None:
+                ins.append((len(self.columns), None))
+                in_cols.append(self.column(f"i{k}_{j}"))
+            else:
+                ins.append((None, value))
+                in_cols.append(None)
         self.nodes.append((node.id, position, tuple(ins), len(self.columns)))
         return step_col, in_cols, self.column(f"o{k}")
 

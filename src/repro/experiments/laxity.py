@@ -26,7 +26,8 @@ from repro.core.engine import SynthesisResult
 from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.explore import engine_for_benchmark
-from repro.gatesim import rescale_result, simulate_architecture
+from repro.gatesim import GateSimResult, rescale_result, simulate_architecture
+from repro.rtl.architecture import Architecture
 
 #: The paper's laxity grid (Figure 13 x-axis).
 FULL_LAXITY_GRID = tuple(round(1.0 + 0.2 * i, 1) for i in range(11))
@@ -131,6 +132,7 @@ def run_laxity_sweep(
     stimulus = engine.stimulus
 
     sweep = LaxitySweep(benchmark=benchmark)
+    measured: dict[int, tuple[Architecture, GateSimResult]] = {}
     prev_area = None
     prev_power = None
     for laxity in laxities:
@@ -152,15 +154,36 @@ def run_laxity_sweep(
         sweep.evaluations += (area_res.history.evaluations
                               + power_res.history.evaluations)
         sweep.points.append(_measure_point(laxity, area_res, power_res,
-                                           stimulus))
+                                           stimulus, measured))
     sweep.profile = PROFILER.window(window)
     sweep.cache_stats = cache_stats(sweep.profile)
     return sweep
 
 
+def _measured_at_5v(arch: Architecture, stimulus: list[dict[str, int]],
+                    expected_outputs: dict,
+                    measured: dict[int, tuple[Architecture, GateSimResult]]
+                    ) -> GateSimResult:
+    """``arch`` simulated at 5 V, once per sweep.
+
+    A later laxity point often keeps a design an earlier point already
+    measured (the same :class:`Architecture` object), and every supply
+    point is an exact rescaling of the 5 V run (see
+    :func:`rescale_result`).  ``measured`` holds each architecture next
+    to its result, so no key's id is reused while the sweep runs.
+    """
+    hit = measured.get(id(arch))
+    if hit is None:
+        hit = measured[id(arch)] = (arch, simulate_architecture(
+            arch, stimulus, expected_outputs=expected_outputs, vdd=5.0))
+    return hit[1]
+
+
 def _measure_point(laxity: float, area_res: SynthesisResult,
                    power_res: SynthesisResult,
-                   stimulus: list[dict[str, int]]) -> LaxityPoint:
+                   stimulus: list[dict[str, int]],
+                   measured: dict[int, tuple[Architecture, GateSimResult]]
+                   ) -> LaxityPoint:
     store = area_res.store
     a_eval = area_res.design.evaluate()
     i_eval = power_res.design.evaluate()
@@ -173,12 +196,12 @@ def _measure_point(laxity: float, area_res: SynthesisResult,
 
     # Every supply point is an exact Vdd^2 rescaling of the 5 V run (see
     # :func:`rescale_result`), so each design is simulated once, at 5 V.
-    base = simulate_architecture(area_res.design.arch, stimulus,
-                                 expected_outputs=store.outputs, vdd=5.0)
+    base = _measured_at_5v(area_res.design.arch, stimulus, store.outputs,
+                           measured)
     a_meas = rescale_result(base, a_vdd)
     i_meas = rescale_result(
-        simulate_architecture(power_res.design.arch, stimulus,
-                              expected_outputs=store.outputs, vdd=5.0),
+        _measured_at_5v(power_res.design.arch, stimulus, store.outputs,
+                        measured),
         i_vdd)
 
     # Equal-throughput comparison: every design gets `budget` cycles of

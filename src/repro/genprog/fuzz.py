@@ -165,8 +165,8 @@ def _search_config(args_search):
 
 
 def _chain_failure(program: GeneratedProgram, laxities, n_passes: int,
-                   search, use_iverilog: str, *,
-                   stop_on_failure: bool = False, cdfg=None,
+                   search, use_iverilog: str, *, cdfg, store,
+                   stop_on_failure: bool = False,
                    ) -> tuple[dict[float, str], str | None, str, set[str]]:
     """Run synth+conformance at every laxity.
 
@@ -177,23 +177,20 @@ def _chain_failure(program: GeneratedProgram, laxities, n_passes: int,
     remaining laxities once a failure is recorded — the shrinker's
     predicate only needs the first one.
 
-    ``cdfg`` is the already-built CDFG when the caller ran
-    :func:`check_roundtrip` (which compiles the source as part of its
-    invariant) — passing it through saves a second frontend pass per
+    ``cdfg`` and ``store`` are what :func:`check_roundtrip` returned
+    for the chain's stimulus (``n_passes`` passes, seed 0): passing them
+    through saves a second frontend pass and a second simulation per
     program.
     """
     from repro.core.engine import SynthesisEngine
-    from repro.lang import parse
     from repro.sched.engine import ScheduleOptions
 
     verdicts: dict[float, str] = {}
     stage: str | None = None
     detail = ""
     bins: set[str] = set()
-    if cdfg is None:
-        cdfg = parse(program.source)
     stimulus = program.stimulus(n_passes, seed=0)
-    engine = SynthesisEngine(cdfg, stimulus,
+    engine = SynthesisEngine(cdfg, stimulus, store=store,
                              options=ScheduleOptions(clock_ns=10.0))
     for laxity in laxities:
         try:
@@ -246,7 +243,7 @@ def _still_fails(process, config: GenConfig, laxities, n_passes: int,
                                  process=process,
                                  source=emit_source(process))
     try:
-        cdfg = check_roundtrip(candidate, n_passes=n_passes, seed=0)
+        cdfg, store = check_roundtrip(candidate, n_passes=n_passes, seed=0)
     except GenerationError:
         return True  # still a frontend-semantics failure: keep it
     except ReproError:
@@ -254,7 +251,7 @@ def _still_fails(process, config: GenConfig, laxities, n_passes: int,
     try:
         _verdicts, stage, _detail, _bins = _chain_failure(
             candidate, laxities, n_passes, search, use_iverilog,
-            stop_on_failure=True, cdfg=cdfg)
+            stop_on_failure=True, cdfg=cdfg, store=store)
     except ReproError:
         return False
     return stage is not None
@@ -296,15 +293,17 @@ def fuzz_program(program: GeneratedProgram, *,
     verdict = ProgramVerdict(name=program.name, seed=program.config.seed,
                              status="ok", n_statements=program.n_statements)
     try:
-        # check_roundtrip compiles the source as part of its invariant;
-        # reuse that CDFG so the synthesis chain does not re-parse.
-        cdfg = check_roundtrip(program, n_passes=n_passes, seed=0)
+        # check_roundtrip compiles and simulates the source over the
+        # chain's stimulus as part of its invariant; reuse that CDFG and
+        # trace so the synthesis chain neither re-parses nor re-simulates.
+        cdfg, store = check_roundtrip(program, n_passes=n_passes, seed=0)
     except GenerationError as exc:
         verdict.status, verdict.detail = "semantic", str(exc)
         verdict.bins = _shape_bins(program)
         return verdict
     verdicts, stage, detail, bins = _chain_failure(
-        program, laxities, n_passes, search, use_iverilog, cdfg=cdfg)
+        program, laxities, n_passes, search, use_iverilog, cdfg=cdfg,
+        store=store)
     verdict.laxities = verdicts
     verdict.bins = frozenset(bins) or _shape_bins(program)
     if stage is not None:

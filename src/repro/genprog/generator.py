@@ -438,8 +438,10 @@ def check_roundtrip(program: GeneratedProgram, *, n_passes: int | None = None,
     drift — a program that fails this check is itself a shrunken-down
     frontend bug reproducer, never a valid corpus entry.
 
-    Returns the validated CDFG so callers (the fuzz chain) can hand it
-    straight to synthesis instead of re-parsing the same source.
+    Returns ``(cdfg, store)``: the validated CDFG and the interpreter's
+    trace over ``program.stimulus(n_passes, seed=seed)``, so callers
+    (the fuzz chain) can hand both straight to synthesis over that
+    stimulus instead of re-parsing the source and simulating it again.
     """
     from repro.cdfg.builder import build_cdfg
     from repro.cdfg.interpreter import simulate
@@ -467,7 +469,7 @@ def check_roundtrip(program: GeneratedProgram, *, n_passes: int | None = None,
                     f"{program.name}: frontend round-trip changed semantics: "
                     f"pass {idx} output {name} = {got} (interpreter) but the "
                     f"AST evaluator says {value} for inputs {inputs}")
-    return cdfg
+    return cdfg, store
 
 
 def generate_program(config: GenConfig | None = None, *,

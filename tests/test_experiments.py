@@ -84,6 +84,26 @@ class TestLaxitySweep:
         assert first == second
         assert first[0]["schedule"][0] > 0
 
+    def test_each_design_is_simulated_once(self, monkeypatch):
+        """A design kept across laxity points (or picked by both modes)
+        is measured once; its other supply points are rescalings."""
+        import repro.experiments.laxity as laxity_mod
+
+        simulated = []
+        original = laxity_mod.simulate_architecture
+
+        def counted(arch, *args, **kwargs):
+            simulated.append(arch)
+            return original(arch, *args, **kwargs)
+
+        monkeypatch.setattr(laxity_mod, "simulate_architecture", counted)
+        sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0, 3.0), n_passes=10,
+                                 search=TINY_SEARCH)
+        assert sweep.total_mismatches() == 0
+        assert len({id(arch) for arch in simulated}) == len(simulated)
+        # Some design recurs, or this would not test the reuse.
+        assert len(simulated) < 2 * len(sweep.points)
+
     def test_more_laxity_never_hurts_i_power(self):
         sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0, 3.0), n_passes=10,
                                  search=TINY_SEARCH)

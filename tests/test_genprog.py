@@ -293,6 +293,33 @@ class TestFuzzRun:
 
         assert report_bytes(one) == report_bytes(two)
 
+    def test_each_program_is_interpreted_twice(self, monkeypatch):
+        """The generator's own check (6 passes, seed 1) and the round
+        trip over the chain's stimulus, whose trace the synthesis engine
+        reuses instead of simulating the same CDFG again."""
+        from repro.cdfg.interpreter import Interpreter
+        from repro.core.search import SearchConfig
+        from repro.genprog.fuzz import fuzz_program
+
+        runs = []
+        original = Interpreter.run
+
+        def counted(self, input_passes):
+            runs.append(len(input_passes))
+            return original(self, input_passes)
+
+        monkeypatch.setattr(Interpreter, "run", counted)
+        for seed in range(3):
+            runs.clear()
+            program = generate_program(GenConfig(seed=seed, array_density=0.15))
+            verdict = fuzz_program(program, laxities=(1.0, 2.0), n_passes=5,
+                                   search=SearchConfig(max_depth=2,
+                                                       max_candidates=4,
+                                                       max_iterations=2,
+                                                       seed=0))
+            assert verdict.status == "ok"
+            assert runs == [program.config.validate_passes, 5]
+
     def test_failure_is_shrunk_to_reproducer(self, tmp_path, monkeypatch):
         import repro.genprog.fuzz as fuzz_mod
         from repro.genprog.fleet import TRIAGE_NAME

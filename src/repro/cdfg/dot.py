@@ -44,9 +44,3 @@ def to_dot(cdfg: CDFG) -> str:
         lines.append(f"  n{edge.src} -> n{edge.dst} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines)
-
-
-def write_dot(cdfg: CDFG, path: str) -> None:
-    """Write :func:`to_dot` output to a file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_dot(cdfg))

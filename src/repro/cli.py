@@ -380,18 +380,17 @@ def cmd_fuzz(args) -> int:
             print(verdict.detail)
         return 0 if verdict.ok else 1
 
-    report = fuzz_run(args.count, args.seed, guided=args.coverage,
-                      laxities=args.laxities, n_passes=args.passes, gen=gen,
-                      search=search, use_iverilog=args.iverilog,
+    report = fuzz_run(args.count, args.seed, laxities=args.laxities,
+                      n_passes=args.passes, gen=gen, search=search,
+                      use_iverilog=args.iverilog,
                       results_dir=args.results_dir,
                       shrink_trials=args.shrink_trials)
     summary = report.summary()
     rows = report.rows()
-    command = "repro fuzz --coverage" if args.coverage else "repro fuzz"
     print(format_table(rows, title=(
-        f"{command}: {report.n_ok}/{report.count} programs "
-        f"conformance-clean, {report.n_bins} structural bins, corpus "
-        f"{report.corpus_size} (seed {report.seed})")))
+        f"repro fuzz: {report.n_ok}/{report.count} programs "
+        f"conformance-clean, {report.n_bins} structural bins "
+        f"(seed {report.seed})")))
     families = ", ".join(f"{family}:{count}" for family, count
                          in summary["bin_families"].items())
     print(f"\nbins by family: {families}")
@@ -402,7 +401,7 @@ def cmd_fuzz(args) -> int:
             print(f"  shrunk reproducer: {path} (re-run: python -m repro "
                   f"fuzz --replay {path} --seed {verdict.seed})")
     written = write_report(rows, args.results_dir / "fuzz",
-                           title=f"{command} (seed {report.seed})",
+                           title=f"repro fuzz (seed {report.seed})",
                            extra=summary)
     print("reports: " + ", ".join(str(p) for p in written.values()))
     return 0 if report.ok else 1
@@ -543,10 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="off",
                    help="external cosim oracle policy (default %(default)s; "
                         "off keeps results/fuzz.json machine-independent)")
-    p.add_argument("--coverage", action="store_true",
-                   help="let structural coverage steer: once fresh "
-                        "programs stop finding new bins, breed mutants "
-                        "of rare corpus entries (see docs/fuzzing.md)")
     p.add_argument("--replay", type=pathlib.Path, default=None,
                    metavar="FILE",
                    help="re-run the chain on a saved reproducer source "

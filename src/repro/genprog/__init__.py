@@ -14,13 +14,11 @@ benchmark corpus:
   family registered into ``repro.benchmarks``;
 * :mod:`repro.genprog.fuzz` / :func:`fuzz_run` — the one generate →
   synthesize → conformance → shrink → file loop behind
-  ``python -m repro fuzz`` (``--coverage`` lets coverage steer it);
+  ``python -m repro fuzz``, with :func:`triage_digest` naming each
+  shrunk failure;
 * :mod:`repro.genprog.coverage` / :func:`extract_coverage` — structural
-  coverage bins read off the pipeline's own artifacts;
-* :mod:`repro.genprog.mutate` / :func:`mutate` — AST-level splice /
-  graft / widen / nest mutators over generated programs;
-* :mod:`repro.genprog.fleet` — the corpus policy of guided runs:
-  :class:`Corpus`, mutant breeding and :func:`triage_digest`.
+  coverage bins read off the pipeline's own artifacts, measured by
+  every fuzz run.
 
 See ``docs/fuzzing.md``.
 """
@@ -29,24 +27,20 @@ from repro.genprog.config import DEFAULT_WIDTHS, GenConfig
 from repro.genprog.coverage import bin_families, coverage_digest, extract_coverage
 from repro.genprog.emit import emit_source, strip_positions
 from repro.genprog.evaluate import evaluate_process
-from repro.genprog.fleet import Corpus, triage_digest
-from repro.genprog.fuzz import FuzzReport, fuzz_run
+from repro.genprog.fuzz import FuzzReport, fuzz_run, triage_digest
 from repro.genprog.generator import (
     GeneratedProgram,
     check_roundtrip,
     generate_program,
     program_from_source,
 )
-from repro.genprog.mutate import MUTATORS, mutate
 from repro.genprog.shrink import shrink_process
 
 __all__ = [
-    "Corpus",
     "DEFAULT_WIDTHS",
     "FuzzReport",
     "GenConfig",
     "GeneratedProgram",
-    "MUTATORS",
     "bin_families",
     "check_roundtrip",
     "coverage_digest",
@@ -55,7 +49,6 @@ __all__ = [
     "extract_coverage",
     "fuzz_run",
     "generate_program",
-    "mutate",
     "program_from_source",
     "shrink_process",
     "strip_positions",

@@ -1,10 +1,9 @@
 """Structural coverage bins measured by every fuzz run.
 
-A guided run (``fuzz_run(..., guided=True)``, corpus policy in
-:mod:`repro.genprog.fleet`) steers generation toward program
-*structure* the pipeline has not exercised yet.  "Structure" is read off
-the artifacts the pipeline already computes — never off ids, timings or
-anything else that varies run to run:
+:func:`~repro.genprog.fuzz.fuzz_run` measures which program
+*structure* a run exercised; it does not steer generation.  "Structure"
+is read off the artifacts the pipeline already computes — never off
+ids, timings or anything else that varies run to run:
 
 * ``shape:*`` / ``depth:*`` — region-nesting shapes from the CDFG region
   tree (the same tree wavesched schedules);
@@ -203,7 +202,7 @@ def extract_coverage(*, cdfg=None, history=None, stg=None,
 
 
 def coverage_digest(bins: frozenset[str]) -> str:
-    """Stable short digest of a coverage set (corpus/report bookkeeping)."""
+    """Stable short digest of a coverage set (the fuzz report's summary)."""
     from repro.store import digest_key
 
     return digest_key(tuple(sorted(bins)))[:12]

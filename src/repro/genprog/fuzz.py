@@ -7,16 +7,16 @@ synthesized at every requested laxity, and every synthesized design is
 pushed through the differential conformance oracle chain (interpreter
 <-> replay <-> gatesim <-> netsim, plus iverilog when enabled).  Every
 run is folded into structural coverage bins
-(:mod:`repro.genprog.coverage`); with ``guided=True`` the bins also
-steer, and later slots are mutants bred from the corpus
-(:mod:`repro.genprog.fleet`).
+(:mod:`repro.genprog.coverage`), and each report row names the bins no
+earlier program in the run had hit.
 
 Any failure — generation invariant, evaluator disagreement, synthesis
 error, or conformance divergence — is shrunk to a minimal reproducer
 program that still fails the same stage and filed under its triage
 digest as ``<results_dir>/fuzz_repro_<digest>.src``, so runs with
 different seeds that share a results directory never overwrite each
-other, and two programs that shrink to the same bug share one file.
+other, and two programs that shrink to the same bug share one file
+(:func:`triage_digest`).
 
 Everything is deterministic in ``(seed, knobs)``: program seeds derive
 from the run seed, searches are seeded, and the report rows carry no
@@ -34,15 +34,7 @@ from pathlib import Path
 from repro.errors import GenerationError, ReproError
 from repro.genprog.config import GenConfig
 from repro.genprog.coverage import bin_families, coverage_digest, extract_coverage
-from repro.genprog.emit import emit_source
-from repro.genprog.fleet import (
-    FRESH_PATIENCE,
-    TRIAGE_NAME,
-    Corpus,
-    breed_mutant,
-    corpus_file,
-    triage_digest,
-)
+from repro.genprog.emit import emit_source, strip_positions
 from repro.genprog.generator import (
     GeneratedProgram,
     check_roundtrip,
@@ -56,6 +48,22 @@ DEFAULT_LAXITIES: tuple[float, ...] = (1.0, 2.0)
 #: Multiplier deriving per-program seeds from the run seed (a large odd
 #: constant so nearby run seeds produce disjoint program families).
 SEED_STRIDE = 1_000_003
+
+#: The process name every filed reproducer carries: the shrinker keeps
+#: the failing program's own name, which must not split one bug in two.
+TRIAGE_NAME = "repro"
+
+
+def triage_digest(stage: str, process) -> str:
+    """Stable short digest of (failure stage, shrunk AST) for dedup.
+
+    Source positions and the process name are ignored, so two programs
+    that shrink to the same body share a digest.
+    """
+    from repro.store import digest_key
+
+    process = dataclasses.replace(process, name=TRIAGE_NAME)
+    return digest_key((stage, strip_positions(process)))[:12]
 
 
 @dataclass
@@ -72,17 +80,10 @@ class ProgramVerdict:
     laxities: dict[float, str] = field(default_factory=dict)
     #: File name (no directory) of the shrunk reproducer source, if any.
     reproducer: str | None = None
-    #: "fresh" | "mutant:<op>:<parent corpus file>".
-    origin: str = "fresh"
     #: Structural coverage bins this program's run lit up.
     bins: frozenset[str] = frozenset()
     #: The bins no earlier program in the run had hit.
     new_bins: frozenset[str] = frozenset()
-    #: Whether the program joined the corpus (it found new bins).
-    kept: bool = False
-    #: File name (no directory) of the kept source under
-    #: ``fuzz_corpus/``; guided runs only.
-    corpus: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -99,11 +100,8 @@ class ProgramVerdict:
                                  sorted(self.laxities.items())),
             "detail": self.detail,
             "reproducer": self.reproducer or "",
-            "origin": self.origin,
             "bins": len(self.bins),
             "new_bins": sorted(self.new_bins),
-            "kept": self.kept,
-            "corpus": self.corpus or "",
         }
 
 
@@ -113,14 +111,12 @@ class FuzzReport:
 
     count: int
     seed: int
-    guided: bool
     laxities: tuple[float, ...]
     n_passes: int
     verdicts: list[ProgramVerdict] = field(default_factory=list)
     covered: set[str] = field(default_factory=set)
     #: triage digest -> names of the programs that shrank to it.
     triage: dict[str, list[str]] = field(default_factory=dict)
-    corpus_size: int = 0
 
     @property
     def ok(self) -> bool:
@@ -141,7 +137,6 @@ class FuzzReport:
         return {
             "count": self.count,
             "seed": self.seed,
-            "guided": self.guided,
             "laxities": list(self.laxities),
             "n_passes": self.n_passes,
             "ok": self.ok,
@@ -149,7 +144,6 @@ class FuzzReport:
             "bins": self.n_bins,
             "bin_families": bin_families(self.covered),
             "coverage_digest": coverage_digest(frozenset(self.covered)),
-            "corpus_size": self.corpus_size,
             "triage": {digest: sorted(names)
                        for digest, names in sorted(self.triage.items())},
         }
@@ -286,8 +280,8 @@ def fuzz_program(program: GeneratedProgram, *,
                  search=None, use_iverilog: str = "off") -> ProgramVerdict:
     """Fuzz one already-generated program (also the --replay entry point).
 
-    The verdict carries the program's coverage bins; the corpus fields
-    (``origin``, ``new_bins``, ``kept``) are the run loop's to fill.
+    The verdict carries the program's coverage bins; ``new_bins`` is
+    the run loop's to fill.
     """
     search = _search_config(search)
     verdict = ProgramVerdict(name=program.name, seed=program.config.seed,
@@ -311,7 +305,7 @@ def fuzz_program(program: GeneratedProgram, *,
     return verdict
 
 
-def fuzz_run(count: int, seed: int, *, guided: bool = False,
+def fuzz_run(count: int, seed: int, *,
              laxities=DEFAULT_LAXITIES, n_passes: int = 10,
              gen: GenConfig | None = None, search=None,
              use_iverilog: str = "off",
@@ -321,63 +315,39 @@ def fuzz_run(count: int, seed: int, *, guided: bool = False,
 
     The i-th slot's generator seed is ``seed * SEED_STRIDE + i`` and
     every downstream stage is seeded, so the run is deterministic in all
-    arguments.  Coverage is always measured.  ``guided=False`` samples
-    only fresh generator programs; ``guided=True`` switches to mutants
-    bred from the corpus once :data:`~repro.genprog.fleet.FRESH_PATIENCE`
-    fresh programs in a row found no new bin, and writes every kept
-    entry's source to ``<results_dir>/fuzz_corpus/<digest>.src`` (see
-    :func:`~repro.genprog.fleet.corpus_file`), the name its row's
-    ``corpus`` field and its mutants' ``origin`` carry.
+    arguments.  Coverage is measured, not steered: each verdict's
+    ``new_bins`` are its bins that no earlier slot had hit, and the
+    report's ``covered`` is their union.
     """
     results_dir = Path(results_dir)
     template = (gen or GenConfig()).validated()
     search = _search_config(search)
-    report = FuzzReport(count=count, seed=seed, guided=guided,
-                        laxities=tuple(laxities), n_passes=n_passes)
-    corpus = Corpus()
-    fresh_dry = 0  # consecutive fresh programs with zero new bins
+    report = FuzzReport(count=count, seed=seed, laxities=tuple(laxities),
+                        n_passes=n_passes)
     for index in range(count):
         name = f"fuzz{index}"
         config = dataclasses.replace(template,
                                      seed=seed * SEED_STRIDE + index)
-        bred = verdict = None
-        if guided and corpus.entries and fresh_dry >= FRESH_PATIENCE:
-            bred = breed_mutant(corpus, seed, index, name, config, n_passes)
-        if bred is not None:
-            program, origin = bred
+        try:
+            program = generate_program(config, name=name)
+        except GenerationError as exc:
+            # The generator's own invariant tripped: the emitted source
+            # is itself the bug reproducer.
+            program = generate_program(config, name=name, check=False)
+            verdict = ProgramVerdict(
+                name=name, seed=config.seed, status="generate",
+                n_statements=program.n_statements, detail=str(exc),
+                bins=_shape_bins(program))
         else:
-            origin = "fresh"
-            try:
-                program = generate_program(config, name=name)
-            except GenerationError as exc:
-                # The generator's own invariant tripped: the emitted
-                # source is itself the bug reproducer.
-                program = generate_program(config, name=name, check=False)
-                verdict = ProgramVerdict(
-                    name=name, seed=config.seed, status="generate",
-                    n_statements=program.n_statements, detail=str(exc),
-                    bins=_shape_bins(program))
-        if verdict is None:
             verdict = fuzz_program(program, laxities=laxities,
                                    n_passes=n_passes, search=search,
                                    use_iverilog=use_iverilog)
-        verdict.origin = origin
-        verdict.new_bins = corpus.consider(program, verdict.bins, origin)
-        verdict.kept = bool(verdict.new_bins)
-        if origin == "fresh":
-            fresh_dry = 0 if verdict.kept else fresh_dry + 1
-        if verdict.kept and guided:
-            verdict.corpus = corpus_file(program.source)
-            corpus_dir = results_dir / "fuzz_corpus"
-            corpus_dir.mkdir(parents=True, exist_ok=True)
-            (corpus_dir / verdict.corpus).write_text(program.source,
-                                                     encoding="utf-8")
+        verdict.new_bins = verdict.bins - report.covered
+        report.covered |= verdict.bins
         if not verdict.ok:
             digest, verdict.reproducer = _file_reproducer(
                 program, verdict.status, laxities, n_passes, search,
                 use_iverilog, results_dir, shrink_trials)
             report.triage.setdefault(digest, []).append(name)
         report.verdicts.append(verdict)
-    report.covered = set(corpus.covered)
-    report.corpus_size = len(corpus.entries)
     return report

@@ -87,10 +87,6 @@ class ReplayResult:
     def max_cycles(self) -> int:
         return int(self.cycles.max()) if self.cycles.size else 0
 
-    @property
-    def min_cycles(self) -> int:
-        return int(self.cycles.min()) if self.cycles.size else 0
-
     def cycles_under(self, durations: dict[int, int]) -> np.ndarray:
         """Per-pass cycle counts under a *different* duration assignment.
 

@@ -2,8 +2,9 @@
 
 The RT-level estimator of [19] consumes, per unit, the mean and standard
 deviation of switching activity plus temporal (lag-1) and spatial
-correlations of the signals at its ports.  These are computed here from
-value streams (numpy int64 arrays of *signed* values plus a bit width).
+correlations of the signals at its ports.  The first three are computed
+here from value streams (numpy int64 arrays of *signed* values plus a
+bit width); spatial correlation is not modelled.
 
 The synthesis hot path consumes only the *mean* activity, so it calls
 :func:`stream_activity` — one vectorized toggle pass, no std/lag-1 work
@@ -40,10 +41,6 @@ class ActivityStats:
     transitions: int
     width: int
 
-    @property
-    def toggles_per_transition(self) -> float:
-        return self.mean * self.width
-
 
 def stream_activity(values: np.ndarray, width: int) -> float:
     """Mean fraction of bits toggling between consecutive values."""
@@ -73,22 +70,3 @@ def activity_stats(values: np.ndarray, width: int) -> ActivityStats:
     return ActivityStats(mean=mean / width, std=std / width, lag1=lag1,
                          transitions=int(series.size), width=width)
 
-
-def spatial_correlation(a: np.ndarray, b: np.ndarray, width: int) -> float:
-    """Correlation between the toggle series of two equal-length streams.
-
-    Spatially correlated inputs (e.g. a value and its copy) toggle together,
-    which lowers glitch power; the estimator folds this in as a correction
-    factor.  Returns 0 for degenerate streams.
-    """
-    if a.size != b.size:
-        raise ValueError(f"stream lengths differ: {a.size} != {b.size}")
-    if a.size < 3:
-        return 0.0
-    series_a = toggle_series(to_unsigned_array(a, width)).astype(np.float64)
-    series_b = toggle_series(to_unsigned_array(b, width)).astype(np.float64)
-    std_a = series_a.std()
-    std_b = series_b.std()
-    if std_a == 0.0 or std_b == 0.0:
-        return 0.0
-    return float(np.corrcoef(series_a, series_b)[0, 1])

@@ -29,9 +29,3 @@ class TestDot:
         assert dot.rstrip().endswith("}")
         assert dot.count("[") == dot.count("]")
 
-    def test_write_dot(self, simple_cdfg, tmp_path):
-        from repro.cdfg.dot import write_dot
-
-        path = tmp_path / "out.dot"
-        write_dot(simple_cdfg, str(path))
-        assert path.read_text().startswith("digraph")

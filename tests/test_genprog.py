@@ -1,28 +1,41 @@
 """Property suite for the random program generator, shrinker and fuzz CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cdfg.builder import build_cdfg
 from repro.cdfg.interpreter import simulate
+from repro.core.search import SearchConfig
 from repro.errors import ExperimentError, GenerationError
 from repro.genprog import (
     GenConfig,
     check_roundtrip,
     emit_source,
     evaluate_process,
+    fuzz_run,
     generate_program,
     program_from_source,
     shrink_process,
     strip_positions,
     triage_digest,
 )
+from repro.genprog import fuzz as fuzz_mod
+from repro.genprog.fuzz import TRIAGE_NAME, ProgramVerdict
 from repro.lang import ast_nodes as ast
 from repro.lang.frontend import parse_process
 from repro.lang.tokens import tokenize
 
 SEEDS = list(range(25))
+
+TINY = SearchConfig(max_depth=2, max_candidates=6, max_iterations=2, seed=0)
+
+MINIMAL = parse_process("""
+process m(a: uint4) -> (o: uint4) {
+  o = (a + 1);
+}
+""")
 
 
 class TestGeneration:
@@ -191,8 +204,6 @@ process shr(a: uint4) -> (o: uint4) {
         # the loop is present): the shrink predicate must keep probing
         # the full laxity tuple, or the bug "disappears" mid-shrink and
         # the reported reproducer no longer fails.
-        from repro.genprog import fuzz as fuzz_mod
-
         program = program_from_source(self.LAXITY_SENSITIVE)
         probed: list[tuple[float, ...]] = []
 
@@ -269,22 +280,11 @@ process shr(a: uint4) -> (o: uint4) {
 
 
 class TestFuzzRun:
-    @pytest.mark.parametrize("guided", [False, True],
-                             ids=["plain", "guided"])
-    def test_small_run_clean_and_deterministic(self, tmp_path, guided):
-        from repro.core.search import SearchConfig
-        from repro.genprog.fuzz import fuzz_run
-
-        # Small shallow programs saturate the generator's bins quickly,
-        # so the guided run breeds mutants within 12 slots.
-        kwargs = dict(guided=guided, laxities=(1.0,), n_passes=4,
-                      gen=GenConfig(ops_budget=6, max_depth=1),
-                      search=SearchConfig(max_depth=2, max_candidates=6,
-                                          max_iterations=2, seed=0))
+    def test_small_run_clean_and_deterministic(self, tmp_path):
+        kwargs = dict(laxities=(1.0,), n_passes=4,
+                      gen=GenConfig(ops_budget=6, max_depth=1), search=TINY)
         one = fuzz_run(12, 0, results_dir=tmp_path / "one", **kwargs)
         assert one.ok and one.n_ok == 12
-        bred = [v for v in one.verdicts if v.origin != "fresh"]
-        assert bool(bred) == guided
         two = fuzz_run(12, 0, results_dir=tmp_path / "two", **kwargs)
 
         def report_bytes(report):
@@ -293,12 +293,33 @@ class TestFuzzRun:
 
         assert report_bytes(one) == report_bytes(two)
 
+    def test_new_bins_are_the_running_set_difference(self, tmp_path,
+                                                     monkeypatch):
+        # Each row's new_bins are its bins minus every earlier row's;
+        # the report's covered set is their union.
+        bins = [{"a", "b"}, {"a"}, {"b", "c"}, set(), {"a", "c", "d"}]
+
+        def fake_fuzz(program, **_kw):
+            index = int(program.name.removeprefix("fuzz"))
+            return ProgramVerdict(name=program.name, seed=program.config.seed,
+                                  status="ok", bins=frozenset(bins[index]))
+
+        monkeypatch.setattr(fuzz_mod, "fuzz_program", fake_fuzz)
+        report = fuzz_run(len(bins), 0, gen=GenConfig(ops_budget=6),
+                          results_dir=tmp_path)
+        assert [v.new_bins for v in report.verdicts] == [
+            {"a", "b"}, set(), {"c"}, set(), {"d"}]
+        assert [row["new_bins"] for row in report.rows()] == [
+            ["a", "b"], [], ["c"], [], ["d"]]
+        union = set().union(*(v.new_bins for v in report.verdicts))
+        assert report.covered == union == set().union(*bins)
+        assert report.summary()["bins"] == 4
+
     def test_each_program_is_interpreted_twice(self, monkeypatch):
         """The generator's own check (6 passes, seed 1) and the round
         trip over the chain's stimulus, whose trace the synthesis engine
         reuses instead of simulating the same CDFG again."""
         from repro.cdfg.interpreter import Interpreter
-        from repro.core.search import SearchConfig
         from repro.genprog.fuzz import fuzz_program
 
         runs = []
@@ -321,9 +342,6 @@ class TestFuzzRun:
             assert runs == [program.config.validate_passes, 5]
 
     def test_failure_is_shrunk_to_reproducer(self, tmp_path, monkeypatch):
-        import repro.genprog.fuzz as fuzz_mod
-        from repro.genprog.fleet import TRIAGE_NAME
-
         # Force the semantic invariant to fail for every program: the
         # driver must record the failure and file a shrunk reproducer
         # under its triage digest.
@@ -349,6 +367,49 @@ class TestFuzzRun:
         build_cdfg(process).validate()
         # ...and much smaller than a typical generated one.
         assert source.count(";") <= 12
+
+
+class TestTriage:
+    def test_digest_ignores_source_positions(self):
+        other = parse_process(
+            "process m(a: uint4) -> (o: uint4)\n{\n  o = (a + 1);\n}\n")
+        assert triage_digest("divergence", MINIMAL) == triage_digest(
+            "divergence", other)
+
+    def test_digest_ignores_process_name(self):
+        # The shrinker keeps each program's own name, so two programs
+        # that shrink to the same body must still share a digest.
+        renamed = dataclasses.replace(MINIMAL, name="fuzz7")
+        assert triage_digest("divergence", MINIMAL) == triage_digest(
+            "divergence", renamed)
+
+    def test_digest_separates_stages(self):
+        assert triage_digest("divergence", MINIMAL) != triage_digest(
+            "synthesis", MINIMAL)
+
+    def test_same_shrunk_failure_files_once(self, tmp_path, monkeypatch):
+        # Two distinct programs whose failures shrink to the same body
+        # must share one digest-named file, with both program names
+        # recorded under the digest.  Like the real shrinker, the stub
+        # keeps each program's own process name.
+        def fake_fuzz(program, **_kw):
+            return ProgramVerdict(name=program.name, seed=program.config.seed,
+                                  status="divergence", detail="stubbed")
+
+        monkeypatch.setattr(fuzz_mod, "fuzz_program", fake_fuzz)
+        monkeypatch.setattr(
+            fuzz_mod, "shrink_process",
+            lambda process, predicate, max_trials: dataclasses.replace(
+                MINIMAL, name=process.name))
+        report = fuzz_run(2, 0, n_passes=4, search=TINY,
+                          results_dir=tmp_path)
+        digest = triage_digest("divergence", MINIMAL)
+        assert report.triage == {digest: ["fuzz0", "fuzz1"]}
+        filed = sorted(tmp_path.glob("fuzz_repro_*.src"))
+        assert [p.name for p in filed] == [f"fuzz_repro_{digest}.src"]
+        assert filed[0].read_text(encoding="utf-8") == emit_source(
+            dataclasses.replace(MINIMAL, name=TRIAGE_NAME))
+        assert all(v.reproducer == filed[0].name for v in report.verdicts)
 
 
 class TestFuzzCLI:
@@ -384,7 +445,7 @@ class TestFuzzCLI:
         ["fuzz", "--laxities", ""],
         ["fuzz", "--branch-density", "1.5"],
         ["fuzz", "--max-ops", "0"],
-        ["fuzz", "--coverage", "--blind"],
+        ["fuzz", "--coverage"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         from repro.cli import main
@@ -393,20 +454,20 @@ class TestFuzzCLI:
             main(argv)
         assert excinfo.value.code == 2
 
-    def test_generator_invariant_failure_is_a_verdict_under_coverage(
+    def test_generator_invariant_failure_is_a_verdict(
             self, tmp_path, monkeypatch, capsys):
         import repro.genprog.generator as generator_mod
         from repro.cli import main
 
         # The generator's own round-trip invariant trips for every
-        # program: a coverage run must record `generate` verdicts and
-        # file reproducers, not abort.
+        # program: the run must record `generate` verdicts and file
+        # reproducers, not abort.
         def broken_roundtrip(_program, **_kwargs):
             raise GenerationError("forced generator failure")
 
         monkeypatch.setattr(generator_mod, "check_roundtrip",
                             broken_roundtrip)
-        code = main(["fuzz", "--coverage", "--count", "2", "--seed", "0",
+        code = main(["fuzz", "--count", "2", "--seed", "0",
                      "--passes", "3", "--laxities", "1.0", "--max-ops", "8",
                      "--search-depth", "1", "--search-candidates", "2",
                      "--search-iterations", "1", "--shrink-trials", "2",

@@ -46,7 +46,7 @@ class TestReplayArrays:
         store = simulate(gcd_cdfg, passes)
         stg = wavesched(gcd_cdfg, binding)
         rep = replay(stg, gcd_cdfg, store)
-        assert rep.min_cycles <= rep.enc <= rep.max_cycles
+        assert rep.enc <= rep.max_cycles
         assert rep.cycles.shape == (3,)
 
 

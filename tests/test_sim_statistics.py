@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.sim.statistics import (
     ActivityStats,
     activity_stats,
-    spatial_correlation,
     stream_activity,
 )
 
@@ -37,7 +36,6 @@ class TestActivityStats:
         assert stats.mean == pytest.approx(2 / 8)
         assert stats.std == pytest.approx(0.0)
         assert stats.transitions == 5
-        assert stats.toggles_per_transition == pytest.approx(2.0)
 
     def test_periodic_signal_has_positive_lag1(self):
         # Period-2 toggle magnitudes: high, low, high, low...
@@ -49,19 +47,3 @@ class TestActivityStats:
         stats = activity_stats(np.array([1], dtype=np.int64), 8)
         assert stats == ActivityStats(0.0, 0.0, 0.0, 0, 8)
 
-
-class TestSpatialCorrelation:
-    def test_identical_streams_fully_correlated(self):
-        values = np.array([0, 5, 1, 7, 2, 6], dtype=np.int64)
-        assert spatial_correlation(values, values, 8) == pytest.approx(1.0)
-
-    def test_constant_stream_gives_zero(self):
-        a = np.array([0, 5, 1, 7], dtype=np.int64)
-        b = np.full(4, 3, dtype=np.int64)
-        assert spatial_correlation(a, b, 8) == 0.0
-
-    def test_length_mismatch_rejected(self):
-        a = np.zeros(4, dtype=np.int64)
-        b = np.zeros(5, dtype=np.int64)
-        with pytest.raises(ValueError):
-            spatial_correlation(a, b, 8)

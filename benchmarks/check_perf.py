@@ -1,105 +1,178 @@
-"""CI perf gate: fail on a wall-time regression against the baseline.
+"""CI perf gate: compare perfbench runs of a change against its parent.
 
-Compares the freshly measured headline run (``results/headline.json``,
-written by ``bench_headline.py``) against the checked-in perf trajectory
-(``BENCH_headline.json``): the baseline is the **median of the last 3**
-earlier records matching the current run's mode (same ``smoke`` flag and
-benchmark set), and the gate fails when the current wall time exceeds
-``--max-ratio`` times that median (default 1.25, i.e. a >25 %
-regression).  A single-record comparison flakes on noisy runners; the
-median absorbs one outlier calibration run.  When the baseline file has
-no records matching the current mode, the gate fails with a clear
-message naming the mode — run the bench once in that mode to seed the
-trajectory (the CI job seeds it with three runs of the parent commit).
+Each input file is the output of one ``perfbench/run.py --trace 0`` run:
+its metric lines, its fingerprint line and, last, its JSON line.  Runs
+are grouped by workload, and within a workload the change's runs are
+compared against the parent's.  The gate fails when
 
-Wall time is machine-dependent; the default ratio leaves headroom for
-runner jitter while still catching the order-of-magnitude mistakes
-(accidentally disabled caching, a quadratic loop) the gate exists for.
+- any change run prints ``"correct": false``;
+- the change fails a larger share of items than the parent;
+- the median of an end-to-end metric is worse than the parent's by more
+  than its bound in ``BENCHMARK.json``;
+- the median of a printed ``qor.*`` metric is worse than the parent's
+  by more than :data:`QOR_BOUND`, in the direction ``BENCHMARK.json``
+  gives it.
+
+It prints every metric's medians and ratio, and both sides' work
+fingerprints with whether they match, without gating on them: a change
+may do different work on purpose.
 
 Usage::
 
-    python benchmarks/check_perf.py [--baseline BENCH_headline.json]
-                                    [--current results/headline.json]
-                                    [--max-ratio 1.25]
+    python benchmarks/check_perf.py --parent PARENT_RUN... --change CHANGE_RUN...
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
+import re
 import statistics
 import sys
+from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
-#: How many recent matching records the baseline median is taken over.
-BASELINE_WINDOW = 3
+#: Largest tolerated relative loss of a quality-of-result metric.
+QOR_BOUND = 0.02
+
+_HEADER = re.compile(r"^perfbench (\S+) seed \d+:")
+_QOR = re.compile(r"^\s+(qor\.\S+)\s+(\S+)\s")
+_FINGERPRINT = re.compile(r"^\s+fingerprint\s+(\S+)")
 
 
-def find_baselines(records: list[dict], current: dict,
-                   window: int = BASELINE_WINDOW) -> list[dict]:
-    """The most recent earlier records matching the current run's mode.
+@dataclass
+class Run:
+    """What the gate reads from one run's output."""
 
-    A record matches when it covers the same benchmark set under the same
-    ``smoke`` flag — comparing a smoke run against a full run (or vice
-    versa) would measure the mode switch, not a regression.
+    path: str
+    workload: str
+    correct: bool
+    attempted: int
+    failed: int
+    metrics: dict
+    fingerprint: str
 
-    A current run missing ``recorded_at`` is treated as newer than every
-    record (previously it matched nothing and the gate failed spuriously),
-    and records sharing the current timestamp count too (sub-second CI
-    reruns used to silently lose their whole baseline window).  The
-    current run's own record — appended to the trajectory by
-    ``bench_headline.py`` before the gate runs — is excluded so it never
-    gates against itself.
+
+def parse_run(path: pathlib.Path) -> Run:
+    """Read one run's output; raise ``ValueError`` when it is incomplete."""
+    workload, fingerprint, report, metrics = None, "", None, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if m := _HEADER.match(line):
+            workload = m.group(1)
+        elif m := _QOR.match(line):
+            metrics[m.group(1)] = float(m.group(2))
+        elif m := _FINGERPRINT.match(line):
+            fingerprint = m.group(1)
+        elif line.startswith("{"):
+            report = json.loads(line)
+    if workload is None or report is None:
+        raise ValueError(f"{path}: not the output of a finished perfbench run")
+    metrics.update({name: entry["value"]
+                    for name, entry in report["metrics"].items()})
+    return Run(str(path), workload, report["correct"], report["attempted"],
+               report["failed"], metrics, fingerprint)
+
+
+def load_rules(path: pathlib.Path = BENCHMARK) -> dict[str, tuple[str, float]]:
+    """``{metric: (better, bound)}`` for every metric the gate compares.
+
+    End-to-end metrics carry their bound from ``BENCHMARK.json``; the
+    ``qor.*`` metrics take their direction from it and :data:`QOR_BOUND`.
     """
-    cur_ts = current.get("recorded_at")
-    matches = [
-        r for r in records
-        if r != current
-        and bool(r.get("smoke")) == bool(current.get("smoke"))
-        and r.get("benchmarks") == current.get("benchmarks")
-        and (cur_ts is None or r.get("recorded_at", "") <= cur_ts)
-        and "wall_time_s" in r
-    ]
-    return matches[-window:]
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    rules.update({m["name"]: (m["better"], QOR_BOUND)
+                  for m in spec["per_layer"] if m["name"].startswith("qor.")})
+    return rules
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default=str(ROOT / "BENCH_headline.json"))
-    parser.add_argument("--current", default=str(ROOT / "results" / "headline.json"))
-    parser.add_argument("--max-ratio", type=float, default=1.25)
+def worse_by(parent: float, change: float, better: str) -> float:
+    """Relative loss of ``change`` against ``parent``; negative is a gain."""
+    loss = change - parent if better == "lower" else parent - change
+    if not parent:
+        return math.copysign(math.inf, loss) if loss else 0.0
+    return loss / abs(parent)
+
+
+def failed_share(runs: list[Run]) -> float:
+    attempted = sum(r.attempted for r in runs)
+    return sum(r.failed for r in runs) / attempted if attempted else 0.0
+
+
+def compare(workload: str, parent: list[Run], change: list[Run],
+            rules: dict) -> list[str]:
+    """Print the comparison of one workload; return its failures."""
+    failures = []
+    print(f"perf gate: {workload}: {len(parent)} parent runs, "
+          f"{len(change)} change runs")
+    for run in change:
+        if not run.correct:
+            failures.append(f"{run.path} printed \"correct\": false")
+    shares = failed_share(parent), failed_share(change)
+    print(f"  failed share: parent {shares[0]:.3f}, change {shares[1]:.3f}")
+    if shares[1] > shares[0]:
+        failures.append(f"failed share {shares[1]:.3f} exceeds the "
+                        f"parent's {shares[0]:.3f}")
+    for name, (better, bound) in rules.items():
+        before = [r.metrics[name] for r in parent if name in r.metrics]
+        after = [r.metrics[name] for r in change if name in r.metrics]
+        if not before:
+            continue
+        if len(after) < len(change):
+            failures.append(f"{name} missing from a change run")
+            continue
+        p, c = statistics.median(before), statistics.median(after)
+        loss = worse_by(p, c, better)
+        verdict = "REGRESSION" if loss > bound else "ok"
+        ratio = c / p if p else math.inf
+        print(f"  {name:<32s} parent {p:>12.6g}  change {c:>12.6g}  "
+              f"ratio {ratio:6.3f}  ({better} is better, bound "
+              f"{bound:.0%}) {verdict}")
+        if loss > bound:
+            failures.append(f"{name} median {c:.6g} is {loss:.1%} worse "
+                            f"than the parent's {p:.6g} (bound {bound:.0%})")
+    prints = ({r.fingerprint for r in parent}, {r.fingerprint for r in change})
+    print(f"  fingerprint: parent {sorted(prints[0])}, change "
+          f"{sorted(prints[1])}: "
+          f"{'match' if prints[0] == prints[1] else 'differ (not gated)'}")
+    return failures
+
+
+def main(argv: list[str] | None = None, benchmark: pathlib.Path = BENCHMARK
+         ) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", nargs="+", required=True,
+                        type=pathlib.Path, help="outputs of parent runs")
+    parser.add_argument("--change", nargs="+", required=True,
+                        type=pathlib.Path, help="outputs of change runs")
     args = parser.parse_args(argv)
+    try:
+        parent = [parse_run(p) for p in args.parent]
+        change = [parse_run(p) for p in args.change]
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"perf gate: unreadable run output: {exc}")
+        return 2
+    rules = load_rules(benchmark)
 
-    current = json.loads(pathlib.Path(args.current).read_text(encoding="utf-8"))
-    baseline_path = pathlib.Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"perf gate: no baseline file {baseline_path}; passing (seed run)")
-        return 0
-    records = json.loads(baseline_path.read_text(encoding="utf-8")).get("records", [])
-    baselines = find_baselines(records, current)
-    if not baselines:
-        print(f"perf gate: {baseline_path.name} has no records matching "
-              f"smoke={bool(current.get('smoke'))} benchmarks="
-              f"{current.get('benchmarks')} — run bench_headline.py once in "
-              "this mode to seed the trajectory before gating")
-        return 1
-
-    wall = current["wall_time_s"]
-    base = statistics.median(r["wall_time_s"] for r in baselines)
-    ratio = wall / base if base else float("inf")
-    verdict = "OK" if ratio <= args.max_ratio else "REGRESSION"
-    window = ", ".join(f"{r['wall_time_s']:.2f}s" for r in baselines)
-    print(f"perf gate: current {wall:.2f}s vs median {base:.2f}s of last "
-          f"{len(baselines)} matching records [{window}] -> {ratio:.2f}x "
-          f"[{verdict}, limit {args.max_ratio:.2f}x]")
-    if verdict == "REGRESSION":
-        print("perf gate: headline wall time regressed by more than "
-              f"{(args.max_ratio - 1.0):.0%} — see results/profile.json for "
-              "the per-stage breakdown")
-        return 1
-    return 0
+    failures = []
+    workloads = sorted({r.workload for r in parent + change})
+    for workload in workloads:
+        before = [r for r in parent if r.workload == workload]
+        after = [r for r in change if r.workload == workload]
+        if not before or not after:
+            failures.append(f"{workload}: runs on one side only")
+            continue
+        failures += [f"{workload}: {f}"
+                     for f in compare(workload, before, after, rules)]
+    for failure in failures:
+        print(f"perf gate: FAIL {failure}")
+    print(f"perf gate: {'FAIL' if failures else 'pass'} on "
+          f"{', '.join(workloads)}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -107,13 +107,6 @@ class Evaluation:
         scale = (self.vdd / 5.0) ** 2
         return self.estimate.total * scale
 
-    def cost(self, mode: str) -> float:
-        if mode == "power":
-            return self.power_scaled
-        if mode == "area":
-            return self.area
-        raise ValueError(f"unknown optimization mode {mode!r}")
-
 
 def equal_throughput_vdd(evaluation: Evaluation, enc_budget: float) -> float:
     """Lowest Vdd at which the design still meets the real-time budget.

@@ -95,10 +95,6 @@ class ExploreResult:
     steal_workers: int = 0
     steal_log: list = field(default_factory=list)
     warm_hits: int = 0
-    #: Frontier hypervolume after each job's merge, in job-index order —
-    #: the search-quality-over-time curve the benchmark gate tracks.
-    #: Identical for any worker count (the merge order is fixed).
-    hv_trace: list = field(default_factory=list)
     #: In-process design retention (in-process runs only): engine plus
     #: {(job index, offer order): DesignPoint} for the searched frontier
     #: points (warm-started cells keep none).
@@ -130,7 +126,6 @@ class ExploreResult:
             "offered": self.offered,
             "frontier_size": len(self.front),
             "hypervolume": self.front.hypervolume(),
-            "hv_trace": list(self.hv_trace),
             "steal_workers": self.steal_workers,
             "warm_hits": self.warm_hits,
         }
@@ -236,9 +231,7 @@ def explore(benchmark: str, *,
             n_passes: int = 20,
             stimulus_seed: int = 7,
             search: SearchConfig | None = None,
-            store_dir=None,
-            hv_reference: tuple[float, float, float] | None = None
-            ) -> ExploreResult:
+            store_dir=None) -> ExploreResult:
     """Explore a benchmark's design space and return its Pareto frontier.
 
     Parameters
@@ -315,7 +308,6 @@ def explore(benchmark: str, *,
 
     front = ParetoFront()
     job_stats = []
-    hv_trace = []
     # Merge in grid order: the merge sequence (and with it the frontier's
     # stable tie-breaking) is then independent of which worker ran what.
     for index in sorted(outcome.results):
@@ -324,10 +316,6 @@ def explore(benchmark: str, *,
         for rec in job_result["points"]:
             front.add(ParetoPoint(rec["area"], rec["power"], rec["latency"],
                                   meta=rec["meta"]))
-        # hv_reference pins the trace to a caller-fixed reference point
-        # (the benchmark gate's committed per-benchmark references);
-        # None floats it at 1.1x the running front's per-axis maxima.
-        hv_trace.append(front.hypervolume(hv_reference))
 
     if engine is not None:
         # Retain only the frontier's designs; evicted archive entries
@@ -342,7 +330,7 @@ def explore(benchmark: str, *,
         objectives=tuple(objectives), laxities=tuple(laxities),
         seeds=tuple(seeds), search=search,
         steal_workers=outcome.workers, steal_log=outcome.log,
-        warm_hits=outcome.warm_hits, hv_trace=hv_trace,
+        warm_hits=outcome.warm_hits,
         _engine=engine, _designs=designs if engine is not None else None)
 
 

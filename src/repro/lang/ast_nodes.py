@@ -206,18 +206,3 @@ def used_names(expr: Expr) -> set[str]:
     if isinstance(expr, BinaryOp):
         return used_names(expr.left) | used_names(expr.right)
     return set()
-
-
-def exprs_of(stmt: Stmt):
-    """Top-level expressions of one statement (non-recursive)."""
-    if isinstance(stmt, VarDecl):
-        if stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, ArrayAssign):
-        yield stmt.index
-        yield stmt.value
-    elif isinstance(stmt, Assign):
-        yield stmt.value
-    elif isinstance(stmt, (If, For, While)):
-        yield stmt.cond
-

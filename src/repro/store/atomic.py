@@ -68,9 +68,8 @@ def write_json(path: pathlib.Path | str, payload, *, indent: int = 1,
                sort_keys: bool = True) -> pathlib.Path:
     """Serialize ``payload`` as JSON and publish it atomically.
 
-    The shared result writer of :mod:`repro.experiments.report`,
-    ``benchmarks/bench_headline.py`` and the artifact store — one code
-    path, one durability guarantee.
+    The shared result writer of :mod:`repro.experiments.report` and the
+    artifact store — one code path, one durability guarantee.
     """
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text)

@@ -5,6 +5,7 @@ import pytest
 from repro.cdfg.interpreter import simulate
 from repro.cdfg.node import OpKind
 from repro.core.design import DesignPoint
+from repro.core.search import design_cost
 from repro.library import default_library
 from repro.sched.engine import ScheduleOptions
 
@@ -70,7 +71,8 @@ class TestLazyPower:
     def test_area_cost_never_materializes_power(self, gcd_design):
         evaluation = gcd_design.evaluate()
         assert not evaluation.power_materialized
-        assert evaluation.cost("area") == evaluation.area
+        assert design_cost(gcd_design, "area",
+                           evaluation.enc) == evaluation.area
         assert evaluation.legal and evaluation.vdd > 0
         assert not evaluation.power_materialized
 

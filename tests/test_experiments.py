@@ -83,6 +83,10 @@ class TestLaxitySweep:
         first, second = sweep_counts(), sweep_counts()
         assert first == second
         assert first[0]["schedule"][0] > 0
+        # The architecture build and the trace merge patch a parent's
+        # result; zero incremental hits means dirty-set derivation broke.
+        assert first[0]["arch_build"][1] > 0
+        assert first[0]["trace_merge"][1] > 0
 
     def test_each_design_is_simulated_once(self, monkeypatch):
         """A design kept across laxity points (or picked by both modes)

@@ -56,18 +56,6 @@ class TestStealDeterminism:
         assert comparable(run(steal=4, seeds=(seed,))) == comparable(
             run(steal=1, seeds=(seed,)))
 
-    def test_hv_trace_rides_the_merge_order(self, base0, stolen0):
-        assert len(base0.hv_trace) == base0.summary()["jobs"]
-        assert stolen0.hv_trace == base0.hv_trace
-
-    def test_fixed_reference_trace_is_nondecreasing(self):
-        reference = (5000.0, 10.0, 500.0)
-        result = run(steal=1, seeds=(0,), hv_reference=reference)
-        trace = result.hv_trace
-        assert trace == sorted(trace)
-        assert trace[-1] == pytest.approx(
-            result.front.hypervolume(reference))
-
 
 class TestFaultTransparency:
     def test_killed_worker_changes_nothing(self, base0):

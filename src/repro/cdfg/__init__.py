@@ -25,7 +25,7 @@ from repro.cdfg.regions import (
     RegionKind,
 )
 from repro.cdfg.builder import build_cdfg
-from repro.cdfg.analysis import mutually_exclusive, guard_of, condition_nodes
+from repro.cdfg.analysis import mutually_exclusive, condition_nodes
 
 __all__ = [
     "Node",
@@ -43,6 +43,5 @@ __all__ = [
     "RegionKind",
     "build_cdfg",
     "mutually_exclusive",
-    "guard_of",
     "condition_nodes",
 ]

@@ -8,11 +8,6 @@ from repro.cdfg.node import Node, OpKind
 from repro.cdfg.regions import BlockRegion, IfRegion, LoopRegion, OpsItem, Region, SubRegionItem
 
 
-def guard_of(cdfg: CDFG, node_id: int) -> frozenset[tuple[int, bool]]:
-    """Full conjunction of branch conditions controlling a node's execution."""
-    return cdfg.node(node_id).guard
-
-
 def mutually_exclusive(cdfg: CDFG, a: int, b: int) -> bool:
     """True when two nodes can never execute for the same branch outcome.
 

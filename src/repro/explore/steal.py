@@ -28,7 +28,7 @@ result on a miss.  A later run over any overlapping grid — same
 benchmark, a different worker count, or a *different* benchmark whose
 registry entry compiles to the same CDFG — warm-starts from the stored
 per-job results instead of re-searching.  Warm hits are counted on the
-result but never change it: stored results are the bytes the search
+result but never change it: stored results are the values the search
 would recompute.
 
 Fault injection: ``kill_worker@N`` in a :class:`~repro.faults.plan.FaultPlan`
@@ -84,7 +84,7 @@ def cell_context(recipe: dict) -> tuple:
     means no store.
     """
     from repro.explore.driver import engine_for_benchmark
-    from repro.store import STORE_DIR_ENV, cdfg_digest, open_store
+    from repro.store import STORE_DIR_ENV, ArtifactStore, cdfg_digest
 
     engine = engine_for_benchmark(
         recipe["benchmark"], n_passes=recipe["n_passes"],
@@ -92,7 +92,7 @@ def cell_context(recipe: dict) -> tuple:
     root = recipe["store_dir"]
     if root is None:
         root = os.environ.get(STORE_DIR_ENV)
-    return engine, cdfg_digest(engine.cdfg), open_store(root) if root else None
+    return engine, cdfg_digest(engine.cdfg), ArtifactStore(root) if root else None
 
 
 #: A pool worker's ``(recipe, cell_context(recipe))``, built on its first
@@ -125,7 +125,7 @@ def run_cell(recipe: dict, job, faults=None, *, context=None,
         engine, digest, store = context
         key = job_checkpoint_key(digest, job, recipe["search"],
                                  recipe["n_passes"], recipe["stimulus_seed"])
-        record = store.get("explore", key) if store is not None else None
+        record = store.get(key) if store is not None else None
         if record is not None:
             return record, True, {}
         local, stats, designs = _run_job(engine, job, recipe["search"],
@@ -137,7 +137,7 @@ def run_cell(recipe: dict, job, faults=None, *, context=None,
                        for p in local.points],
         }
         if store is not None:
-            store.put_json("explore", key, record)
+            store.put(key, record)
         return record, False, designs
 
 

@@ -55,7 +55,7 @@ def activate(faults):
 
     counts = {"read": 0, "write": 0}
 
-    def hook(op: str, kind: str, digest: str) -> None:
+    def hook(op: str, digest: str) -> None:
         if op not in targets:
             return
         counts[op] += 1

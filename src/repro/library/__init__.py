@@ -16,7 +16,6 @@ from repro.library.voltage import (
     MIN_VDD,
     THRESHOLD_V,
     delay_scale,
-    power_scale,
     max_vdd_scaling,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "MIN_VDD",
     "THRESHOLD_V",
     "delay_scale",
-    "power_scale",
     "max_vdd_scaling",
     "scale_delay",
     "scale_area",

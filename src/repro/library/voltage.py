@@ -34,11 +34,6 @@ def delay_scale(vdd: float, nominal: float = NOMINAL_VDD) -> float:
     return drive(vdd) / drive(nominal)
 
 
-def power_scale(vdd: float, nominal: float = NOMINAL_VDD) -> float:
-    """Dynamic power multiplier at ``vdd`` relative to ``nominal``."""
-    return (vdd / nominal) ** 2
-
-
 def max_vdd_scaling(slack_ratio: float) -> float:
     """Lowest Vdd whose slowed-down critical path still fits the clock.
 

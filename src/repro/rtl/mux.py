@@ -83,10 +83,6 @@ class MuxTree:
     def max_depth(self) -> int:
         return max(self._depths.values())
 
-    def with_stats(self, stats: dict[object, tuple[float, float]]) -> "MuxTree":
-        """Same shape, new (activity, probability) annotations per key."""
-        return MuxTree(_annotate(self._shape, stats))
-
     # -- activity (Equations (1)-(7)) -----------------------------------------------
 
     def tree_activity(self) -> float:
@@ -94,27 +90,15 @@ class MuxTree:
 
         Returns 0 for a single-source "tree" (no multiplexers).
         """
-        total, _ap, _p = self._activity(self._shape)
-        return total
-
-    def _activity(self, shape: TreeShape) -> tuple[float, float, float]:
-        """Returns (sum of A_k in subtree, sum a_i*p_i, sum p_i)."""
-        if isinstance(shape, MuxSource):
-            return 0.0, shape.activity * shape.prob, shape.prob
-        left_sum, left_ap, left_p = self._activity(shape[0])
-        right_sum, right_ap, right_p = self._activity(shape[1])
-        ap = left_ap + right_ap
-        p = left_p + right_p
-        node_activity = ap / p if p > 0.0 else 0.0
-        return left_sum + right_sum + node_activity, ap, p
+        return self.activity_with(
+            {s.key: (s.activity, s.prob) for s in self.sources()})
 
     def activity_with(self, stats: dict[object, tuple[float, float]]) -> float:
         """Equation (7) under externally supplied per-key (a_i, p_i).
 
-        Equivalent to ``with_stats(stats).tree_activity()`` — the same
-        recursion over the same shape with the same float-addition order
-        — without allocating the annotated tree (the power estimator
-        calls this once per port per design point).
+        The power estimator calls this once per port per design point
+        with measured statistics; a key missing from ``stats`` counts as
+        (0, 0).
         """
         total, _ap, _p = _activity_with(self._shape, stats)
         return total
@@ -132,17 +116,10 @@ def _collect_sources(shape: TreeShape, out: list[MuxSource]) -> None:
         _collect_sources(shape[1], out)
 
 
-def _annotate(shape: TreeShape,
-              stats: dict[object, tuple[float, float]]) -> TreeShape:
-    if isinstance(shape, MuxSource):
-        activity, prob = stats.get(shape.key, (0.0, 0.0))
-        return MuxSource(shape.key, activity, prob)
-    return (_annotate(shape[0], stats), _annotate(shape[1], stats))
-
-
 def _activity_with(shape: TreeShape, stats: dict[object, tuple[float, float]]
                    ) -> tuple[float, float, float]:
-    """:meth:`MuxTree._activity` with (a_i, p_i) looked up in ``stats``."""
+    """Returns (sum of A_k in subtree, sum a_i*p_i, sum p_i), with each
+    leaf's (a_i, p_i) looked up in ``stats``."""
     if isinstance(shape, MuxSource):
         activity, prob = stats.get(shape.key, (0.0, 0.0))
         return 0.0, activity * prob, prob

@@ -51,7 +51,7 @@ from repro.service.journal import (
     read_journal,
     unfinished_jobs,
 )
-from repro.store import STORE_DIR_ENV, open_store
+from repro.store import STORE_DIR_ENV, ArtifactStore
 from repro.workers import JobTimeoutError, SupervisedPool, WorkerCrash
 
 #: Default memo-table bound for one synth job's engine.  Every job builds
@@ -411,7 +411,7 @@ class JobServer:
 
     def _store_stats(self) -> dict:
         try:
-            store = open_store(self.store_dir)
+            store = ArtifactStore(self.store_dir)
             return {"root": self.store_dir,
                     "size_bytes": store.size_bytes()}
         except Exception:

@@ -1,63 +1,53 @@
-"""The versioned, content-addressed on-disk artifact store.
+"""The versioned, content-addressed on-disk checkpoint store.
 
 Layout (all under one root directory, shareable by concurrent processes)::
 
     <root>/
-      STORE_VERSION           # schema stamp, json: {"schema": 1}
-      v1/<kind>/<dd>/<digest>.pkl
+      v2/explore/<dd>/<digest>.json
 
-``kind`` is the artifact family (``explore``: one grid-cell checkpoint
-per blob); ``digest`` is the sha256 key from :mod:`repro.store.codec`;
-``dd`` its first two hex chars (fan-out).  Every blob is a pickled
-envelope ``{"schema", "kind", "key", "payload"}`` —
-loading verifies all three stamps, so a schema bump, a hash collision
-across kinds, or a torn/corrupt file all read as a clean miss (corrupt
+Every file is one explore grid-cell checkpoint; ``digest`` is the sha256
+key from :mod:`repro.store.codec` and ``dd`` its first two hex chars
+(fan-out).  A checkpoint is a JSON envelope ``{"schema", "key",
+"payload"}`` — plain data, so reading one from a shared directory never
+runs code.  Loading verifies both stamps, so a schema bump, a
+misplaced file or a torn/corrupt file all read as a clean miss (corrupt
 files are additionally unlinked).  Publication is atomic
-(:func:`repro.store.atomic.atomic_write_bytes`), so readers sharing the
-store with writers — worker processes, concurrent CI runs, a server
-killed mid-job — never observe a partial artifact.
+(:func:`repro.store.atomic.write_json`), so readers sharing the store
+with writers — worker processes, concurrent CI runs, a server killed
+mid-job — never observe a partial checkpoint.
 
 Reads and writes are timed under the ``store`` stage of
 :data:`repro.core.profile.PROFILER` with a disk hit marked incremental,
 which is how checkpoint reuse surfaces in a job server result's
 ``store_stage``.
 
-The GC is size-bounded: when the store exceeds ``max_bytes`` (constructor
-argument or ``REPRO_STORE_MAX_BYTES``), oldest-mtime blobs are evicted
-until the store fits again.  Eviction is safe at any moment — a missing
-artifact is just a cold miss.
+Nothing is evicted unless :meth:`ArtifactStore.gc` is called with a
+``max_bytes`` bound; eviction is safe at any moment — a missing
+checkpoint is just a cold miss.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import threading
 
 from repro.core.profile import PROFILER
-from repro.store.atomic import atomic_write_bytes, sweep_orphans, write_json
-from repro.store.codec import dumps_payload, loads_payload
+from repro.store.atomic import sweep_orphans, write_json
 
-#: On-disk schema version; bump on any envelope or codec change.  Blobs
-#: under other versions are never read (and GC only manages the current
-#: version's tree), so mixed-version roots degrade to cold misses.
-SCHEMA_VERSION = 1
+#: On-disk schema version; bump on any envelope or payload change.
+#: Checkpoints under other versions are never read (and GC only manages
+#: the current version's tree), so mixed-version roots degrade to cold
+#: misses.
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the store root for implicit attachment.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
-#: Environment variable bounding the store size in bytes (GC target).
-STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
-
-#: How many publishes happen between size checks when a bound is set.
-_GC_EVERY = 32
-
 #: Process-wide I/O fault hook (:mod:`repro.faults`): called as
-#: ``hook(op, kind, digest)`` with ``op`` in ``("read", "write")``
-#: before every blob access.  Raising :class:`OSError` simulates a hard
+#: ``hook(op, digest)`` with ``op`` in ``("read", "write")`` before
+#: every checkpoint access.  Raising :class:`OSError` simulates a hard
 #: I/O failure (EIO-style), which deliberately propagates to the caller
-#: — unlike a missing blob, which is a clean cold miss.
+#: — unlike a missing checkpoint, which is a clean cold miss.
 _IO_FAULT_HOOK = None
 
 
@@ -68,44 +58,36 @@ def set_io_fault_hook(hook) -> None:
 
 
 class ArtifactStore:
-    """One process's handle on a shared on-disk artifact store."""
+    """One process's handle on a shared on-disk checkpoint store."""
 
-    def __init__(self, root: pathlib.Path | str, *,
-                 max_bytes: int | None = None):
+    def __init__(self, root: pathlib.Path | str):
         self.root = pathlib.Path(root)
-        self.max_bytes = max_bytes
         self.version_dir = self.root / f"v{SCHEMA_VERSION}"
-        self._lock = threading.Lock()
-        self._puts_since_gc = 0
         self.version_dir.mkdir(parents=True, exist_ok=True)
-        stamp = self.root / "STORE_VERSION"
-        if not stamp.exists():
-            write_json(stamp, {"schema": SCHEMA_VERSION})
 
-    # -- blob access -----------------------------------------------------------
+    # -- checkpoint access ------------------------------------------------------
 
-    def _path(self, kind: str, digest: str) -> pathlib.Path:
-        return self.version_dir / kind / digest[:2] / f"{digest}.pkl"
+    def _path(self, digest: str) -> pathlib.Path:
+        return self.version_dir / "explore" / digest[:2] / f"{digest}.json"
 
-    def get(self, kind: str, digest: str):
-        """The stored payload for ``(kind, digest)``, or ``None`` on a miss.
+    def get(self, digest: str):
+        """The stored payload for ``digest``, or ``None`` on a miss.
 
-        Unreadable, torn or stamp-mismatched blobs count as misses; a
+        Unreadable, torn or stamp-mismatched files count as misses; a
         corrupt file is unlinked best-effort so it cannot shadow a later
         good publish.
         """
-        path = self._path(kind, digest)
+        path = self._path(digest)
         if _IO_FAULT_HOOK is not None:
-            _IO_FAULT_HOOK("read", kind, digest)
+            _IO_FAULT_HOOK("read", digest)
         with PROFILER.stage("store") as token:
             try:
                 blob = path.read_bytes()
             except OSError:
                 return None
             try:
-                envelope = loads_payload(blob)
+                envelope = json.loads(blob)
                 if (envelope["schema"] != SCHEMA_VERSION
-                        or envelope["kind"] != kind
                         or envelope["key"] != digest):
                     raise ValueError("envelope stamp mismatch")
             except Exception:
@@ -117,57 +99,47 @@ class ArtifactStore:
             token.incremental = True
             return envelope["payload"]
 
-    def put(self, kind: str, digest: str, payload) -> None:
-        """Atomically publish one artifact (last writer wins, bytes equal)."""
-        blob = dumps_payload({"schema": SCHEMA_VERSION, "kind": kind,
-                              "key": digest, "payload": payload})
-        path = self._path(kind, digest)
+    def put(self, digest: str, payload) -> None:
+        """Atomically publish one JSON checkpoint (last writer wins)."""
+        path = self._path(digest)
         if _IO_FAULT_HOOK is not None:
-            _IO_FAULT_HOOK("write", kind, digest)
+            _IO_FAULT_HOOK("write", digest)
         with PROFILER.stage("store"):
-            atomic_write_bytes(path, blob)
-        self._maybe_gc()
-
-    def put_json(self, kind: str, digest: str, payload) -> None:
-        """Publish a JSON-serializable artifact (explore checkpoints).
-
-        Stored through the same pickled envelope as every other kind; the
-        JSON constraint is the caller's contract that the payload is
-        plain data a service client can stream back out.
-        """
-        json.dumps(payload)  # raises early on non-serializable payloads
-        self.put(kind, digest, payload)
+            # Unsorted keys: a warm read returns the payload's dicts in
+            # the order the cold run built them.
+            write_json(path, {"schema": SCHEMA_VERSION, "key": digest,
+                              "payload": payload},
+                       indent=None, sort_keys=False)
 
     # -- garbage collection ----------------------------------------------------
 
     def size_bytes(self) -> int:
-        return sum(size for _, size, _ in self._blobs())
+        return sum(size for _, size, _ in self._checkpoints())
 
-    def _blobs(self) -> list[tuple[float, int, pathlib.Path]]:
-        blobs = []
-        for path in self.version_dir.rglob("*.pkl"):
+    def _checkpoints(self) -> list[tuple[float, int, pathlib.Path]]:
+        found = []
+        for path in self.version_dir.rglob("*.json"):
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            blobs.append((stat.st_mtime, stat.st_size, path))
-        return blobs
+            found.append((stat.st_mtime, stat.st_size, path))
+        return found
 
     def gc(self, max_bytes: int | None = None) -> dict[str, int]:
-        """Evict oldest blobs until the store fits ``max_bytes``.
+        """Evict oldest checkpoints until the store fits ``max_bytes``.
 
         Also sweeps ``*.tmp`` orphans from crashed writers.  Returns
         ``{"evicted", "bytes"}`` (post-GC size).  A ``None`` bound only
         sweeps orphans.
         """
-        limit = self.max_bytes if max_bytes is None else max_bytes
         sweep_orphans(self.version_dir)
-        blobs = self._blobs()
-        total = sum(size for _, size, _ in blobs)
+        checkpoints = self._checkpoints()
+        total = sum(size for _, size, _ in checkpoints)
         evicted = 0
-        if limit is not None:
-            for _, size, path in sorted(blobs):
-                if total <= limit:
+        if max_bytes is not None:
+            for _, size, path in sorted(checkpoints):
+                if total <= max_bytes:
                     break
                 try:
                     path.unlink()
@@ -176,26 +148,3 @@ class ArtifactStore:
                 total -= size
                 evicted += 1
         return {"evicted": evicted, "bytes": total}
-
-    def _maybe_gc(self) -> None:
-        if self.max_bytes is None:
-            return
-        with self._lock:
-            self._puts_since_gc += 1
-            if self._puts_since_gc < _GC_EVERY:
-                return
-            self._puts_since_gc = 0
-        self.gc()
-
-
-def open_store(root: pathlib.Path | str, *,
-               max_bytes: int | None = None) -> ArtifactStore:
-    """Open (creating if needed) the artifact store rooted at ``root``.
-
-    ``max_bytes`` defaults to ``REPRO_STORE_MAX_BYTES`` when set.
-    """
-    if max_bytes is None:
-        env = os.environ.get(STORE_MAX_BYTES_ENV)
-        if env:
-            max_bytes = int(env)
-    return ArtifactStore(root, max_bytes=max_bytes)

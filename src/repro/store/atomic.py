@@ -1,14 +1,14 @@
 """Atomic file publication: the one durability primitive of the repo.
 
 Every result file the project persists — report JSON/CSV/markdown, the
-checked-in perf trajectory, the artifact store's blobs — goes through the
-same write-temp-then-:func:`os.replace` sequence: the bytes land in a
+store's explore checkpoints — goes through the same
+write-temp-then-:func:`os.replace` sequence: the bytes land in a
 uniquely named temporary file *in the target's directory* (so the rename
 never crosses a filesystem boundary) and the final name appears only via
 an atomic rename.  A reader therefore sees either the previous complete
 file or the new complete file, never a truncated intermediate, and a
-writer killed mid-publish leaves only a ``*.tmp`` orphan that the next
-publish or the store GC sweeps up.
+writer killed mid-publish leaves only a ``*.tmp`` orphan, which
+:func:`sweep_orphans` (run by the store's ``gc()``) removes.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def write_json(path: pathlib.Path | str, payload, *, indent: int = 1,
     """Serialize ``payload`` as JSON and publish it atomically.
 
     The shared result writer of :mod:`repro.experiments.report` and the
-    artifact store — one code path, one durability guarantee.
+    checkpoint store — one code path, one durability guarantee.
     """
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text)

@@ -1,13 +1,11 @@
-"""Durable keys and blob encoding for the artifact store.
+"""Durable keys for the checkpoint store.
 
-* **keys** — :func:`digest_key` canonicalizes an id-free key structure
-  (plain containers, enums, dataclasses such as
-  :class:`~repro.core.search.SearchConfig`) into one sha256 hex digest,
-  and :func:`cdfg_digest` gives a CDFG a content digest that is stable
-  across parses and processes.  An explore checkpoint key combines both
-  (see :func:`repro.explore.steal.job_checkpoint_key`).
-* **blobs** — payloads are pickled plain containers with a pinned
-  protocol, so ints and floats round-trip exactly.
+:func:`digest_key` canonicalizes an id-free key structure (plain
+containers, enums, dataclasses such as
+:class:`~repro.core.search.SearchConfig`) into one sha256 hex digest,
+and :func:`cdfg_digest` gives a CDFG a content digest that is stable
+across parses and processes.  An explore checkpoint key combines both
+(see :func:`repro.explore.steal.job_checkpoint_key`).
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import pickle
 from typing import Any
-
-#: Pickle protocol for store blobs (fixed so blobs stay cross-readable
-#: between the python versions CI runs).
-PICKLE_PROTOCOL = 4
 
 
 # -- canonical key digests ---------------------------------------------------------
@@ -93,13 +86,3 @@ def cdfg_digest(cdfg) -> str:
         cdfg._content_digest = cached
     return cached
 
-
-# -- blobs -------------------------------------------------------------------------
-
-
-def dumps_payload(payload: Any) -> bytes:
-    return pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
-
-
-def loads_payload(blob: bytes) -> Any:
-    return pickle.loads(blob)

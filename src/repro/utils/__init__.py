@@ -6,13 +6,10 @@ from repro.utils.bitwidth import (
     max_signed,
     wrap_to_width,
     to_unsigned,
-    width_for_range,
 )
 from repro.utils.hamming import (
     popcount,
-    toggle_count,
     toggle_series,
-    mean_toggle_activity,
 )
 
 __all__ = [
@@ -21,9 +18,6 @@ __all__ = [
     "max_signed",
     "wrap_to_width",
     "to_unsigned",
-    "width_for_range",
     "popcount",
-    "toggle_count",
     "toggle_series",
-    "mean_toggle_activity",
 ]

@@ -59,16 +59,6 @@ def to_unsigned(value: int, width: int) -> int:
     return value & mask_for_width(width)
 
 
-def width_for_range(lo: int, hi: int) -> int:
-    """Smallest signed width able to hold every value in ``[lo, hi]``."""
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    width = 1
-    while min_signed(width) > lo or max_signed(width) < hi:
-        width += 1
-    return width
-
-
 def to_unsigned_array(values: np.ndarray, width: int) -> np.ndarray:
     """Vectorised :func:`to_unsigned` over an int64 array."""
     mask = np.int64(mask_for_width(width))

@@ -43,16 +43,3 @@ def toggle_series(patterns: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     unsigned = patterns.astype(np.uint64)  # one conversion, two views
     return popcount(np.bitwise_xor(unsigned[1:], unsigned[:-1]))
-
-
-def toggle_count(patterns: np.ndarray) -> int:
-    """Total number of bit toggles across a pattern sequence."""
-    return int(toggle_series(patterns).sum())
-
-
-def mean_toggle_activity(patterns: np.ndarray, width: int) -> float:
-    """Mean fraction of bits toggling per step (0.0 when < 2 vectors)."""
-    series = toggle_series(patterns)
-    if series.size == 0:
-        return 0.0
-    return float(series.mean()) / float(width)

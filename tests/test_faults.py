@@ -31,7 +31,7 @@ from repro.service import (
     unfinished_jobs,
 )
 from repro.service.journal import next_job_id
-from repro.store import open_store
+from repro.store import ArtifactStore
 from repro.store.atomic import append_jsonl
 
 
@@ -129,23 +129,23 @@ def test_backoff_is_seeded_capped_and_jittered():
 
 
 def test_store_io_faults_raise_on_the_kth_call(tmp_path):
-    store = open_store(tmp_path / "store")
+    store = ArtifactStore(tmp_path / "store")
     d1, d2 = "aa" + "0" * 62, "bb" + "1" * 62
-    store.put("explore", d1, {"x": 1})
+    store.put(d1, {"x": 1})
 
     with activate([{"kind": "store_read", "arg": 2},
                    {"kind": "store_write", "arg": 1}]):
         with pytest.raises(OSError, match="injected store write"):
-            store.put("explore", d2, {"x": 2})
-        assert store.get("explore", d1) == {"x": 1}  # read 1: clean
+            store.put(d2, {"x": 2})
+        assert store.get(d1) == {"x": 1}  # read 1: clean
         with pytest.raises(OSError, match="injected store read"):
-            store.get("explore", d1)  # read 2: faulted
+            store.get(d1)  # read 2: faulted
 
     # Hook uninstalled: everything clean again, and the faulted write
     # never published a partial artifact.
-    assert store.get("explore", d2) is None
-    store.put("explore", d2, {"x": 2})
-    assert store.get("explore", d2) == {"x": 2}
+    assert store.get(d2) is None
+    store.put(d2, {"x": 2})
+    assert store.get(d2) == {"x": 2}
 
 
 # -- server recovery under a pinned plan ----------------------------------------------

@@ -11,7 +11,6 @@ from repro.library import (
     default_library,
     delay_scale,
     max_vdd_scaling,
-    power_scale,
     MIN_VDD,
     NOMINAL_VDD,
 )
@@ -97,11 +96,9 @@ class TestScaling:
 class TestVoltage:
     def test_nominal_is_identity(self):
         assert delay_scale(NOMINAL_VDD) == pytest.approx(1.0)
-        assert power_scale(NOMINAL_VDD) == pytest.approx(1.0)
 
     def test_lower_vdd_is_slower_and_cheaper(self):
         assert delay_scale(3.0) > 1.0
-        assert power_scale(3.0) < 1.0
 
     def test_no_slack_no_scaling(self):
         assert max_vdd_scaling(1.0) == NOMINAL_VDD

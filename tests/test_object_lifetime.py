@@ -69,7 +69,6 @@ def test_timing_and_mux_activity_leave_no_cycles(collector_off):
     gc.collect()
     arch.invalidate_timing()  # recomputes every state's critical path
     tree.activity_with(stats)
-    tree.with_stats(stats)
     tree.sources()
     assert gc.collect() == 0
 

@@ -67,12 +67,6 @@ class TestTreeStructure:
         with pytest.raises(ArchitectureError):
             tree.depth_of("nope")
 
-    def test_with_stats_preserves_shape(self):
-        tree = huffman_tree(_sources())
-        new = tree.with_stats({k: (0.5, 0.25) for k in PAPER})
-        for key in PAPER:
-            assert new.depth_of(key) == tree.depth_of(key)
-
     def test_balanced_depth_is_logarithmic(self):
         sources = [MuxSource(i, 0.1, 1 / 8) for i in range(8)]
         assert balanced_tree(sources).max_depth() == 3

@@ -1,18 +1,21 @@
-"""The persistent artifact store: envelopes, crash safety, bounds.
+"""The persistent checkpoint store: envelopes, crash safety, bounds.
 
-The store holds explore grid-cell checkpoints.  Three properties carry it:
+The store holds explore grid-cell checkpoints as JSON files.  Three
+properties carry it:
 
-* **clean misses** — a missing, corrupt or stamp-mismatched blob reads
-  as a miss, never as a wrong payload;
+* **clean misses** — a missing, corrupt or stamp-mismatched checkpoint
+  reads as a miss, never as a wrong payload, and a checkpoint is read as
+  data: a file that would run code when unpickled is just a corrupt one;
 * **crash safety** — a writer SIGKILLed mid-publish, between the temp
-  write and the rename, never leaves a partial artifact visible;
-* **bounded growth** — the size-bounded GC and the FIFO-bounded memo
+  write and the rename, never leaves a partial checkpoint visible;
+* **bounded growth** — ``gc(max_bytes=...)`` and the FIFO-bounded memo
   tables keep both the disk and a job's memory from growing without
   limit.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 
@@ -21,7 +24,7 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.core.cache import MemoTable, SynthesisCache
 from repro.core.profile import PROFILER
-from repro.store import ArtifactStore, write_json
+from repro.store import SCHEMA_VERSION, ArtifactStore, write_json
 from repro.store.codec import cdfg_digest, digest_key
 
 
@@ -52,54 +55,79 @@ def test_store_put_get_and_stats(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("x", 1))
     window = PROFILER.snapshot()
-    assert store.get("explore", digest) is None
-    store.put("explore", digest, {"v": 1})
-    assert store.get("explore", digest) == {"v": 1}
+    assert store.get(digest) is None
+    store.put(digest, {"v": 1})
+    assert store.get(digest) == {"v": 1}
     stage = PROFILER.window(window)["store"]
     assert (stage["incremental"], stage["full"]) == (1, 2)  # 1 hit; miss, put
     # A second instance over the same root sees the artifact (cross-run).
     again = ArtifactStore(tmp_path / "store")
-    assert again.get("explore", digest) == {"v": 1}
+    assert again.get(digest) == {"v": 1}
 
 
 def test_corrupt_artifact_is_a_miss_and_removed(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("x",))
-    store.put("explore", digest, {"v": 2})
-    path = store._path("explore", digest)
-    path.write_bytes(b"not a pickle")
-    assert store.get("explore", digest) is None
+    store.put(digest, {"v": 2})
+    path = store._path(digest)
+    path.write_bytes(b"not json")
+    assert store.get(digest) is None
     assert not path.exists()  # quarantined, next put repopulates
-    store.put("explore", digest, {"v": 2})
-    assert store.get("explore", digest) == {"v": 2}
+    store.put(digest, {"v": 2})
+    assert store.get(digest) == {"v": 2}
 
 
 def test_wrong_schema_or_kind_stamp_is_a_miss(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("x",))
-    store.put("explore", digest, {"v": 3})
-    blob = store._path("explore", digest)
-    envelope = pickle.loads(blob.read_bytes())
-    envelope["schema"] = 999
-    blob.write_bytes(pickle.dumps(envelope))
-    assert store.get("explore", digest) is None
+    path = store._path(digest)
+    for field, wrong in (("schema", 999), ("key", digest_key(("other",)))):
+        store.put(digest, {"v": 3})
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        envelope[field] = wrong
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        assert store.get(digest) is None
+        assert not path.exists()
+
+
+class _Marker:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_pickled_checkpoint_is_never_unpickled(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    digest = digest_key(("p",))
+    marker = tmp_path / "unpickled"
+    path = store._path(digest)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(pickle.dumps({"schema": SCHEMA_VERSION, "key": digest,
+                                   "payload": _Marker(marker)}))
+    assert store.get(digest) is None
+    assert not path.exists()
+    assert not marker.exists()
 
 
 def test_gc_size_bound_evicts_oldest_first(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digests = [digest_key(("blob", i)) for i in range(6)]
     for i, digest in enumerate(digests):
-        store.put("explore", digest, {"payload": "x" * 200, "i": i})
+        store.put(digest, {"payload": "x" * 200, "i": i})
         # Distinct mtimes so eviction order is deterministic.
-        blob = store._path("explore", digest)
+        blob = store._path(digest)
         os.utime(blob, (1_000_000 + i, 1_000_000 + i))
-    one_blob = store._path("explore", digests[-1]).stat().st_size
+    one_blob = store._path(digests[-1]).stat().st_size
     swept = store.gc(max_bytes=one_blob)
     assert swept["evicted"] == 5
     assert store.size_bytes() <= one_blob
     # The newest artifact survives; the oldest are gone.
-    assert store.get("explore", digests[-1]) is not None
-    assert store.get("explore", digests[0]) is None
+    assert store.get(digests[-1]) is not None
+    assert store.get(digests[0]) is None
 
 
 def test_kill_mid_publish_never_leaves_partial_artifact(tmp_path):
@@ -113,30 +141,30 @@ def test_kill_mid_publish_never_leaves_partial_artifact(tmp_path):
         try:
             os.replace = lambda src, dst: os.kill(os.getpid(),
                                                   signal.SIGKILL)
-            store.put("explore", digest, {"v": 4})
+            store.put(digest, {"v": 4})
         finally:
             os._exit(1)  # only reached if the kill did not happen
     _, status = os.waitpid(pid, 0)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-    assert list((tmp_path / "store").rglob("*.pkl")) == []
+    assert list((tmp_path / "store").rglob("*.json")) == []
     orphans = list((tmp_path / "store").rglob("*.tmp"))
     assert orphans, "the killed writer's temp file should still be on disk"
 
     reopened = ArtifactStore(tmp_path / "store")
-    assert reopened.get("explore", digest) is None  # no partial visible
+    assert reopened.get(digest) is None  # no partial visible
     reopened.gc()
     assert list((tmp_path / "store").rglob("*.tmp")) == []
-    reopened.put("explore", digest, {"v": 4})
-    assert reopened.get("explore", digest) == {"v": 4}
+    reopened.put(digest, {"v": 4})
+    assert reopened.get(digest) == {"v": 4}
 
 
 def test_store_accesses_profiled_under_store_stage(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     digest = digest_key(("z",))
     window = PROFILER.snapshot()
-    store.put("explore", digest, {"v": 5})
-    store.get("explore", digest)
-    store.get("explore", digest_key(("missing",)))
+    store.put(digest, {"v": 5})
+    store.get(digest)
+    store.get(digest_key(("missing",)))
     stage = PROFILER.window(window)["store"]
     assert stage["calls"] == 3
     assert stage["incremental"] == 1  # exactly the one disk hit

@@ -10,7 +10,6 @@ from repro.utils.bitwidth import (
     min_signed,
     to_unsigned,
     to_unsigned_array,
-    width_for_range,
     wrap_to_width,
 )
 
@@ -59,25 +58,6 @@ class TestWrap:
     @given(st.integers(-10**9, 10**9), st.integers(1, 32))
     def test_wrap_preserves_bit_pattern(self, value, width):
         assert to_unsigned(wrap_to_width(value, width), width) == value & mask_for_width(width)
-
-
-class TestWidthForRange:
-    def test_basic(self):
-        assert width_for_range(0, 0) == 1
-        assert width_for_range(-1, 0) == 1
-        assert width_for_range(0, 1) == 2
-        assert width_for_range(-128, 127) == 8
-        assert width_for_range(0, 255) == 9
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            width_for_range(5, 4)
-
-    @given(st.integers(-10**6, 10**6), st.integers(0, 10**6))
-    def test_range_fits(self, lo, span):
-        hi = lo + span
-        width = width_for_range(lo, hi)
-        assert min_signed(width) <= lo and hi <= max_signed(width)
 
 
 class TestUnsignedArray:

@@ -11,6 +11,10 @@ each command line against the repository:
 * one ``--help`` smoke run per distinct documented module, so a snippet
   can never point at a module whose entry point crashes on import.
 
+Every ``REPRO_*`` environment variable named anywhere in those files
+must also occur somewhere under ``src/``, so the docs cannot keep
+advertising a variable the code no longer reads.
+
 Exit code is non-zero on the first stale path, so CI catches docs that
 drift from the code.  Run from the repository root:
 
@@ -30,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 FENCE = re.compile(r"```bash\n(.*?)```", re.DOTALL)
+ENV_VAR = re.compile(r"REPRO_[A-Z_]+")
 
 
 def extract_commands(text: str) -> list[str]:
@@ -144,8 +149,14 @@ def main() -> int:
     failures = []
     modules: set[str] = set()
     n_commands = 0
+    known = {name for path in SRC.rglob("*.py")
+             for name in ENV_VAR.findall(path.read_text(encoding="utf-8"))}
     for source in sources:
-        for line in extract_commands(source.read_text(encoding="utf-8")):
+        text = source.read_text(encoding="utf-8")
+        for name in sorted(set(ENV_VAR.findall(text)) - known):
+            failures.append(f"{source.relative_to(ROOT)}: environment "
+                            f"variable {name} does not occur under src/")
+        for line in extract_commands(text):
             n_commands += 1
             error, module = check_command(line)
             if error:

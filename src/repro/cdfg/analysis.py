@@ -16,13 +16,23 @@ def mutually_exclusive(cdfg: CDFG, a: int, b: int) -> bool:
     opposite arms of some conditional.  Mutually exclusive operations may
     share one functional unit within a single state (Section 3.2.3).
     """
-    guard_a = cdfg.node(a).guard
-    guard_b = dict(cdfg.node(b).guard)
-    for cond, value in guard_a:
-        other = guard_b.get(cond)
-        if other is not None and other != value:
+    guard_b = cdfg.node(b).guard
+    for cond, value in cdfg.node(a).guard:
+        if (cond, not value) in guard_b:
             return True
     return False
+
+
+def schedulable_nodes(cdfg: CDFG) -> frozenset[int]:
+    """Ids of the nodes that occupy STG state slots, memoized on the CDFG.
+
+    Safe to memoize for the same reason as :func:`loop_test_nodes`.
+    """
+    nodes = cdfg.__dict__.get("_schedulable_nodes")
+    if nodes is None:
+        nodes = cdfg._schedulable_nodes = frozenset(
+            n.id for n in cdfg.nodes.values() if n.is_schedulable)
+    return nodes
 
 
 def condition_nodes(cdfg: CDFG) -> list[int]:

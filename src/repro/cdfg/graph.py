@@ -65,6 +65,7 @@ class CDFG:
         self.nodes[node.id] = node
         self.__dict__.pop("_skeleton_order", None)
         self.__dict__.pop("_carrier_writers", None)
+        self.__dict__.pop("_schedulable_nodes", None)
         self._in_edges.setdefault(node.id, {})
         self._out_edges.setdefault(node.id, [])
         if node.kind is OpKind.INPUT:

@@ -40,9 +40,10 @@ Each lookup counts as one ``memo.<table>`` call of
 :func:`cache_stats` turns a profiler window into per-table hit/miss
 counters.
 
-Tables are lock-guarded so threads sharing one cache stay safe; a racing
-miss at worst computes a value twice and publishes identical content.
-Every table is in-process only: the keys hold ``id()`` values.
+Tables take no lock: a cache belongs to one engine, and an engine runs
+in one thread (explore's and the job server's threads only hand work to
+worker processes, each with engines of its own).  Every table is
+in-process only: the keys hold ``id()`` values.
 
 A cache has one strong owner: the
 :class:`~repro.core.engine.SynthesisEngine` it was given to, or the
@@ -54,7 +55,6 @@ point that outlives the owner computes its remaining stages uncached.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.core.profile import PROFILER
@@ -104,40 +104,27 @@ class MemoTable:
         self.max_entries = max_entries
         self._stage = f"memo.{name}"
         self._table: dict[Any, Any] = {}
-        self._lock = threading.Lock()
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         if not self.enabled:
             PROFILER.record(self._stage)
             return compute()
-        with self._lock:
-            hit = key in self._table
-            value = self._table.get(key)
+        hit = key in self._table
         PROFILER.record(self._stage, incremental=hit)
         if hit:
-            return value
-        value = compute()
-        with self._lock:
-            return self._publish_locked(key, value)
-
-    def _publish_locked(self, key: Any, value: Any) -> Any:
-        """Insert under the held lock; FIFO-evict past ``max_entries``.
-
-        A racing thread may have published first; the first value is kept
-        so every caller sees one shared object.
-        """
-        value = self._table.setdefault(key, value)
-        excess = (len(self._table) - self.max_entries
-                  if self.max_entries is not None else 0)
-        if excess > 0:
+            return self._table[key]
+        # A compute that published this key itself keeps its value, so
+        # every caller sees one shared object.
+        value = self._table.setdefault(key, compute())
+        if self.max_entries is not None and len(self._table) > self.max_entries:
             # Oldest-first, never the entry being returned.
+            excess = len(self._table) - self.max_entries
             for oldest in [k for k in self._table if k != key][:excess]:
                 del self._table[oldest]
         return value
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._table)
+        return len(self._table)
 
 
 class SynthesisCache:

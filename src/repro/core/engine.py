@@ -20,6 +20,7 @@ explore checkpoints (:mod:`repro.explore.steal`).
 from __future__ import annotations
 
 import gc
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +40,47 @@ from repro.library.library import ModuleLibrary
 from repro.library.modules_data import default_library
 from repro.sched.engine import ScheduleOptions
 from repro.sim.traces import TraceStore
+
+
+class _CollectorPause:
+    """Pauses the cyclic garbage collector while any ``with`` block holds it.
+
+    Nothing the search builds sits in a reference cycle, so reference
+    counting frees every rejected candidate, and the collector's passes
+    would only re-walk the live memo tables
+    (``tests/test_object_lifetime.py`` guards both).  Flows made of
+    several runs hold one pause across them all: the first pass after a
+    pause walks everything the paused block left alive, so one pause per
+    run would re-walk the memo tables once per run.
+
+    Blocks nest, in one thread or several; the last to leave restores
+    the state the first found, so a caller who had paused the collector
+    already keeps it paused.  The pause is one shared instance rather
+    than a fresh object per block: allocating one could itself start the
+    collection it is meant to prevent.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+#: ``with collector_paused:`` runs its block with the collector paused.
+collector_paused = _CollectorPause()
 
 
 @dataclass
@@ -194,19 +236,10 @@ class SynthesisEngine:
         Returns a :class:`SynthesisResult`.
 
         The cyclic garbage collector is paused for the length of the run
-        (a caller who had paused it already keeps it paused).  Nothing the
-        search builds sits in a reference cycle, so reference counting
-        frees every rejected candidate, and the collector's passes would
-        only re-walk the live memo tables (``tests/test_object_lifetime.py``
-        guards both).
+        (see :func:`collector_paused`).
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused:
             return self._run(mode, laxity, search, starts, area_cap, observer)
-        finally:
-            if enabled:
-                gc.enable()
 
     def _run(self, mode, laxity, search, starts, area_cap,
              observer) -> SynthesisResult:

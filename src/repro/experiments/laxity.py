@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.errors import ExperimentError
 from repro.core.cache import cache_stats
 from repro.core.design import equal_throughput_vdd
-from repro.core.engine import SynthesisResult
+from repro.core.engine import SynthesisResult, collector_paused
 from repro.core.profile import PROFILER
 from repro.core.search import SearchConfig
 from repro.explore import engine_for_benchmark
@@ -124,8 +124,16 @@ def run_laxity_sweep(
     carries the trace store, the initial design point and the pipeline
     memo tables across every laxity point and both optimization modes,
     so the repeated portions of the searches (shared prefixes of the
-    move sequences, re-visited bindings) are not recomputed.
+    move sequences, re-visited bindings) are not recomputed.  The cyclic
+    collector stays paused for the whole sweep, measurements included
+    (see :func:`~repro.core.engine.collector_paused`).
     """
+    with collector_paused:
+        return _run_sweep(benchmark, laxities, n_passes, seed, search)
+
+
+def _run_sweep(benchmark: str, laxities: tuple[float, ...], n_passes: int,
+               seed: int, search: SearchConfig | None) -> LaxitySweep:
     search = search or SearchConfig(max_depth=5, max_candidates=12, max_iterations=6)
     window = PROFILER.snapshot()
     engine = engine_for_benchmark(benchmark, n_passes=n_passes, seed=seed)

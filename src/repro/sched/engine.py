@@ -36,8 +36,9 @@ one variable.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ScheduleError
 from repro.cdfg.analysis import (
@@ -49,7 +50,7 @@ from repro.cdfg.analysis import (
     region_subtree,
 )
 from repro.cdfg.graph import CDFG
-from repro.cdfg.node import OpKind
+from repro.cdfg.node import MEMORY_KINDS, OpKind
 from repro.cdfg.regions import (
     BlockRegion,
     IfRegion,
@@ -72,7 +73,6 @@ class ScheduleOptions:
     hoist_loop_control: bool = True
 
 
-@dataclass
 class _Cursor:
     """A lazily-materialized open state.
 
@@ -82,8 +82,43 @@ class _Cursor:
     cycle is spent.
     """
 
-    sources: list[tuple[int, frozenset[tuple[int, bool]]]] = field(default_factory=list)
-    state: State | None = None
+    __slots__ = ("sources", "state")
+
+    def __init__(self, sources: list[tuple[int, frozenset[tuple[int, bool]]]]
+                 | None = None, state: State | None = None):
+        self.sources = [] if sources is None else sources
+        self.state = state
+
+
+#: How :class:`_Engine` finds an op's delay under a binding: zero (no
+#: unit), its unit's scaled module delay, or its array's access delay.
+_ZERO_DELAY, _FU_DELAY, _MEM_DELAY = range(3)
+
+
+class _OpFacts:
+    """What placing one op reads of the CDFG alone."""
+
+    __slots__ = ("carrier", "mem", "is_store", "srcs", "carried_inits",
+                 "out_mux")
+
+    def __init__(self, carrier: str | None, mem: str | None,
+                 is_store: bool, srcs: tuple[int, ...],
+                 carried_inits: tuple[tuple[int, int], ...], out_mux: float):
+        self.carrier = carrier
+        self.mem = mem
+        self.is_store = is_store
+        #: Sources of the data in-edges (chaining reads their ends).
+        self.srcs = srcs
+        #: ``(loop, init source)`` of each carried in-edge with an init.
+        self.carried_inits = carried_inits
+        #: Estimated output-mux delay: one stage per doubling of writers.
+        self.out_mux = out_mux
+
+
+def _split_deps(deps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``[("node"|"region", id), ...]`` as (node ids, region ids)."""
+    return (tuple(t for kind, t in deps if kind == "node"),
+            tuple(t for kind, t in deps if kind != "node"))
 
 
 class _SchedAnalysis:
@@ -96,6 +131,13 @@ class _SchedAnalysis:
     iterative-improvement search schedules the same CDFG hundreds of
     times under different bindings; sharing this analysis removes the
     dominant constant cost from each of those runs.
+
+    Besides the dependencies, it holds every per-node fact the packing
+    loop reads: each op's readiness checks split into node and region
+    sets, the reverse index of which ops a placement can make ready, the
+    placement facts of :class:`_OpFacts` (output-mux estimate included),
+    how each op's delay is found, and a memo of mutual exclusion per
+    node pair.
 
     The graph holds the analysis, so the analysis does not hold the
     graph: its methods take the CDFG as an argument, and a dropped CDFG
@@ -111,11 +153,27 @@ class _SchedAnalysis:
         self._writers_by_carrier = cdfg.carrier_writers()
         self._test_nodes: dict[int, frozenset[int]] = {}
         #: Structure-only region digests, shared across every engine run on
-        #: this CDFG: task pools per block, schedulable-node sets per
-        #: region subtree, loop read/write carrier sets.
-        self.block_tasks: dict[int, list[tuple[str, int]]] = {}
+        #: this CDFG: (ops, regions) task pools per block, schedulable-node
+        #: sets per region subtree, loop read/write carrier sets and the
+        #: (nodes, regions) a loop iteration re-runs.
+        self.block_tasks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.region_task_nodes: dict[int, frozenset] = {}
         self.loop_rw: dict[int, tuple[frozenset, frozenset]] = {}
+        self.loop_masks: dict[int, tuple[frozenset, frozenset]] = {}
+        #: Per op: (node deps, region deps, kernel-only deps as
+        #: ``(loop, node deps, region deps)``, weak readers).
+        self.ready_deps: dict[int, tuple] = {}
+        #: Per region: (node deps, region deps) of its entry.
+        self.region_ready_deps: dict[int, tuple[tuple, tuple]] = {}
+        #: Per node: the ops whose readiness reads whether it is done.
+        self.dependents: dict[int, list[int]] = {}
+        self.op_facts: dict[int, _OpFacts] = {}
+        #: ``(op, delay kind, array, needs a unit)`` per op, in node
+        #: order; the kind is ``_ZERO_DELAY``, ``_FU_DELAY`` or
+        #: ``_MEM_DELAY``.
+        self.delay_plan: list[tuple[int, int, str | None, bool]] = []
+        #: ``(a, b) -> mutually_exclusive(cdfg, a, b)``, filled on demand.
+        self.exclusive: dict[tuple[int, int], bool] = {}
         self._analyze(cdfg)
 
     @classmethod
@@ -151,6 +209,59 @@ class _SchedAnalysis:
         for region in cdfg.regions.values():
             if isinstance(region, (IfRegion, LoopRegion)):
                 self._region_deps[region.id] = self._build_region_deps(cdfg, region)
+                self.region_ready_deps[region.id] = _split_deps(
+                    self._region_deps[region.id])
+        self._build_packing_facts(cdfg)
+
+    def _build_packing_facts(self, cdfg: CDFG) -> None:
+        """Flatten what readiness and placement read into per-op records."""
+        for node in cdfg.op_nodes():
+            node_id = node.id
+            nodes, regions = _split_deps(self._strong.get(node_id, ()))
+            kernel = []
+            for edge in self._carried_in.get(node_id, ()):
+                # Inside a kernel, the loop's test reads *this* iteration's
+                # update -- a strong dependency on the body producer
+                # (resolved through Sel/Elp to region completion).
+                if node_id in self._test_nodes.get(edge.loop, ()):
+                    kernel.append((edge.loop, *_split_deps(
+                        self._dep_of_producer(cdfg, edge.src))))
+            weak = tuple(self._weak_readers.get(node_id, ()))
+            self.ready_deps[node_id] = (nodes, regions, tuple(kernel), weak)
+            for dep in {*nodes, *weak, *(n for k in kernel for n in k[1])}:
+                self.dependents.setdefault(dep, []).append(node_id)
+
+            carrier = node.carrier
+            if carrier is None:
+                out_mux = 0.0
+            else:
+                writers = [w for w in self._writers_by_carrier.get(carrier, [])
+                           if cdfg.node(w).is_schedulable or
+                           cdfg.node(w).kind is OpKind.INPUT]
+                out_mux = 0.0 if len(writers) <= 1 else \
+                    math.ceil(math.log2(len(writers))) * MUX_DELAY_NS
+            self.op_facts[node_id] = _OpFacts(
+                carrier=carrier,
+                mem=node.mem,
+                is_store=node.kind is OpKind.STORE,
+                srcs=tuple(edge.src for edge in cdfg.in_edges(node_id)),
+                carried_inits=tuple(
+                    (edge.loop, edge.init_src)
+                    for edge in self._carried_in.get(node_id, ())
+                    if edge.init_src is not None),
+                out_mux=out_mux)
+
+            kind = _MEM_DELAY if node.kind in MEMORY_KINDS else \
+                _FU_DELAY if node.needs_fu else _ZERO_DELAY
+            self.delay_plan.append((node_id, kind, node.mem, node.needs_fu))
+
+    def is_exclusive(self, cdfg: CDFG, a: int, b: int) -> bool:
+        """:func:`mutually_exclusive`, memoized per ordered pair."""
+        key = (a, b)
+        got = self.exclusive.get(key)
+        if got is None:
+            got = self.exclusive[key] = mutually_exclusive(cdfg, a, b)
+        return got
 
     def _build_waw_constraints(self, cdfg: CDFG) -> None:
         """Write-after-write: a register's writers commit in program order.
@@ -297,6 +408,23 @@ def _collect_block_tasks(cdfg: CDFG, block: BlockRegion) -> list[tuple[str, int]
     return tasks
 
 
+class _Occupancy:
+    """What one state already holds, as :meth:`_Engine._try_place` reads it."""
+
+    __slots__ = ("ends", "fus", "regs", "mems")
+
+    def __init__(self) -> None:
+        #: node -> chained path end (ns) of every op placed in the state.
+        self.ends: dict[int, float] = {}
+        self.fus: dict[int, list[int]] = {}
+        self.regs: dict[int, list[int]] = {}
+        self.mems: dict[str, list[int]] = {}
+
+
+#: The occupancy of a cursor that has not materialized a state yet.
+_NO_OCCUPANCY = _Occupancy()
+
+
 class _Engine:
     def __init__(self, cdfg: CDFG, binding: Binding, options: ScheduleOptions):
         self.cdfg = cdfg
@@ -305,29 +433,68 @@ class _Engine:
         self.stg = STG()
         self.done_nodes: set[int] = set()
         self.done_regions: set[int] = set()
-        self.delays = binding.delays()
         self.analysis = _SchedAnalysis.of(cdfg)
+        self.delays: dict[int, float] = {}
+        #: op -> (unit id, estimated input-mux delay) under the binding.
+        self._units: dict[int, tuple[int | None, float]] = {}
+        self._bind_ops()
         self.heights = node_heights(cdfg, self.delays)
+        #: The packing order: critical path first, ties by node id.
+        self._priority = {n: (-h, n) for n, h in self.heights.items()}
         # Read-only views of the shared per-CDFG analysis.
         self._strong = self.analysis._strong
         self._weak_readers = self.analysis._weak_readers
-        self._carried_in = self.analysis._carried_in
-        self._node_region_owner = self.analysis._node_region_owner
         self._region_deps = self.analysis._region_deps
-        self._writers_by_carrier = self.analysis._writers_by_carrier
-        self._test_nodes = self.analysis._test_nodes
+        self._ready_deps = self.analysis.ready_deps
+        self._facts = self.analysis.op_facts
         self._kernel_ctx: frozenset[int] = frozenset()
-        self._placed: dict[int, dict[int, float]] = {}
-        self._fu_occupancy: dict[int, dict[int, list[int]]] = {}
-        self._carrier_writes: dict[int, dict[str, list[int]]] = {}
-        self._mem_occupancy: dict[int, dict[str, list[int]]] = {}
-        # Estimated mux depths are pure functions of (binding, CDFG),
-        # both fixed for the engine's lifetime.
-        self._in_mux_memo: dict[int, float] = {}
-        self._out_mux_memo: dict[int, float] = {}
+        self._occupancy: dict[int, _Occupancy] = {}
+        self._clock_ns = options.clock_ns
+        self._exclusive = self.analysis.is_exclusive
+        #: carrier -> register id, looked up on the first write placed.
+        self._regs: dict[str, int] = {}
 
-    def _dep_of_producer(self, src: int) -> list[tuple[str, int]]:
-        return self.analysis._dep_of_producer(self.cdfg, src)
+    def _bind_ops(self) -> None:
+        """Look up each op's delay and unit under the binding, once.
+
+        Fills ``delays`` (:meth:`Binding.delays`) and ``_units`` (op ->
+        (unit id, estimated input-mux delay)).  Every op of a unit has
+        the unit's scaled module delay and every access of an array its
+        RAM's access delay, so the binding is asked once per unit or RAM;
+        an unbound op or array raises the binding's own error.
+        """
+        binding = self.binding
+        op_delay = binding.op_delay
+        unit_of = binding.op_to_fu.get
+        delays = self.delays
+        units = self._units
+        in_muxes: dict[int, float] = {}
+        per_unit: dict[int, float] = {}
+        per_array: dict[str, float] = {}
+        for node_id, kind, array, needs_fu in self.analysis.delay_plan:
+            fu_id = unit_of(node_id) if needs_fu else None
+            in_mux = 0.0
+            if fu_id is not None:
+                in_mux = in_muxes.get(fu_id)
+                if in_mux is None:
+                    n_ops = len(binding.fus[fu_id].ops)
+                    in_mux = in_muxes[fu_id] = 0.0 if n_ops <= 1 else \
+                        math.ceil(math.log2(n_ops)) * MUX_DELAY_NS
+            units[node_id] = (fu_id, in_mux)
+            if kind == _ZERO_DELAY:
+                delays[node_id] = 0.0
+            elif kind == _FU_DELAY:
+                delay = per_unit.get(fu_id)
+                if delay is None:
+                    delay = op_delay(node_id)
+                    if fu_id is not None:
+                        per_unit[fu_id] = delay
+                delays[node_id] = delay
+            else:
+                delay = per_array.get(array)
+                if delay is None:
+                    delay = per_array[array] = op_delay(node_id)
+                delays[node_id] = delay
 
     # ------------------------------------------------------------- readiness
 
@@ -338,25 +505,38 @@ class _Engine:
         return target in self.done_regions
 
     def _op_ready(self, node_id: int) -> bool:
-        for dep in self._strong.get(node_id, ()):
-            if not self._dep_satisfied(dep):
+        nodes, regions, kernel, weak = self._ready_deps[node_id]
+        done = self.done_nodes
+        for target in nodes:
+            if target not in done:
                 return False
-        for edge in self._carried_in.get(node_id, ()):
-            # Inside a kernel, the loop's test reads *this* iteration's
-            # update -- a strong dependency on the body producer (resolved
-            # through Sel/Elp to region completion where needed).
-            if edge.loop in self._kernel_ctx \
-                    and node_id in self._test_nodes.get(edge.loop, set()):
-                for dep in self._dep_of_producer(edge.src):
-                    if not self._dep_satisfied(dep):
+        for target in regions:
+            if target not in self.done_regions:
+                return False
+        for loop, kernel_nodes, kernel_regions in kernel:
+            if loop in self._kernel_ctx:
+                for target in kernel_nodes:
+                    if target not in done:
                         return False
-        for reader in self._weak_readers.get(node_id, ()):
-            if reader not in self.done_nodes:
+                for target in kernel_regions:
+                    if target not in self.done_regions:
+                        return False
+        for reader in weak:
+            if reader not in done:
                 return False
         return True
 
     def _region_ready(self, region_id: int) -> bool:
-        return all(self._dep_satisfied(d) for d in self._region_deps[region_id])
+        nodes, regions = self.analysis.region_ready_deps[region_id]
+        done = self.done_nodes
+        for target in nodes:
+            if target not in done:
+                return False
+        done = self.done_regions
+        for target in regions:
+            if target not in done:
+                return False
+        return True
 
     # ------------------------------------------------------------- state/cursor
 
@@ -383,123 +563,98 @@ class _Engine:
 
     # --------------------------------------------------------------- packing
 
-    def _est_input_mux(self, fu_id: int | None) -> float:
-        if fu_id is None:
-            return 0.0
-        got = self._in_mux_memo.get(fu_id)
+    def _reg_id(self, carrier: str) -> int:
+        got = self._regs.get(carrier)
         if got is None:
-            n_ops = len(self.binding.fus[fu_id].ops)
-            got = 0.0 if n_ops <= 1 else \
-                math.ceil(math.log2(n_ops)) * MUX_DELAY_NS
-            self._in_mux_memo[fu_id] = got
-        return got
-
-    def _est_output_mux(self, node_id: int) -> float:
-        got = self._out_mux_memo.get(node_id)
-        if got is not None:
-            return got
-        carrier = self.cdfg.node(node_id).carrier
-        if carrier is None:
-            got = 0.0
-        else:
-            writers = [w for w in self._writers_by_carrier.get(carrier, [])
-                       if self.cdfg.node(w).is_schedulable or
-                       self.cdfg.node(w).kind is OpKind.INPUT]
-            got = 0.0 if len(writers) <= 1 else \
-                math.ceil(math.log2(len(writers))) * MUX_DELAY_NS
-        self._out_mux_memo[node_id] = got
+            got = self._regs[carrier] = self.binding.reg_of(carrier).id
         return got
 
     def _try_place(self, cursor: _Cursor, node_id: int) -> bool:
-        node = self.cdfg.node(node_id)
-        fu = self.binding.fu_of(node_id) if node.needs_fu else None
-        fu_id = fu.id if fu is not None else None
+        facts = self._facts[node_id]
+        fu_id, in_mux = self._units[node_id]
+        state = cursor.state
+        occupancy = _NO_OCCUPANCY if state is None else \
+            self._occupancy.get(state.id, _NO_OCCUPANCY)
+        placed_here = occupancy.ends
 
-        state_id = cursor.state.id if cursor.state is not None else None
-        placed_here = self._placed.get(state_id, {}) if state_id is not None else {}
-        fu_occupancy = self._fu_occupancy.get(state_id, {}) if state_id is not None else {}
-        carrier_writes = self._carrier_writes.get(state_id, {}) if state_id is not None else {}
-        mem_occupancy = self._mem_occupancy.get(state_id, {}) if state_id is not None else {}
-
-        if node.mem is not None:
-            mem = self.binding.mems[node.mem]
-            port = mem.port_of[node_id]
-            is_store = node.kind is OpKind.STORE
-            for other in mem_occupancy.get(node.mem, ()):
+        array = facts.mem
+        if array is not None:
+            port_of = self.binding.mems[array].port_of
+            port = port_of[node_id]
+            for other in occupancy.mems.get(array, ()):
                 # Gatesim executes every op of a visited state, so a store
                 # may never share a state with another access of its array
                 # -- even a mutually exclusive one would double-commit.
-                if is_store or self.cdfg.node(other).kind is OpKind.STORE:
+                if facts.is_store or self._facts[other].is_store:
                     return False
                 # One address bus per port: two loads share a state only on
                 # different ports (exclusivity cannot split a bus).
-                if mem.port_of[other] == port:
+                if port_of[other] == port:
                     return False
 
         if fu_id is not None:
-            for other in fu_occupancy.get(fu_id, ()):
-                if not mutually_exclusive(self.cdfg, other, node_id):
+            for other in occupancy.fus.get(fu_id, ()):
+                if not self._exclusive(self.cdfg, other, node_id):
                     return False
-        if node.carrier is not None:
+        reg = None
+        if facts.carrier is not None:
             # Register-granular write conflict: carriers sharing a register
             # may not commit in the same state (unless mutually exclusive).
-            reg = self.binding.reg_of(node.carrier).id
-            for other in carrier_writes.get(reg, ()):
-                if not mutually_exclusive(self.cdfg, other, node_id):
+            reg = self._reg_id(facts.carrier)
+            for other in occupancy.regs.get(reg, ()):
+                if not self._exclusive(self.cdfg, other, node_id):
                     return False
         # A carried read samples its variable's register; the register only
         # commits the entry value at the end of the init writer's state, so
         # the read may not share that state (caught by gatesim otherwise).
-        for edge in self._carried_in.get(node_id, ()):
-            if edge.loop in self._kernel_ctx:
-                continue
-            if edge.init_src is not None and edge.init_src in placed_here:
+        for loop, init_src in facts.carried_inits:
+            if loop not in self._kernel_ctx and init_src in placed_here:
                 return False
 
         start = 0.0
-        for edge in self.cdfg.in_edges(node_id):
-            if edge.src in placed_here:
-                start = max(start, placed_here[edge.src])
-        base = self.delays.get(node_id, 0.0)
+        for src in facts.srcs:
+            end = placed_here.get(src)
+            if end is not None and end > start:
+                start = end
+        base = self.delays[node_id]
         if base > 0.0 and start > 0.0:
             base *= 1.0 + CHAIN_OVERHEAD
-        end = start + base + self._est_input_mux(fu_id) + self._est_output_mux(node_id)
-        clock = self.options.clock_ns
-        need = max(1, math.ceil(end / clock - 1e-9))
-        state_empty = cursor.state is None or not cursor.state.ops
-        if not state_empty and need > cursor.state.duration:
+        end = start + base + in_mux + facts.out_mux
+        need = max(1, math.ceil(end / self._clock_ns - 1e-9))
+        if state is None:
+            state = self._materialize(cursor)
+        elif state.ops and need > state.duration:
             # Would extend the state's cycle window: postpone to a fresh
             # state (which accepts any op, multi-cycling if necessary).
             return False
-
-        state = self._materialize(cursor)
-        state.duration = max(state.duration, need)
-        state.ops.append(ScheduledOp(node=node_id, fu=fu_id, start=start, end=end))
-        self._placed.setdefault(state.id, {})[node_id] = end
+        if need > state.duration:
+            state.duration = need
+        state.ops.append(ScheduledOp(node_id, fu_id, start, end))
+        occupancy = self._occupancy.get(state.id)
+        if occupancy is None:
+            occupancy = self._occupancy[state.id] = _Occupancy()
+        occupancy.ends[node_id] = end
         if fu_id is not None:
-            self._fu_occupancy.setdefault(state.id, {}).setdefault(fu_id, []).append(node_id)
-        if node.carrier is not None:
-            reg = self.binding.reg_of(node.carrier).id
-            self._carrier_writes.setdefault(state.id, {}).setdefault(
-                reg, []).append(node_id)
-        if node.mem is not None:
-            self._mem_occupancy.setdefault(state.id, {}).setdefault(
-                node.mem, []).append(node_id)
+            occupancy.fus.setdefault(fu_id, []).append(node_id)
+        if reg is not None:
+            occupancy.regs.setdefault(reg, []).append(node_id)
+        if array is not None:
+            occupancy.mems.setdefault(array, []).append(node_id)
         self.done_nodes.add(node_id)
         return True
 
     # ------------------------------------------------------------ task pools
 
-    def _block_tasks(self, cdfg: CDFG, block: BlockRegion) -> list[tuple[str, int]]:
-        """Task pool of a block — pure CDFG structure, memoized per graph.
-
-        Callers never mutate the returned list (they copy or iterate), so
-        one shared object per block is safe.
-        """
+    def _block_tasks(self, block_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(ops, regions) task pool of a block — pure CDFG structure,
+        memoized per graph."""
         cache = self.analysis.block_tasks
-        tasks = cache.get(block.id)
+        tasks = cache.get(block_id)
         if tasks is None:
-            tasks = cache[block.id] = _collect_block_tasks(cdfg, block)
+            flat = _collect_block_tasks(self.cdfg, self.cdfg.block(block_id))
+            tasks = cache[block_id] = (
+                tuple(n for kind, n in flat if kind == "op"),
+                tuple(r for kind, r in flat if kind == "region"))
         return tasks
 
     def _region_task_nodes(self, region_id: int) -> frozenset:
@@ -511,6 +666,20 @@ class _Engine:
                 region_nodes(self.cdfg, region_id, recursive=True))
         return nodes
 
+    def _loop_mask(self, loop: LoopRegion) -> tuple[frozenset, frozenset]:
+        """(nodes, conditional/loop regions) a loop's iteration re-runs:
+        its test and body ops, and the regions nested in its body."""
+        cache = self.analysis.loop_masks
+        got = cache.get(loop.id)
+        if got is None:
+            cdfg = self.cdfg
+            got = cache[loop.id] = (
+                self._region_task_nodes(loop.test_block)
+                | self._region_task_nodes(loop.body_block),
+                frozenset(rid for rid in region_subtree(cdfg, loop.body_block)
+                          if isinstance(cdfg.region(rid), (IfRegion, LoopRegion))))
+        return got
+
     # ------------------------------------------------------------- main loop
 
     def run(self) -> STG:
@@ -519,8 +688,8 @@ class _Engine:
         stg.start = start.id
         cursor = _Cursor()
         cursor.state = start
-        root_tasks = self._block_tasks(self.cdfg, self.cdfg.block(self.cdfg.root_region))
-        cursor, _ = self._schedule_tasks(root_tasks, cursor)
+        cursor, _ = self._schedule_tasks(
+            *self._block_tasks(self.cdfg.root_region), cursor)
         done = stg.new_state()
         stg.done = done.id
         if cursor.state is not None:
@@ -533,16 +702,20 @@ class _Engine:
         stg.validate()
         return stg
 
-    def _schedule_tasks(self, tasks: list[tuple[str, int]], cursor: _Cursor,
+    def _schedule_tasks(self, ops, regions, cursor: _Cursor,
                         optionals: list[int] = ()) -> tuple[_Cursor, list[int]]:
-        """Drain ``tasks`` (required); place ``optionals`` opportunistically.
+        """Drain the tasks ``ops`` and ``regions`` (required); place
+        ``optionals`` opportunistically.
 
         Returns the final open cursor and the optionals actually placed.
         """
-        pending_ops = [n for kind, n in tasks if kind == "op"]
-        pending_regions = [r for kind, r in tasks if kind == "region"]
+        pending_ops = list(ops)
+        pending_regions = list(regions)
         optional_pool = [n for n in optionals if n not in self.done_nodes]
         placed_optionals: list[int] = []
+        priority = self._priority
+        dependents = self.analysis.dependents
+        op_ready = self._op_ready
 
         # Readiness is monotone within one invocation: the done sets only
         # net-grow between the points this loop observes them (nested arm
@@ -550,54 +723,66 @@ class _Engine:
         # superset before returning).  Once ready, always ready — so a
         # positive answer is memoized and never re-derived.
         ready: set[int] = set()
-        op_ready = self._op_ready
-
-        def is_ready(node_id: int) -> bool:
-            if node_id in ready:
-                return True
-            if op_ready(node_id):
-                ready.add(node_id)
-                return True
-            return False
+        # The pending ops not yet ready, each mapped to whether it is
+        # required.  A placement only adds its own node to the done set,
+        # so only that node's dependents can leave this map; entering a
+        # region changes the done sets wholesale and rebuilds it.
+        waiting: dict[int, bool] | None = None
 
         while pending_ops or pending_regions:
-            # 1. pack ready required ops (and optionals) into the open state.
-            # Placement failure is permanent while the open state lasts:
-            # occupancy, register writes and chained starts only grow, and
-            # the state's cycle window is fixed once it holds an op — so a
-            # node that failed to place is skipped, not retried.
-            progressed = True
-            failed: set[int] = set()
-            while progressed:
-                progressed = False
-                candidates = [n for n in pending_ops
-                              if n not in failed and is_ready(n)]
-                candidates.sort(key=lambda n: (-self.heights.get(n, 0.0), n))
-                for node_id in candidates:
-                    if self._try_place(cursor, node_id):
-                        pending_ops.remove(node_id)
-                        progressed = True
-                        break
-                    failed.add(node_id)
+            if waiting is None:
+                waiting = {}
+                required, optional = [], []
+                for pool, heap, is_required in (
+                        (pending_ops, required, True),
+                        (optional_pool, optional, False)):
+                    for n in pool:
+                        if n in ready or op_ready(n):
+                            ready.add(n)
+                            heap.append(priority[n])
+                        else:
+                            waiting[n] = is_required
+
+            # 1. pack ready ops into the open state: highest (-height,
+            # node) first, required before optional.  Placement failure is
+            # permanent while the open state lasts: occupancy, register
+            # writes and chained starts only grow, and the state's cycle
+            # window is fixed once it holds an op — so a node that failed
+            # to place waits in ``failed`` for the next state.  Every ready
+            # pending op either places or fails, so the failures are the
+            # next state's ready ops.
+            heapq.heapify(required)
+            heapq.heapify(optional)
+            failed: tuple[list, list] = ([], [])
+            while required or optional:
+                heap = required or optional
+                entry = heapq.heappop(heap)
+                node_id = entry[1]
+                if not self._try_place(cursor, node_id):
+                    failed[heap is optional].append(entry)
+                    continue
+                if heap is required:
+                    pending_ops.remove(node_id)
                 else:
-                    # No required op fit; try optionals (lower priority).
-                    opt = [n for n in optional_pool
-                           if n not in failed and is_ready(n)]
-                    opt.sort(key=lambda n: (-self.heights.get(n, 0.0), n))
-                    for node_id in opt:
-                        if self._try_place(cursor, node_id):
-                            optional_pool.remove(node_id)
-                            placed_optionals.append(node_id)
-                            progressed = True
-                            break
-                        failed.add(node_id)
+                    optional_pool.remove(node_id)
+                    placed_optionals.append(node_id)
+                if waiting:
+                    for n in dependents.get(node_id, ()):
+                        is_required = waiting.get(n)
+                        if is_required is not None and op_ready(n):
+                            ready.add(n)
+                            del waiting[n]
+                            heapq.heappush(required if is_required else optional,
+                                           priority[n])
+            required, optional = failed
 
             if not pending_ops and not pending_regions:
                 break
 
             # 2. a ready region?
-            ready_regions = [r for r in pending_regions if self._region_ready(r)]
-            ready_ops_exist = any(is_ready(n) for n in pending_ops)
+            ready_regions = [r for r in pending_regions if self._region_ready(r)] \
+                if pending_regions else []
+            ready_ops_exist = bool(required)
 
             enter_region = False
             if ready_regions:
@@ -632,6 +817,7 @@ class _Engine:
                 newly = [n for n in optional_pool if n in self.done_nodes]
                 placed_optionals.extend(newly)
                 optional_pool = [n for n in optional_pool if n not in self.done_nodes]
+                waiting = None
                 continue
 
             if ready_ops_exist:
@@ -666,8 +852,8 @@ class _Engine:
                 f"if-region {region.id}: condition {cdfg.node(cond).name} not scheduled")
         fork_sources = self._fork_sources(cursor)
 
-        then_tasks = self._block_tasks(cdfg, cdfg.block(region.then_block))
-        else_tasks = self._block_tasks(cdfg, cdfg.block(region.else_block))
+        then_ops, then_regions = self._block_tasks(region.then_block)
+        else_ops, else_regions = self._block_tasks(region.else_block)
         then_subtree = self._region_task_nodes(region.then_block)
         else_subtree = self._region_task_nodes(region.else_block)
 
@@ -686,17 +872,17 @@ class _Engine:
         then_cursor = _Cursor(sources=[(s, self._and_cond(c, cond, True))
                                        for s, c in fork_sources])
         then_cursor, placed_shared = self._schedule_tasks(
-            then_tasks, then_cursor, optionals=list(extra))
+            then_ops, then_regions, then_cursor, optionals=list(extra))
         then_done_nodes = set(self.done_nodes)
         then_done_regions = set(self.done_regions)
 
         # Else arm must mirror exactly the shared ops the then arm placed.
         self.done_nodes = snapshot_nodes | then_subtree
         self.done_regions = set(snapshot_regions)
-        else_required = else_tasks + [("op", n) for n in placed_shared]
         else_cursor = _Cursor(sources=[(s, self._and_cond(c, cond, False))
                                        for s, c in fork_sources])
-        else_cursor, _ = self._schedule_tasks(else_required, else_cursor)
+        else_cursor, _ = self._schedule_tasks(
+            [*else_ops, *placed_shared], else_regions, else_cursor)
 
         self.done_nodes |= then_done_nodes
         self.done_regions |= then_done_regions
@@ -753,9 +939,12 @@ class _Engine:
         cdfg = self.cdfg
         hoist = self.options.hoist_loop_control
 
-        test_tasks: list[tuple[str, int]] = []
+        test_ops: list[int] = []
+        test_regions: list[int] = []
         for loop in loops:
-            test_tasks.extend(self._block_tasks(cdfg, cdfg.block(loop.test_block)))
+            ops, regions = self._block_tasks(loop.test_block)
+            test_ops.extend(ops)
+            test_regions.extend(regions)
 
         if not hoist:
             if len(loops) != 1:
@@ -763,7 +952,8 @@ class _Engine:
             return self._schedule_loop_nonhoist(loops[0], cursor)
 
         # Prologue: iteration-0 tests, packed with surrounding ready ops.
-        cursor, _ = self._schedule_tasks(test_tasks, cursor, optionals=list(extra))
+        cursor, _ = self._schedule_tasks(test_ops, test_regions, cursor,
+                                         optionals=list(extra))
         fork_sources = self._fork_sources(cursor)
         conds = [loop.cond_node for loop in loops]
         exit_cursor = _Cursor()
@@ -792,18 +982,18 @@ class _Engine:
         # Schedule each kernel.
         for key, members in kernels.items():
             member_ids = frozenset(l.id for l in members)
-            kernel_tasks: list[tuple[str, int]] = []
+            kernel_ops: list[int] = []
+            kernel_regions: list[int] = []
             mask_nodes: set[int] = set()
             mask_regions: set[int] = set()
             for loop in members:
-                kernel_tasks.extend(self._block_tasks(cdfg, cdfg.block(loop.body_block)))
-                kernel_tasks.extend(self._block_tasks(cdfg, cdfg.block(loop.test_block)))
-                mask_nodes |= self._region_task_nodes(loop.body_block)
-                mask_nodes |= self._region_task_nodes(loop.test_block)
-                for rid in region_subtree(cdfg, loop.body_block):
-                    region = cdfg.region(rid)
-                    if isinstance(region, (IfRegion, LoopRegion)):
-                        mask_regions.add(rid)
+                for block in (loop.body_block, loop.test_block):
+                    ops, regions = self._block_tasks(block)
+                    kernel_ops.extend(ops)
+                    kernel_regions.extend(regions)
+                nodes, regions = self._loop_mask(loop)
+                mask_nodes |= nodes
+                mask_regions |= regions
 
             saved_nodes = set(self.done_nodes)
             saved_regions = set(self.done_regions)
@@ -815,7 +1005,8 @@ class _Engine:
             saved_ctx = self._kernel_ctx
             self._kernel_ctx = saved_ctx | member_ids
             try:
-                body_cursor, _ = self._schedule_tasks(kernel_tasks, body_cursor)
+                body_cursor, _ = self._schedule_tasks(
+                    kernel_ops, kernel_regions, body_cursor)
             finally:
                 self._kernel_ctx = saved_ctx
             end_state = self._materialize(body_cursor)
@@ -852,32 +1043,30 @@ class _Engine:
         for src, guard in self._fork_sources(cursor):
             self.stg.add_transition(src, test_entry.id, guard)
 
-        test_tasks = self._block_tasks(cdfg, cdfg.block(loop.test_block))
         test_cursor = _Cursor()
         test_cursor.state = test_entry
 
-        mask_nodes = self._region_task_nodes(loop.test_block) \
-            | self._region_task_nodes(loop.body_block)
-        mask_regions = {rid for rid in region_subtree(cdfg, loop.body_block)
-                        if isinstance(cdfg.region(rid), (IfRegion, LoopRegion))}
+        mask_nodes, mask_regions = self._loop_mask(loop)
         saved_nodes = set(self.done_nodes)
         saved_regions = set(self.done_regions)
         self.done_nodes -= mask_nodes
         self.done_regions -= mask_regions
 
-        test_cursor, _ = self._schedule_tasks(test_tasks, test_cursor)
+        test_cursor, _ = self._schedule_tasks(
+            *self._block_tasks(loop.test_block), test_cursor)
         test_end = self._materialize(test_cursor)
 
-        body_tasks = self._block_tasks(cdfg, cdfg.block(loop.body_block))
+        body_ops, body_regions = self._block_tasks(loop.body_block)
         exit_cursor = _Cursor()
         exit_cursor.sources.append((test_end.id, frozenset({(loop.cond_node, False)})))
-        if body_tasks:
+        if body_ops or body_regions:
             body_entry = self.stg.new_state()
             self.stg.add_transition(test_end.id, body_entry.id,
                                     frozenset({(loop.cond_node, True)}))
             body_cursor = _Cursor()
             body_cursor.state = body_entry
-            body_cursor, _ = self._schedule_tasks(body_tasks, body_cursor)
+            body_cursor, _ = self._schedule_tasks(body_ops, body_regions,
+                                                  body_cursor)
             body_end = self._materialize(body_cursor)
             self.stg.add_transition(body_end.id, test_entry.id)
         else:

@@ -16,8 +16,8 @@ performance metric [9] — is computed two ways:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,14 +62,29 @@ class State:
         return (self.duration * clock_ns) / delay
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """A guarded edge: taken when every ``(cond, value)`` term holds.
+
+    A named tuple rather than a frozen dataclass: the scheduler builds
+    tens per schedule, and a tuple is the cheapest immutable record.
+    """
+
     src: int
     dst: int
     conds: frozenset[tuple[int, bool]] = frozenset()
 
     def matches(self, values: dict[int, bool]) -> bool:
         return all(values.get(cond) == want for cond, want in self.conds)
+
+
+def _complementary(a: frozenset, b: frozenset) -> bool:
+    """True for the guards ``{(c, v)}`` and ``{(c, not v)}``: a plain
+    branch, which any assignment of ``c`` takes exactly one way."""
+    if len(a) != 1 or len(b) != 1:
+        return False
+    (cond_a, want_a), = a
+    (cond_b, want_b), = b
+    return cond_a == cond_b and {want_a, want_b} == {True, False}
 
 
 class STG:
@@ -207,33 +222,78 @@ class STG:
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check transition completeness/disjointness and reachability."""
+        """Check transition completeness/disjointness and reachability.
+
+        Under every assignment of a state's condition inputs exactly one
+        outgoing transition must match.  A lone unguarded transition
+        matches them all, and so does a plain two-way branch; otherwise
+        each assignment is checked as a bit pattern against each guard's
+        (care, value) masks.
+        """
         if self.start not in self.states or self.done not in self.states:
             raise ScheduleError("STG missing start or done state")
         for state_id in self.states:
             if state_id == self.done:
                 continue
-            outs = self.out_transitions(state_id)
+            outs = self._out.get(state_id)
             if not outs:
                 raise ScheduleError(f"state {state_id} has no outgoing transition")
-            cond_vars = sorted({c for t in outs for c, _ in t.conds})
-            for values in itertools.product((False, True), repeat=len(cond_vars)):
-                assignment = dict(zip(cond_vars, values))
-                matching = [t for t in outs if t.matches(assignment)]
-                if len(matching) != 1:
-                    raise ScheduleError(
-                        f"state {state_id}: {len(matching)} transitions match "
-                        f"assignment {assignment} (need exactly 1)")
-        reachable = self._reachable()
-        unreachable = set(self.states) - reachable
+            if len(outs) == 1:
+                if not outs[0].conds:
+                    continue
+            elif len(outs) == 2 and _complementary(outs[0].conds, outs[1].conds):
+                continue
+            self._check_guards(state_id, outs)
+        unreachable = set(self.states) - self._reachable()
         if unreachable:
             raise ScheduleError(f"unreachable states: {sorted(unreachable)}")
+
+    @staticmethod
+    def _check_guards(state_id: int, outs: list[Transition]) -> None:
+        """Exactly one of ``outs`` matches each condition assignment.
+
+        Assignments are enumerated in ``itertools.product((False, True),
+        ...)`` order over the sorted condition nodes -- the first node is
+        the most significant bit -- so the first failing one is reported.
+        """
+        cond_vars = sorted({c for t in outs for c, _ in t.conds})
+        width = len(cond_vars)
+        bit_of = {c: 1 << (width - 1 - j) for j, c in enumerate(cond_vars)}
+        masks: list[tuple[int, int]] = []
+        for transition in outs:
+            care = value = 0
+            for cond, want in transition.conds:
+                bit = bit_of[cond]
+                if want == True:  # noqa: E712 -- ``matches`` compares with ==
+                    want_bit = bit
+                elif want == False:  # noqa: E712
+                    want_bit = 0
+                else:
+                    care = value = -1  # never matches a bool
+                    break
+                if care & bit and value & bit != want_bit:
+                    care = value = -1  # contradictory guard
+                    break
+                care |= bit
+                value |= want_bit
+            masks.append((care, value))
+        for assignment in range(1 << width):
+            matching = 0
+            for care, value in masks:
+                if assignment & care == value:
+                    matching += 1
+            if matching != 1:
+                values = {c: bool(assignment & bit_of[c]) for c in cond_vars}
+                raise ScheduleError(
+                    f"state {state_id}: {matching} transitions match "
+                    f"assignment {values} (need exactly 1)")
 
     def _reachable(self) -> set[int]:
         seen = {self.start}
         stack = [self.start]
+        out = self._out
         while stack:
-            for transition in self.out_transitions(stack.pop()):
+            for transition in out.get(stack.pop(), ()):
                 if transition.dst not in seen:
                     seen.add(transition.dst)
                     stack.append(transition.dst)

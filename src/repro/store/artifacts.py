@@ -23,21 +23,23 @@ which is how checkpoint reuse surfaces in a job server result's
 
 Nothing is evicted unless :meth:`ArtifactStore.gc` is called with a
 ``max_bytes`` bound; eviction is safe at any moment — a missing
-checkpoint is just a cold miss.
+checkpoint is just a cold miss.  Size and eviction cover every
+``v<N>/`` tree under the root, so checkpoints a schema bump retired
+still count, and go first.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+from stat import S_ISREG
 
 from repro.core.profile import PROFILER
 from repro.store.atomic import sweep_orphans, write_json
 
 #: On-disk schema version; bump on any envelope or payload change.
-#: Checkpoints under other versions are never read (and GC only manages
-#: the current version's tree), so mixed-version roots degrade to cold
-#: misses.
+#: Checkpoints under other versions are never read, so mixed-version
+#: roots degrade to cold misses; GC evicts them before any current one.
 SCHEMA_VERSION = 2
 
 #: Environment variable naming the store root for implicit attachment.
@@ -114,31 +116,43 @@ class ArtifactStore:
     # -- garbage collection ----------------------------------------------------
 
     def size_bytes(self) -> int:
-        return sum(size for _, size, _ in self._checkpoints())
+        """Bytes of every checkpoint under the root, any schema version."""
+        return sum(size for _, _, size, _ in self._checkpoints())
 
-    def _checkpoints(self) -> list[tuple[float, int, pathlib.Path]]:
+    def _version_dirs(self) -> list[pathlib.Path]:
+        """Every ``v<N>/`` schema tree under the root, current included."""
+        return [path for path in self.root.glob("v*")
+                if path.is_dir() and path.name[1:].isdigit()]
+
+    def _checkpoints(self) -> list[tuple[bool, float, int, pathlib.Path]]:
+        """(current version?, mtime, size, path) of every stored file."""
         found = []
-        for path in self.version_dir.rglob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            found.append((stat.st_mtime, stat.st_size, path))
+        for tree in self._version_dirs():
+            current = tree == self.version_dir
+            for path in tree.rglob("*"):
+                try:
+                    info = path.stat()
+                except OSError:
+                    continue
+                if S_ISREG(info.st_mode):
+                    found.append((current, info.st_mtime, info.st_size, path))
         return found
 
     def gc(self, max_bytes: int | None = None) -> dict[str, int]:
-        """Evict oldest checkpoints until the store fits ``max_bytes``.
+        """Evict checkpoints until the store fits ``max_bytes``: retired
+        schema versions first, then the current one's, oldest first.
 
         Also sweeps ``*.tmp`` orphans from crashed writers.  Returns
         ``{"evicted", "bytes"}`` (post-GC size).  A ``None`` bound only
         sweeps orphans.
         """
-        sweep_orphans(self.version_dir)
+        for tree in self._version_dirs():
+            sweep_orphans(tree)
         checkpoints = self._checkpoints()
-        total = sum(size for _, size, _ in checkpoints)
+        total = sum(size for _, _, size, _ in checkpoints)
         evicted = 0
         if max_bytes is not None:
-            for _, size, path in sorted(checkpoints):
+            for _, _, size, path in sorted(checkpoints):
                 if total <= max_bytes:
                     break
                 try:

@@ -7,9 +7,10 @@ the garbage collector.  These tests run with the collector off and check
 that dropping the last reference frees everything at once, for the search
 and for the conformance and fuzzing flows around it.
 
-``SynthesisEngine.run`` pauses the cyclic collector, which is safe only
-while the above holds; the last tests check the pause and that the run
-gives the collector back in the state it found it.
+``SynthesisEngine.run`` and ``run_laxity_sweep`` pause the cyclic
+collector, which is safe only while the above holds; the last tests check
+the pause and that the run gives the collector back in the state it found
+it.
 """
 
 import gc
@@ -162,6 +163,29 @@ def test_run_triggers_no_collection(collector_on):
         gc.callbacks.remove(count)
     assert generations == []
     assert gc.isenabled()
+
+
+def test_sweep_triggers_no_collection_and_leaves_no_cycles(collector_on):
+    """One pause spans the whole sweep, not one per run: no collection
+    starts between its runs or during its measurements."""
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        sweep = run_laxity_sweep("gcd", laxities=(1.0, 2.0), n_passes=8,
+                                 search=SEARCH)
+    finally:
+        gc.callbacks.remove(count)
+    assert generations == []
+    assert gc.isenabled()
+    assert len(sweep.points) == 2
+    del sweep
+    assert_no_cycle_garbage()
 
 
 class Stop(Exception):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ScheduleError
 from repro.cdfg.interpreter import simulate
 from repro.core.binding import Binding
+from repro.core.profile import PROFILER
 from repro.library import default_library
 from repro.sched import replay, wavesched
 from repro.sched.stg import ScheduledOp
@@ -67,6 +68,26 @@ class TestReplayErrors:
                 ScheduledOp(add_op.node, add_op.fu, 0.0, 1.0))
         with pytest.raises(ScheduleError):
             replay(stg, simple_cdfg, store)
+
+    def test_overactive_stg_detected_on_a_recorded_walk(self, gcd_cdfg):
+        """Over-activity in a non-condition op leaves the walk's path
+        signature unchanged, so the recorded walk serves the replay; the
+        consumption check must still fail it."""
+        binding = Binding.initial_parallel(gcd_cdfg, default_library())
+        store = simulate(gcd_cdfg, [{"a": 12, "b": 18}, {"a": 7, "b": 3}])
+        replay(wavesched(gcd_cdfg, binding), gcd_cdfg, store)
+        walks = list(store._walk_cache)
+        stg = wavesched(gcd_cdfg, binding)
+        conds = stg.condition_inputs()
+        extra = next(op for state in stg.states.values() for op in state.ops
+                     if op.node not in conds)
+        stg.states[stg.start].ops.append(
+            ScheduledOp(extra.node, extra.fu, 0.0, 1.0))
+        window = PROFILER.snapshot()
+        with pytest.raises(ScheduleError, match="more often than the behavior"):
+            replay(stg, gcd_cdfg, store)
+        assert PROFILER.window(window)["replay"]["incremental"] == 1
+        assert list(store._walk_cache) == walks
 
     def test_underactive_stg_detected(self, simple_cdfg):
         """An STG that never executes a recorded op fails the check."""

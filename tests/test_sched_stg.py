@@ -1,5 +1,7 @@
 """STG model tests: validation, analytic ENC, durations."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -80,11 +82,49 @@ class TestValidation:
         with pytest.raises(ScheduleError):
             stg.validate()
 
+    def test_guard_check_matches_assignment_enumeration(self):
+        """Every one- to three-way fan-out over two conditions: the same
+        verdict and message as enumerating each assignment."""
+        terms = [frozenset()] + [
+            frozenset(guard) for n in (1, 2)
+            for guard in itertools.combinations(
+                [(c, v) for c in (5, 9) for v in (True, False)], n)]
+        for k in (1, 2, 3):
+            for guards in itertools.product(terms, repeat=k):
+                stg = STG()
+                src, dst = stg.new_state(), stg.new_state()
+                stg.start, stg.done = src.id, dst.id
+                for guard in guards:
+                    stg.add_transition(src.id, dst.id, guard)
+                assert _validate_message(stg) == _enumerated_message(stg), guards
+
     def test_unknown_state_in_transition(self):
         stg = STG()
         a = stg.new_state()
         with pytest.raises(ScheduleError):
             stg.add_transition(a.id, 12345)
+
+
+def _validate_message(stg: STG) -> str | None:
+    try:
+        stg.validate()
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+def _enumerated_message(stg: STG) -> str | None:
+    """The guard check by enumeration: exactly one transition matches
+    each assignment of the state's conditions, first failure reported."""
+    outs = stg.out_transitions(stg.start)
+    cond_vars = sorted({c for t in outs for c, _ in t.conds})
+    for values in itertools.product((False, True), repeat=len(cond_vars)):
+        assignment = dict(zip(cond_vars, values))
+        matching = [t for t in outs if t.matches(assignment)]
+        if len(matching) != 1:
+            return (f"state {stg.start}: {len(matching)} transitions match "
+                    f"assignment {assignment} (need exactly 1)")
+    return None
 
 
 class TestAnalyticEnc:

@@ -130,6 +130,27 @@ def test_gc_size_bound_evicts_oldest_first(tmp_path):
     assert store.get(digests[0]) is None
 
 
+def test_gc_counts_and_evicts_retired_schema_trees(tmp_path):
+    """A tree an older schema wrote is never read, but it is counted,
+    and evicted before any current checkpoint."""
+    store = ArtifactStore(tmp_path / "store")
+    digest = digest_key(("kept",))
+    store.put(digest, {"v": 1})
+    current = store.size_bytes()
+    old = tmp_path / "store" / "v1" / "explore" / "ab" / ("ab" * 32 + ".pkl")
+    old.parent.mkdir(parents=True)
+    old.write_bytes(b"x" * 300)
+    os.utime(old, (2_000_000_000, 2_000_000_000))  # newer than any put
+    assert store.size_bytes() == current + 300
+
+    assert store.gc(max_bytes=current) == {"evicted": 1, "bytes": current}
+    assert not old.exists()
+    assert store.get(digest) == {"v": 1}
+
+    assert store.gc(max_bytes=0) == {"evicted": 1, "bytes": 0}
+    assert store.size_bytes() == 0
+
+
 def test_kill_mid_publish_never_leaves_partial_artifact(tmp_path):
     import signal
 

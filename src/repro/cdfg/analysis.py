@@ -204,14 +204,21 @@ def node_heights(cdfg: CDFG, delays: dict[int, float]) -> dict[int, float]:
 
     ``delays`` maps node id -> execution delay (ns); missing nodes count as
     zero.  Used as the list-scheduling priority (critical-path first).
+    The walk order with each node's successors is memoized on the CDFG
+    next to :func:`skeleton_order`'s.
     """
-    order, successors = skeleton_order(cdfg)
+    plan = cdfg.__dict__.get("_height_plan")
+    if plan is None:
+        order, successors = skeleton_order(cdfg)
+        plan = cdfg._height_plan = [(node_id, tuple(successors[node_id]))
+                                    for node_id in reversed(order)]
     heights: dict[int, float] = {}
-    for node_id in reversed(order):
+    get = delays.get
+    for node_id, succs in plan:
         best = 0.0
-        for succ in successors[node_id]:
+        for succ in succs:
             h = heights[succ]
             if h > best:
                 best = h
-        heights[node_id] = delays.get(node_id, 0.0) + best
+        heights[node_id] = get(node_id, 0.0) + best
     return heights

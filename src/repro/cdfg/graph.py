@@ -64,6 +64,7 @@ class CDFG:
             raise CDFGError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
         self.__dict__.pop("_skeleton_order", None)
+        self.__dict__.pop("_height_plan", None)
         self.__dict__.pop("_carrier_writers", None)
         self.__dict__.pop("_schedulable_nodes", None)
         self._in_edges.setdefault(node.id, {})
@@ -86,6 +87,7 @@ class CDFG:
         self.edges.append(edge)
         self._data_in.pop(edge.dst, None)
         self.__dict__.pop("_skeleton_order", None)
+        self.__dict__.pop("_height_plan", None)
         return edge
 
     def add_region(self, region: Region) -> Region:

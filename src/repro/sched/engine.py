@@ -94,6 +94,9 @@ class _Cursor:
 #: unit), its unit's scaled module delay, or its array's access delay.
 _ZERO_DELAY, _FU_DELAY, _MEM_DELAY = range(3)
 
+#: (unit id, input-mux delay) of an op that uses no functional unit.
+_NO_UNIT = (None, 0.0)
+
 
 class _OpFacts:
     """What placing one op reads of the CDFG alone."""
@@ -154,12 +157,14 @@ class _SchedAnalysis:
         self._test_nodes: dict[int, frozenset[int]] = {}
         #: Structure-only region digests, shared across every engine run on
         #: this CDFG: (ops, regions) task pools per block, schedulable-node
-        #: sets per region subtree, loop read/write carrier sets and the
-        #: (nodes, regions) a loop iteration re-runs.
+        #: sets per region subtree, loop read/write carrier sets, the
+        #: (nodes, regions) a loop iteration re-runs and each kernel's
+        #: task pool and masks.
         self.block_tasks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.region_task_nodes: dict[int, frozenset] = {}
         self.loop_rw: dict[int, tuple[frozenset, frozenset]] = {}
         self.loop_masks: dict[int, tuple[frozenset, frozenset]] = {}
+        self.kernel_tasks: dict[tuple[int, ...], tuple] = {}
         #: Per op: (node deps, region deps, kernel-only deps as
         #: ``(loop, node deps, region deps)``, weak readers).
         self.ready_deps: dict[int, tuple] = {}
@@ -168,10 +173,10 @@ class _SchedAnalysis:
         #: Per node: the ops whose readiness reads whether it is done.
         self.dependents: dict[int, list[int]] = {}
         self.op_facts: dict[int, _OpFacts] = {}
-        #: ``(op, delay kind, array, needs a unit)`` per op, in node
-        #: order; the kind is ``_ZERO_DELAY``, ``_FU_DELAY`` or
+        #: ``(op, delay kind, array)`` per op, in node order; the kind is
+        #: ``_ZERO_DELAY``, ``_FU_DELAY`` (the op needs a unit) or
         #: ``_MEM_DELAY``.
-        self.delay_plan: list[tuple[int, int, str | None, bool]] = []
+        self.delay_plan: list[tuple[int, int, str | None]] = []
         #: ``(a, b) -> mutually_exclusive(cdfg, a, b)``, filled on demand.
         self.exclusive: dict[tuple[int, int], bool] = {}
         self._analyze(cdfg)
@@ -253,7 +258,7 @@ class _SchedAnalysis:
 
             kind = _MEM_DELAY if node.kind in MEMORY_KINDS else \
                 _FU_DELAY if node.needs_fu else _ZERO_DELAY
-            self.delay_plan.append((node_id, kind, node.mem, node.needs_fu))
+            self.delay_plan.append((node_id, kind, node.mem))
 
     def is_exclusive(self, cdfg: CDFG, a: int, b: int) -> bool:
         """:func:`mutually_exclusive`, memoized per ordered pair."""
@@ -468,29 +473,24 @@ class _Engine:
         unit_of = binding.op_to_fu.get
         delays = self.delays
         units = self._units
-        in_muxes: dict[int, float] = {}
-        per_unit: dict[int, float] = {}
+        per_unit: dict[int, tuple[tuple[int, float], float]] = {}
         per_array: dict[str, float] = {}
-        for node_id, kind, array, needs_fu in self.analysis.delay_plan:
-            fu_id = unit_of(node_id) if needs_fu else None
-            in_mux = 0.0
-            if fu_id is not None:
-                in_mux = in_muxes.get(fu_id)
-                if in_mux is None:
+        for node_id, kind, array in self.analysis.delay_plan:
+            if kind == _FU_DELAY:
+                fu_id = unit_of(node_id)
+                got = per_unit.get(fu_id)
+                if got is None:
+                    delay = op_delay(node_id)  # raises if the op is unbound
                     n_ops = len(binding.fus[fu_id].ops)
-                    in_mux = in_muxes[fu_id] = 0.0 if n_ops <= 1 else \
+                    in_mux = 0.0 if n_ops <= 1 else \
                         math.ceil(math.log2(n_ops)) * MUX_DELAY_NS
-            units[node_id] = (fu_id, in_mux)
-            if kind == _ZERO_DELAY:
+                    got = per_unit[fu_id] = ((fu_id, in_mux), delay)
+                units[node_id], delays[node_id] = got
+            elif kind == _ZERO_DELAY:
+                units[node_id] = _NO_UNIT
                 delays[node_id] = 0.0
-            elif kind == _FU_DELAY:
-                delay = per_unit.get(fu_id)
-                if delay is None:
-                    delay = op_delay(node_id)
-                    if fu_id is not None:
-                        per_unit[fu_id] = delay
-                delays[node_id] = delay
             else:
+                units[node_id] = _NO_UNIT
                 delay = per_array.get(array)
                 if delay is None:
                     delay = per_array[array] = op_delay(node_id)
@@ -678,6 +678,30 @@ class _Engine:
                 | self._region_task_nodes(loop.body_block),
                 frozenset(rid for rid in region_subtree(cdfg, loop.body_block)
                           if isinstance(cdfg.region(rid), (IfRegion, LoopRegion))))
+        return got
+
+    def _kernel_tasks(self, members: list[LoopRegion]) -> tuple:
+        """(ops, regions, masked nodes, masked regions) of a kernel that
+        runs ``members``' bodies and next tests together, memoized per
+        graph."""
+        cache = self.analysis.kernel_tasks
+        key = tuple(loop.id for loop in members)
+        got = cache.get(key)
+        if got is None:
+            ops: list[int] = []
+            regions: list[int] = []
+            mask_nodes: set[int] = set()
+            mask_regions: set[int] = set()
+            for loop in members:
+                for block in (loop.body_block, loop.test_block):
+                    block_ops, block_regions = self._block_tasks(block)
+                    ops.extend(block_ops)
+                    regions.extend(block_regions)
+                nodes, loop_regions = self._loop_mask(loop)
+                mask_nodes |= nodes
+                mask_regions |= loop_regions
+            got = cache[key] = (tuple(ops), tuple(regions),
+                                frozenset(mask_nodes), frozenset(mask_regions))
         return got
 
     # ------------------------------------------------------------- main loop
@@ -873,12 +897,13 @@ class _Engine:
                                        for s, c in fork_sources])
         then_cursor, placed_shared = self._schedule_tasks(
             then_ops, then_regions, then_cursor, optionals=list(extra))
-        then_done_nodes = set(self.done_nodes)
-        then_done_regions = set(self.done_regions)
+        # The done sets are rebound below, so the then arm's keep as is.
+        then_done_nodes = self.done_nodes
+        then_done_regions = self.done_regions
 
         # Else arm must mirror exactly the shared ops the then arm placed.
         self.done_nodes = snapshot_nodes | then_subtree
-        self.done_regions = set(snapshot_regions)
+        self.done_regions = snapshot_regions
         else_cursor = _Cursor(sources=[(s, self._and_cond(c, cond, False))
                                        for s, c in fork_sources])
         else_cursor, _ = self._schedule_tasks(
@@ -981,29 +1006,19 @@ class _Engine:
 
         # Schedule each kernel.
         for key, members in kernels.items():
-            member_ids = frozenset(l.id for l in members)
-            kernel_ops: list[int] = []
-            kernel_regions: list[int] = []
-            mask_nodes: set[int] = set()
-            mask_regions: set[int] = set()
-            for loop in members:
-                for block in (loop.body_block, loop.test_block):
-                    ops, regions = self._block_tasks(block)
-                    kernel_ops.extend(ops)
-                    kernel_regions.extend(regions)
-                nodes, regions = self._loop_mask(loop)
-                mask_nodes |= nodes
-                mask_regions |= regions
-
-            saved_nodes = set(self.done_nodes)
-            saved_regions = set(self.done_regions)
-            self.done_nodes -= mask_nodes
-            self.done_regions -= mask_regions
+            kernel_ops, kernel_regions, mask_nodes, mask_regions = \
+                self._kernel_tasks(members)
+            # Rebinding (not editing) the done sets leaves the saved ones
+            # intact while the kernel runs.
+            saved_nodes = self.done_nodes
+            saved_regions = self.done_regions
+            self.done_nodes = saved_nodes - mask_nodes
+            self.done_regions = saved_regions - mask_regions
 
             body_cursor = _Cursor()
             body_cursor.state = kernel_entry[key]
             saved_ctx = self._kernel_ctx
-            self._kernel_ctx = saved_ctx | member_ids
+            self._kernel_ctx = saved_ctx | {loop.id for loop in members}
             try:
                 body_cursor, _ = self._schedule_tasks(
                     kernel_ops, kernel_regions, body_cursor)
@@ -1011,8 +1026,10 @@ class _Engine:
                 self._kernel_ctx = saved_ctx
             end_state = self._materialize(body_cursor)
 
-            self.done_nodes |= saved_nodes | mask_nodes
-            self.done_regions |= saved_regions | mask_regions
+            self.done_nodes |= saved_nodes
+            self.done_nodes |= mask_nodes
+            self.done_regions |= saved_regions
+            self.done_regions |= mask_regions
 
             # Back / drain / exit transitions from the kernel end.
             member_conds = [loop.cond_node for loop in members]
@@ -1047,10 +1064,10 @@ class _Engine:
         test_cursor.state = test_entry
 
         mask_nodes, mask_regions = self._loop_mask(loop)
-        saved_nodes = set(self.done_nodes)
-        saved_regions = set(self.done_regions)
-        self.done_nodes -= mask_nodes
-        self.done_regions -= mask_regions
+        saved_nodes = self.done_nodes
+        saved_regions = self.done_regions
+        self.done_nodes = saved_nodes - mask_nodes
+        self.done_regions = saved_regions - mask_regions
 
         test_cursor, _ = self._schedule_tasks(
             *self._block_tasks(loop.test_block), test_cursor)
@@ -1073,8 +1090,10 @@ class _Engine:
             self.stg.add_transition(test_end.id, test_entry.id,
                                     frozenset({(loop.cond_node, True)}))
 
-        self.done_nodes |= saved_nodes | mask_nodes
-        self.done_regions |= saved_regions | mask_regions
+        self.done_nodes |= saved_nodes
+        self.done_nodes |= mask_nodes
+        self.done_regions |= saved_regions
+        self.done_regions |= mask_regions
         self.done_regions.add(loop.id)
         return exit_cursor
 

@@ -277,15 +277,15 @@ def _replay_impl(stg: STG, cdfg: CDFG, store: TraceStore,
     # streams, concatenated in node order, settles the common case; on a
     # mismatch the per-node scan names the first faulty occurrence.
     streams = [occurrences.get(n) for n in group_nodes]
-    consumed = all(occ is not None and occ.out.shape[0] == hi - lo
-                   for occ, lo, hi in zip(streams, group_bounds,
-                                          group_bounds[1:])) \
+    streams_match = all(occ is not None and occ.out.shape[0] == hi - lo
+                        for occ, lo, hi in zip(streams, group_bounds,
+                                               group_bounds[1:])) \
         and (not total or np.array_equal(
             em_pass, np.concatenate([occ.pass_idx for occ in streams])))
     for g, n in enumerate(group_nodes):
         lo = group_bounds[g]
         hi = group_bounds[g + 1]
-        if not consumed:
+        if not streams_match:
             _check_stream(cdfg, n, occurrences.get(n), em_pass[lo:hi],
                           em_state[lo:hi])
         op_cycle[n] = em_cycle[lo:hi]

@@ -16,6 +16,7 @@ performance metric [9] — is computed two ways:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -226,9 +227,9 @@ class STG:
 
         Under every assignment of a state's condition inputs exactly one
         outgoing transition must match.  A lone unguarded transition
-        matches them all, and so does a plain two-way branch; otherwise
-        each assignment is checked as a bit pattern against each guard's
-        (care, value) masks.
+        matches them all, and so does a plain two-way branch, which
+        between them are nearly every state; the rest enumerate the
+        assignments.
         """
         if self.start not in self.states or self.done not in self.states:
             raise ScheduleError("STG missing start or done state")
@@ -250,43 +251,15 @@ class STG:
 
     @staticmethod
     def _check_guards(state_id: int, outs: list[Transition]) -> None:
-        """Exactly one of ``outs`` matches each condition assignment.
-
-        Assignments are enumerated in ``itertools.product((False, True),
-        ...)`` order over the sorted condition nodes -- the first node is
-        the most significant bit -- so the first failing one is reported.
-        """
+        """Exactly one of ``outs`` matches each condition assignment."""
         cond_vars = sorted({c for t in outs for c, _ in t.conds})
-        width = len(cond_vars)
-        bit_of = {c: 1 << (width - 1 - j) for j, c in enumerate(cond_vars)}
-        masks: list[tuple[int, int]] = []
-        for transition in outs:
-            care = value = 0
-            for cond, want in transition.conds:
-                bit = bit_of[cond]
-                if want == True:  # noqa: E712 -- ``matches`` compares with ==
-                    want_bit = bit
-                elif want == False:  # noqa: E712
-                    want_bit = 0
-                else:
-                    care = value = -1  # never matches a bool
-                    break
-                if care & bit and value & bit != want_bit:
-                    care = value = -1  # contradictory guard
-                    break
-                care |= bit
-                value |= want_bit
-            masks.append((care, value))
-        for assignment in range(1 << width):
-            matching = 0
-            for care, value in masks:
-                if assignment & care == value:
-                    matching += 1
-            if matching != 1:
-                values = {c: bool(assignment & bit_of[c]) for c in cond_vars}
+        for values in itertools.product((False, True), repeat=len(cond_vars)):
+            assignment = dict(zip(cond_vars, values))
+            matching = [t for t in outs if t.matches(assignment)]
+            if len(matching) != 1:
                 raise ScheduleError(
-                    f"state {state_id}: {matching} transitions match "
-                    f"assignment {values} (need exactly 1)")
+                    f"state {state_id}: {len(matching)} transitions match "
+                    f"assignment {assignment} (need exactly 1)")
 
     def _reachable(self) -> set[int]:
         seen = {self.start}

@@ -281,10 +281,6 @@ class Binding:
             raise BindingError(f"op {node.name} is not bound to any FU")
         return scale_delay(fu.module, fu.width)
 
-    def delays(self) -> dict[int, float]:
-        """Delay of every schedulable node (zero for transfers)."""
-        return {n.id: self.op_delay(n.id) for n in self.cdfg.op_nodes()}
-
     def signature(self) -> tuple:
         """Content signature of the resource constraints (hashable).
 

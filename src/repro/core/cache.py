@@ -24,7 +24,8 @@ exactly the stage's inputs — are built by
 
 Scheduling is not memoized: over the Figure 13 sweep, distinct bindings
 share a schedule on only about 3% of lookups, and a schedule costs about
-a millisecond, so a table would save under 1% of the sweep.
+half a millisecond (fig13's 1,654 calls take 0.8–0.9 s at perfbench's
+reference speed), so a table would save under 1% of the sweep.
 
 All cached values are immutable once published (STG states, replay arrays
 and merged traces are never mutated after construction — per-architecture

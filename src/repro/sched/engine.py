@@ -462,8 +462,8 @@ class _Engine:
     def _bind_ops(self) -> None:
         """Look up each op's delay and unit under the binding, once.
 
-        Fills ``delays`` (:meth:`Binding.delays`) and ``_units`` (op ->
-        (unit id, estimated input-mux delay)).  Every op of a unit has
+        Fills ``delays`` (op -> :meth:`Binding.op_delay`) and ``_units``
+        (op -> (unit id, estimated input-mux delay)).  Every op of a unit has
         the unit's scaled module delay and every access of an array its
         RAM's access delay, so the binding is asked once per unit or RAM;
         an unbound op or array raises the binding's own error.

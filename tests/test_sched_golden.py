@@ -2,16 +2,17 @@
 
 For every registry benchmark, a seeded short power search at laxity 1
 records each binding it reschedules; the test schedules and replays
-them all again, in order against one trace store (so later replays are
-served by the store's recorded walks), and digests every STG and every
-replay array.  A digest pins what the rest of the pipeline consumes,
+them all again against the engine's trace store and digests every STG
+and every replay array.  The search's own replays walked those STGs
+and recorded the walks on the store, so the digest covers both the
+walk (through the visit sequences) and the recorded-walk path.  A digest pins what the rest of the pipeline consumes,
 bit for bit: a change to ``schedule()`` or ``replay()`` that alters any
 state, transition, duration, cycle count or per-occurrence timestamp
 fails here, on a few hundred real schedules, in a few seconds.
 
-The digests were recorded with the scheduler and replay before their
-rewrite for speed; regenerate them only for an intended change of
-schedules, with ``python tests/test_sched_golden.py``.
+The digests were recorded with the previous, slower scheduler and
+replay; regenerate them only for an intended change of schedules, with
+``PYTHONPATH=src python tests/test_sched_golden.py``.
 """
 
 import hashlib

@@ -33,22 +33,20 @@ class FUInstance:
     module: ModuleSpec
     ops: set[int] = field(default_factory=set)
     width: int = 1
-    #: (signature part, merge-signature part), built on first use; a
-    #: binding resets it whenever it edits the instance.
-    _parts: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    #: This unit's signature part, built on first use; a binding resets
+    #: it whenever it edits the instance.
+    _part: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def kinds(self, cdfg: CDFG) -> frozenset[OpKind]:
         return frozenset(cdfg.node(op).kind for op in self.ops)
 
-    def sig_parts(self) -> tuple[tuple, tuple]:
-        """This unit's entries of :meth:`Binding.signature` and
-        :meth:`Binding.merge_signature`, sharing one sorted op tuple."""
-        if self._parts is None:
-            ops = tuple(sorted(self.ops))
-            self._parts = ((self.id, self.module.name, self.width, ops),
-                           (self.id, self.width, ops))
-        return self._parts
+    def sig_part(self) -> tuple:
+        """This unit's entry of :meth:`Binding.signature`."""
+        if self._part is None:
+            self._part = (self.id, self.module.name, self.width,
+                          tuple(sorted(self.ops)))
+        return self._part
 
 
 @dataclass
@@ -62,7 +60,7 @@ class RegInstance:
                                 compare=False)
 
     def sig_part(self) -> tuple:
-        """This register's entry of both binding signatures."""
+        """This register's entry of :meth:`Binding.signature`."""
         if self._part is None:
             self._part = (self.id, self.width, tuple(sorted(self.carriers)))
         return self._part
@@ -89,7 +87,7 @@ class MemInstance:
         return ram_access_delay(self.spec, self.width, self.depth)
 
     def sig_part(self) -> tuple:
-        """This RAM's entry of both binding signatures."""
+        """This RAM's entry of :meth:`Binding.signature`."""
         if self._part is None:
             self._part = (self.name, self.spec.name, self.width, self.depth,
                           tuple(sorted(self.port_of.items())))
@@ -124,7 +122,7 @@ class Binding:
         self._owned_fus: set[int] = set()
         self._owned_regs: set[int] = set()
         self._owned_mems: set[str] = set()
-        # Lazily computed content signatures and the delay table; every
+        # The lazily computed content signature and delay table; every
         # mutating method clears this (all edits flow through them), so
         # each is computed at most once per binding state.
         self._sig_memo: dict[str, object] = {}
@@ -205,10 +203,10 @@ class Binding:
 
     def _own_fu(self, fu_id: int) -> FUInstance:
         """Unit ``fu_id`` ready for an in-place edit: copied first if
-        another binding may share it, its signature parts reset."""
+        another binding may share it, its signature part reset."""
         fu = self.fus[fu_id]
         if fu_id in self._owned_fus:
-            fu._parts = None
+            fu._part = None
             return fu
         fu = self.fus[fu_id] = FUInstance(fu.id, fu.module, set(fu.ops),
                                           fu.width)
@@ -255,7 +253,7 @@ class Binding:
         """Combinational delay (ns) of one node at 5 V under this binding.
 
         Memoized per node in the binding's delay table, which every edit
-        clears with the signatures: critical-path timing asks for the
+        clears with the signature: critical-path timing asks for the
         same nodes again and again, and each miss re-scales a module
         delay.
         """
@@ -294,47 +292,11 @@ class Binding:
         """
         got = self._sig_memo.get("full")
         if got is None:
-            fus = self.fus
+            fus, regs, mems = self.fus, self.regs, self.mems
             got = self._sig_memo["full"] = (
-                tuple(fus[i].sig_parts()[0] for i in sorted(fus)),
-                self._reg_sig(), self._mem_sig())
-        return got
-
-    def _reg_sig(self) -> tuple:
-        """Registers enter both binding signatures in one form."""
-        got = self._sig_memo.get("regs")
-        if got is None:
-            regs = self.regs
-            got = self._sig_memo["regs"] = tuple(
-                regs[i].sig_part() for i in sorted(regs))
-        return got
-
-    def _mem_sig(self) -> tuple:
-        """Array names are stable program identifiers, so one signature
-        form serves both binding signatures."""
-        got = self._sig_memo.get("mems")
-        if got is None:
-            mems = self.mems
-            got = self._sig_memo["mems"] = tuple(
-                mems[name].sig_part() for name in sorted(mems))
-        return got
-
-    def merge_signature(self) -> tuple:
-        """Content signature of exactly what trace merging reads (hashable).
-
-        The merge consumes each unit's (id, width, op set) and each
-        register's (id, width, carrier set) — plus the datapath's port
-        structure, which is likewise module-free — but never the module
-        assignments, so bindings that differ only in module selection
-        share one merged-trace object.  Instance ids are included: they
-        key streams and datapath ports.
-        """
-        got = self._sig_memo.get("merge")
-        if got is None:
-            fus = self.fus
-            got = self._sig_memo["merge"] = (
-                tuple(fus[i].sig_parts()[1] for i in sorted(fus)),
-                self._reg_sig(), self._mem_sig())
+                tuple(fus[i].sig_part() for i in sorted(fus)),
+                tuple(regs[i].sig_part() for i in sorted(regs)),
+                tuple(mems[name].sig_part() for name in sorted(mems)))
         return got
 
     def validate(self) -> None:

@@ -2,15 +2,13 @@
 
 The iterative-improvement search evaluates hundreds of candidate design
 points per run, and distinct candidates very often share intermediate
-artifacts: two schedules with identical STGs replay identically, and any
-(binding, STG) pair merges the same unit traces.  A :class:`SynthesisCache`
-holds one table per memoized stage; the keys — a content signature of
-exactly the stage's inputs — are built by
+artifacts: two schedules with identical STGs replay identically, and the
+search revisits the same candidate again and again.  A
+:class:`SynthesisCache` holds one table per memoized stage; the keys — a
+content signature of exactly the stage's inputs — are built by
 :class:`~repro.core.design.DesignPoint`, the only caller:
 
 * **replay**   — (trace-store id, CDFG id, STG replay signature);
-* **traces**   — (trace-store id, CDFG id, binding merge signature, STG
-  signature);
 * **design**   — (CDFG id, trace-store id, options, binding signature,
   STG signature, mux tree policy) -> the whole derived
   :class:`~repro.core.design.DesignPoint`.  The search revisits
@@ -21,6 +19,12 @@ exactly the stage's inputs — are built by
   Rescheduling derivations drop the STG term: the schedule is itself a
   function of (CDFG, binding, options), so the binding signature alone
   determines the point.
+
+Merged unit traces are not memoized: a point derived without
+rescheduling merges its traces from its parent's, and that merge shares
+every stream whose inputs the move left unchanged
+(:func:`~repro.power.trace_manip.merge_unit_traces`), which is what a
+table keyed on those inputs returned.
 
 Scheduling is not memoized: over the Figure 13 sweep, distinct bindings
 share a schedule on only about 3% of lookups, and a schedule costs about
@@ -64,12 +68,12 @@ from repro.core.profile import PROFILER
 def cache_stats(window: dict[str, dict]) -> dict[str, dict[str, float]]:
     """Per-table and total hit/miss counters of a ``PROFILER.window``.
 
-    Returns ``{"replay"|"traces"|"design"|"total": {"hits",
-    "misses", "hit_rate"}}``; a table with no lookups in the window
+    Returns ``{"replay"|"design"|"total": {"hits", "misses",
+    "hit_rate"}}``; a table with no lookups in the window
     reports zeros.
     """
     counts = {}
-    for table in ("replay", "traces", "design"):
+    for table in ("replay", "design"):
         stage = window.get(f"memo.{table}", {})
         hits = stage.get("incremental", 0)
         counts[table] = (hits, stage.get("calls", 0) - hits)
@@ -129,7 +133,7 @@ class MemoTable:
 
 
 class SynthesisCache:
-    """The three memo tables of the synthesis pipeline.
+    """The two memo tables of the synthesis pipeline.
 
     One instance is owned by a :class:`~repro.core.engine.SynthesisEngine`
     (or created by :meth:`~repro.core.design.DesignPoint.initial` when
@@ -142,5 +146,4 @@ class SynthesisCache:
         self.enabled = enabled
         self.max_entries = max_entries
         self.replay = MemoTable("replay", enabled, max_entries)
-        self.traces = MemoTable("traces", enabled, max_entries)
         self.designs = MemoTable("design", enabled, max_entries)

@@ -7,10 +7,12 @@ class makes each point cheap to derive from its predecessor:
   STG *and* the replay (replay depends only on the schedule, not the
   binding), and — when they declare a :class:`~repro.core.delta.DirtySet`
   — derive the architecture and the merged unit traces *incrementally*:
-  clean ports and streams are shared with the parent point, and only the
-  dirty subset is rebuilt (Section 2.3's trace manipulation applied to
-  the architecture and the traces); the power estimate is always
-  computed in full from them;
+  clean ports are shared with the parent point, every stream the move
+  left unchanged is shared too (the rule is stated once, in
+  :func:`~repro.power.trace_manip.merge_unit_traces`), and only the rest
+  is rebuilt (Section 2.3's trace manipulation applied to the
+  architecture and the traces); the power estimate is always computed
+  in full from them;
 * moves that change the resource constraints re-schedule first and take
   the full path.
 
@@ -139,11 +141,6 @@ def energy_cost(design: "DesignPoint", enc_budget: float) -> float:
 _DETACHED = SynthesisCache(enabled=False)
 
 
-def _live(cache_ref: weakref.ref) -> SynthesisCache:
-    cache = cache_ref()
-    return _DETACHED if cache is None else cache
-
-
 class _LazyTraces:
     """One design point's merged unit traces, built on first use.
 
@@ -157,43 +154,30 @@ class _LazyTraces:
     chain does not pin every ancestor's streams.
     """
 
-    __slots__ = ("arch", "store", "rep", "cache_ref", "parent", "dirty",
-                 "dirty_ports", "value")
+    __slots__ = ("arch", "store", "rep", "parent", "dirty", "dirty_ports",
+                 "value")
 
     def __init__(self, arch: Architecture, store: TraceStore,
-                 rep: ReplayResult, cache_ref: weakref.ref,
-                 parent: "_LazyTraces | None" = None,
+                 rep: ReplayResult, parent: "_LazyTraces | None" = None,
                  dirty: DirtySet | None = None,
                  dirty_ports: frozenset | None = None):
         self.arch = arch
         self.store = store
         self.rep = rep
-        self.cache_ref = cache_ref
         self.parent = parent
         self.dirty = dirty
         self.dirty_ports = dirty_ports
         self.value: UnitTraces | None = None
 
     def get(self) -> UnitTraces:
-        """Merged traces, memoized on everything the merge reads.
-
-        The merge signature ignores module assignments (the merge never
-        reads them), so module-substitution candidates share the parent's
-        traces outright.  Merged traces are immutable (their statistics
-        live in the trace store's table), so the shared object is safe
-        across points.
-        """
+        """Merged traces, from the parent's when there is one."""
         if self.value is None:
-            arch = self.arch
-            key = (id(self.store), id(arch.cdfg),
-                   arch.binding.merge_signature(), arch.stg.signature())
             delta = {}
             if self.parent is not None:
                 delta = dict(parent=self.parent.get(), dirty=self.dirty,
                              dirty_ports=self.dirty_ports)
-            self.value = _live(self.cache_ref).traces.get_or_compute(
-                key, lambda: merge_unit_traces(arch, self.store, self.rep,
-                                               **delta))
+            self.value = merge_unit_traces(self.arch, self.store, self.rep,
+                                           **delta)
             self.parent = self.dirty = self.dirty_ports = None
         return self.value
 
@@ -227,8 +211,8 @@ class DesignPoint:
     Every point uses a :class:`~repro.core.cache.SynthesisCache`, shared
     with the points derived from it, and owns its key policy: derived
     points are memoized on (binding, STG, tree policy), replays on the
-    STG's replay signature, merged traces on the binding's merge
-    signature plus the STG signature.  Scheduling is not memoized.
+    STG's replay signature.  Scheduling and trace merging are not
+    memoized.
 
     The cache's tables hold the derived points, so a point refers to its
     cache only weakly; the cache's owner — the engine, or the point
@@ -272,13 +256,12 @@ class DesignPoint:
     @property
     def cache(self) -> SynthesisCache:
         """The memo tables, or a disabled cache once their owner is gone."""
-        return _live(self._cache)
+        cache = self._cache()
+        return _DETACHED if cache is None else cache
 
     @cache.setter
     def cache(self, cache: SynthesisCache) -> None:
         self._cache = weakref.ref(cache)
-        if self._lazy_traces is not None:
-            self._lazy_traces.cache_ref = self._cache
 
     # -- construction ---------------------------------------------------------------
 
@@ -409,7 +392,7 @@ class DesignPoint:
             if parent is not None:
                 arch, rebuilt = derive_architecture(parent.arch, self.binding,
                                                     self._dirty)
-                lazy = _LazyTraces(arch, self.store, self.rep, self._cache,
+                lazy = _LazyTraces(arch, self.store, self.rep,
                                    parent._lazy_traces, self._dirty, rebuilt)
                 # Only re-wired ports can carry a stale balanced tree; a
                 # shared port inherited its (possibly restructured) tree
@@ -419,7 +402,7 @@ class DesignPoint:
             else:
                 arch = build_architecture(self.cdfg, self.binding, self.stg,
                                           clock_ns=self.options.clock_ns)
-                lazy = _LazyTraces(arch, self.store, self.rep, self._cache)
+                lazy = _LazyTraces(arch, self.store, self.rep)
                 pending = list(self.tree_policy)
             self._lazy_traces = lazy
             if pending:

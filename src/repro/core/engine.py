@@ -96,8 +96,8 @@ class SynthesisResult:
     enc_budget: float
     history: SearchHistory
     store: TraceStore
-    #: Memo-table counters over the run window: {"replay"|"traces"|
-    #: "design"|"total": {"hits", "misses", "hit_rate"}} (see
+    #: Memo-table counters over the run window: {"replay"|"design"|
+    #: "total": {"hits", "misses", "hit_rate"}} (see
     #: :func:`repro.core.cache.cache_stats`).  Like every ``PROFILER``
     #: window they cover all memo lookups made in the process during the
     #: run, not only this engine's cache.

@@ -21,20 +21,36 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
 class StageToken:
-    """Mutable marker yielded by :meth:`Profiler.stage`.
+    """One timed stage execution, as returned by :meth:`Profiler.stage`.
 
-    Stages that only discover mid-flight whether they took the
-    incremental path (a reused replay walk, a persistent-store hit) set
-    ``incremental`` on the token before the block exits.
+    It is both the context manager that times the block and the mutable
+    marker the block sees: stages that only discover mid-flight whether
+    they took the incremental path (a reused replay walk, a
+    persistent-store hit) set ``incremental`` on the token before the
+    block exits.  One plain object per call keeps the hot stages cheap
+    (a generator-based context manager builds three).
     """
 
-    incremental: bool = False
+    __slots__ = ("incremental", "_profiler", "_name", "_t0")
+
+    def __init__(self, profiler: "Profiler", name: str,
+                 incremental: bool = False):
+        self.incremental = incremental
+        self._profiler = profiler
+        self._name = name
+        self._t0 = 0.0
+
+    def __enter__(self) -> "StageToken":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._profiler.record(self._name, time.perf_counter() - self._t0,
+                              self.incremental)
 
 
 @dataclass
@@ -63,29 +79,16 @@ class Profiler:
         self._lock = threading.Lock()
         self._stages: dict[str, StageStats] = {}
 
-    @contextmanager
-    def stage(self, name: str, incremental: bool = False):
+    def stage(self, name: str, incremental: bool = False) -> StageToken:
         """Time one stage execution (``incremental`` marks a delta path).
 
-        Yields a :class:`StageToken`; a stage that only knows *after* the
-        fact whether it short-circuited (e.g. a reused replay walk)
-        may set ``token.incremental`` inside the block instead of passing
-        the flag up front.
+        Use as ``with profiler.stage(name) as token``; the block is
+        counted on exit, also when it raises.  A stage that only knows
+        *after* the fact whether it short-circuited (e.g. a reused replay
+        walk) may set ``token.incremental`` inside the block instead of
+        passing the flag up front.
         """
-        token = StageToken(incremental=incremental)
-        t0 = time.perf_counter()
-        try:
-            yield token
-        finally:
-            elapsed = time.perf_counter() - t0
-            with self._lock:
-                stats = self._stages.get(name)
-                if stats is None:
-                    stats = self._stages[name] = StageStats()
-                stats.calls += 1
-                stats.seconds += elapsed
-                if token.incremental:
-                    stats.incremental += 1
+        return StageToken(self, name, incremental)
 
     def record(self, name: str, seconds: float = 0.0,
                incremental: bool = False) -> None:
@@ -94,7 +97,8 @@ class Profiler:
         The counter-only entry point for stages whose cost is not the
         interesting part — memo-table lookups, coverage extraction in
         fuzz runs — where callers want the event visible in a
-        :meth:`window` next to the timed stages.
+        :meth:`window` next to the timed stages; every timed stage ends
+        here too.
         """
         with self._lock:
             stats = self._stages.get(name)

@@ -11,7 +11,11 @@ the paper's scheme for avoiding re-simulation at every synthesis step.
 The same scheme extends across design points: a move's dirty set names
 the few units it touched, so :func:`merge_unit_traces` can derive a
 candidate's traces from its parent's by re-merging only the dirty
-units/ports and sharing every other stream *object*.
+units/ports and sharing every other stream *object*.  A dirty unit whose
+op set and width the move left alone (a module substitution) keeps its
+parent's stream too: under the parent's replay, which is the only one
+the incremental path runs under, a unit's stream depends on nothing
+else.
 
 The statistics computed from the streams (bit toggles, carry activity)
 follow the same rule one level down: they live in one table per
@@ -201,8 +205,9 @@ def merge_unit_traces(arch: Architecture, store: TraceStore,
 
     ``parent``/``dirty``/``dirty_ports`` enable the incremental path: the
     parent's streams and port statistics are shared for every unit/port
-    outside the dirty sets and only the dirty remainder is re-merged —
-    bit-identical to a full merge, because a clean unit's merge inputs
+    outside the dirty sets, and for every dirty unit whose op set and
+    width are the parent's, and only the remainder is re-merged —
+    bit-identical to a full merge, because a shared stream's merge inputs
     (operation set, width, occurrence arrays, replay timing) are the
     parent's exactly.
     """
@@ -258,9 +263,14 @@ class _Merger:
 
     def _merge_fus(self) -> None:
         for fu in self.arch.binding.fus.values():
-            if self.parent is not None and fu.id not in self.dirty.fu_ids:
-                self.traces.fu_streams[fu.id] = self.parent.fu_streams[fu.id]
-                continue
+            if self.parent is not None:
+                stream = self.parent.fu_streams.get(fu.id)
+                if stream is not None and (
+                        fu.id not in self.dirty.fu_ids
+                        or stream.stat_key[1:3] == (tuple(sorted(fu.ops)),
+                                                    fu.width)):
+                    self.traces.fu_streams[fu.id] = stream
+                    continue
             self.traces.fu_streams[fu.id] = self._merge_one_fu(fu)
 
     def _merge_one_fu(self, fu) -> FUStream:

@@ -87,8 +87,8 @@ def _content(binding: Binding) -> tuple:
     )
 
 
-def _signatures(binding: Binding) -> tuple:
-    """Both signatures computed from scratch, without any cached part."""
+def _signature(binding: Binding) -> tuple:
+    """The signature computed from scratch, without any cached part."""
     mems = tuple(
         (mem.name, mem.spec.name, mem.width, mem.depth,
          tuple(sorted(mem.port_of.items())))
@@ -97,9 +97,7 @@ def _signatures(binding: Binding) -> tuple:
                  for i, reg in sorted(binding.regs.items()))
     full = tuple((i, fu.module.name, fu.width, tuple(sorted(fu.ops)))
                  for i, fu in sorted(binding.fus.items()))
-    merge = tuple((i, fu.width, tuple(sorted(fu.ops)))
-                  for i, fu in sorted(binding.fus.items()))
-    return (full, regs, mems), (merge, regs, mems)
+    return full, regs, mems
 
 
 class TestClone:
@@ -117,8 +115,7 @@ class TestClone:
                 edited.validate()
                 assert _content(edited) != before
                 assert _content(other) == before
-                assert (other.signature(), other.merge_signature()) \
-                    == _signatures(other)
+                assert other.signature() == _signature(other)
 
     def test_signatures_follow_every_edit(self):
         # Cached per-instance parts must never outlive an edit, whether
@@ -128,10 +125,8 @@ class TestClone:
             clone = source.clone()
             for binding in (source, clone, _sharing_binding()):
                 binding.signature()
-                binding.merge_signature()
                 edit(binding)
-                assert (binding.signature(), binding.merge_signature()) \
-                    == _signatures(binding)
+                assert binding.signature() == _signature(binding)
 
     def test_clone_shares_every_instance_until_an_edit(self):
         source = _sharing_binding()

@@ -51,19 +51,19 @@ class TestMemoTable:
 class TestSynthesisCacheStats:
     def test_window_delta(self):
         cache = SynthesisCache()
-        cache.traces.get_or_compute("x", lambda: 1)
+        cache.designs.get_or_compute("x", lambda: 1)
         window = PROFILER.snapshot()
-        cache.traces.get_or_compute("x", lambda: 1)
+        cache.designs.get_or_compute("x", lambda: 1)
         cache.replay.get_or_compute("y", lambda: 2)
         stats = cache_stats(PROFILER.window(window))
-        assert stats["traces"]["hits"] == 1
+        assert stats["design"]["hits"] == 1
         assert stats["replay"]["misses"] == 1
         assert stats["total"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
 
     def test_lifetime_stats_shape(self):
         # Every table reports, lookups or not.
         stats = cache_stats({})
-        assert set(stats) == {"replay", "traces", "design", "total"}
+        assert set(stats) == {"replay", "design", "total"}
         assert stats["design"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
 
 

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.benchmarks import get_benchmark
 from repro.lang import parse
 from repro.cdfg.interpreter import simulate
 from repro.cdfg.node import OpKind
 from repro.core.binding import Binding
+from repro.core.cache import SynthesisCache
+from repro.core.engine import SynthesisEngine
+from repro.core.moves import RestructureMux, SubstituteModule, generate_moves
 from repro.library import default_library
 from repro.power.trace_manip import merge_unit_traces
 from repro.rtl import build_architecture
 from repro.sched import replay, wavesched
+from repro.sched.engine import ScheduleOptions
 from repro.experiments.trace_example import (
     EXAMPLE_PASSES,
     TRACE_EXAMPLE_SOURCE,
@@ -131,3 +136,53 @@ class TestMergeMechanics:
 def total_occurrences(store) -> int:
     """Occurrences recorded over every node of a trace store."""
     return sum(len(a) for a in store.occurrences.values())
+
+
+@pytest.mark.parametrize("caching", [True, False],
+                         ids=["cache-on", "cache-off"])
+def test_derived_point_shares_unchanged_streams(caching):
+    """A point derived without rescheduling holds its parent's streams.
+
+    Module substitutions that keep the schedule and mux restructurings
+    change nothing a unit's merge reads, so the derived point's merge
+    hands back the parent's stream objects, the substituted unit's too.
+    A from-scratch merge (``incremental=False``) of the same points gives
+    equal arrays and an equal power estimate.
+    """
+    bench = get_benchmark("dealer")
+    cdfg = bench.cdfg()
+    stimulus = bench.stimulus(8, seed=3)
+    options = ScheduleOptions(clock_ns=bench.clock_ns)
+    inc_engine = SynthesisEngine(cdfg, stimulus, options=options,
+                                 cache=SynthesisCache(enabled=caching))
+    full_engine = SynthesisEngine(cdfg, stimulus, options=options,
+                                  cache=SynthesisCache(enabled=caching),
+                                  incremental=False, store=inc_engine.store)
+    inc, full = inc_engine.initial, full_engine.initial
+    moves = [m for m in generate_moves(inc)
+             if isinstance(m, (SubstituteModule, RestructureMux))]
+    kinds = set()
+    for move in moves:
+        derived = move.apply(inc)
+        if derived.stg is not inc.stg:
+            continue  # a slower module that rescheduled
+        kinds.add(type(move))
+        parent, traces = inc.traces, derived.traces
+        assert traces.fu_streams.keys() == parent.fu_streams.keys()
+        for fu_id, stream in traces.fu_streams.items():
+            assert stream is parent.fu_streams[fu_id], (move, fu_id)
+
+        reference = move.apply(full)
+        assert not reference.incremental
+        ref_streams = reference.traces.fu_streams
+        assert ref_streams.keys() == traces.fu_streams.keys()
+        for fu_id, stream in traces.fu_streams.items():
+            other = ref_streams[fu_id]
+            assert stream.stat_key == other.stat_key
+            assert stream.chained_fraction == other.chained_fraction
+            for got, want in zip((*stream.ins, stream.out),
+                                 (*other.ins, other.out), strict=True):
+                assert np.array_equal(got, want)
+        assert (derived.evaluate().estimate.total
+                == reference.evaluate().estimate.total), move
+    assert kinds == {SubstituteModule, RestructureMux}

@@ -216,7 +216,7 @@ def test_memo_table_unbounded_by_default():
 
 def test_synthesis_cache_forwards_entry_bound():
     cache = SynthesisCache(max_entries=2)
-    for table in (cache.replay, cache.traces, cache.designs):
+    for table in (cache.replay, cache.designs):
         for i in range(4):
             table.get_or_compute(i, lambda i=i: i)
         assert len(table) == 2

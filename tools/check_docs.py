@@ -13,7 +13,9 @@ each command line against the repository:
 
 Every ``REPRO_*`` environment variable named anywhere in those files
 must also occur somewhere under ``src/``, so the docs cannot keep
-advertising a variable the code no longer reads.
+advertising a variable the code no longer reads.  Likewise every
+``memo.<name>`` profiler stage they name must be the stage of a memo
+table that ``repro.core.cache.SynthesisCache`` defines.
 
 Exit code is non-zero on the first stale path, so CI catches docs that
 drift from the code.  Run from the repository root:
@@ -35,6 +37,7 @@ SRC = ROOT / "src"
 
 FENCE = re.compile(r"```bash\n(.*?)```", re.DOTALL)
 ENV_VAR = re.compile(r"REPRO_[A-Z_]+")
+MEMO_STAGE = re.compile(r"\bmemo\.([a-z_]+)")
 
 
 def extract_commands(text: str) -> list[str]:
@@ -54,6 +57,16 @@ def strip_env_prefix(tokens: list[str]) -> list[str]:
     while tokens and "=" in tokens[0] and not tokens[0].startswith("-"):
         tokens = tokens[1:]
     return tokens
+
+
+def memo_tables() -> set[str]:
+    """Names of the memo tables a fresh ``SynthesisCache`` holds."""
+    if sys.path[0] != str(SRC):
+        sys.path.insert(0, str(SRC))
+    from repro.core.cache import MemoTable, SynthesisCache
+
+    return {table.name for table in vars(SynthesisCache()).values()
+            if isinstance(table, MemoTable)}
 
 
 def module_exists(name: str) -> bool:
@@ -151,11 +164,16 @@ def main() -> int:
     n_commands = 0
     known = {name for path in SRC.rglob("*.py")
              for name in ENV_VAR.findall(path.read_text(encoding="utf-8"))}
+    tables = memo_tables()
     for source in sources:
         text = source.read_text(encoding="utf-8")
         for name in sorted(set(ENV_VAR.findall(text)) - known):
             failures.append(f"{source.relative_to(ROOT)}: environment "
                             f"variable {name} does not occur under src/")
+        for name in sorted(set(MEMO_STAGE.findall(text)) - tables):
+            failures.append(f"{source.relative_to(ROOT)}: stage memo.{name} "
+                            f"names no table of SynthesisCache "
+                            f"(have {sorted(tables)})")
         for line in extract_commands(text):
             n_commands += 1
             error, module = check_command(line)
